@@ -12,11 +12,11 @@ import math
 
 from boolsurf import (TruthTable, boundary_report, bsa, edge_threshold_check,
                       edge_threshold_check_exhaustive, level_sign_counts,
-                      sensitivity_profile, total_influence)
+                      total_influence)
 
 
 def describe(name, f):
-    profile = sensitivity_profile(f)
+    profile = f.profile()
     total, _ = total_influence(f)
     area = bsa(f)
     print(f"\n{name} (n={f.n})")

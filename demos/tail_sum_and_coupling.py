@@ -11,8 +11,7 @@ All quantities here are exact rationals.
 
 import math
 
-from boolsurf import (TruthTable, bsa, bsa_via_tails, sensitivity_profile,
-                      tail_coupling_check)
+from boolsurf import TruthTable, bsa, bsa_via_tails, tail_coupling_check
 
 
 def main():
@@ -31,7 +30,7 @@ def main():
                            for m in range(1, 7)))
 
     f = TruthTable.majority(9)
-    counts = sensitivity_profile(f).counts.tolist()
+    counts = f.profile().counts.tolist()
     print(f"\ncoupling certificates for majority of 9 (counts {counts}):")
     print(f"  {'m':>2} {'Pr[s >= m]':>12} {'coupling lb':>12} {'ratio':>8} "
           f"{'floor':>8}")

@@ -10,12 +10,12 @@ for everything too big to enumerate.
 from .boundary import (BoundaryReport, EdgeThresholdCheck, boundary_report,
                        edge_biased_cdf, edge_threshold_check,
                        edge_threshold_check_exhaustive, level_sign_counts)
-from .core import (EXACT_CAP, FourierSpectrum, Influence, SensitivityProfile,
-                   TruthTable, all_points_signs, bsa, bsa_via_tails,
-                   fourier_transform, fractional_moment, index_to_point,
-                   noise_sensitivity, noise_sensitivity_semigroup,
-                   point_to_index, popcount_table, sensitivity,
-                   sensitivity_profile, total_influence, walsh_hadamard)
+from .core import (EXACT_CAP, EXHAUSTIVE_CAP, FourierSpectrum, Influence,
+                   SensitivityProfile, TruthTable, all_functions, all_points_signs,
+                   bsa, bsa_via_tails, fractional_moment, index_to_point,
+                   noise_sensitivity, noise_sensitivity_semigroup, point_to_index,
+                   popcount_table, sensitivities, sensitivity, total_influence,
+                   walsh_hadamard)
 from .errors import (BoolsurfError, CapacityError, DegenerateInputError,
                      InputError, ParseError, VerificationError)
 from .partition import (BlockBoundReport, BlockPartitionSpec,

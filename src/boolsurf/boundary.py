@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TruthTable, popcount_table, sensitivity_profile, total_influence
-from .errors import CapacityError, InputError
-
-EXHAUSTIVE_CAP = 4
+from .core import TruthTable, all_functions, popcount_table, sensitivities
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,7 @@ def boundary_report(f: TruthTable) -> BoundaryReport:
 
     Constants get the degenerate report (all zeros, threshold None).
     """
-    profile = sensitivity_profile(f)
+    profile = f.profile()
     influence = profile.moment(1.0)
     area = profile.bsa()
     var = influence - area * area
@@ -69,7 +67,7 @@ def _edge_mass_at_least(profile, threshold: float) -> float:
 
 def edge_biased_cdf(f: TruthTable, t: float) -> float:
     """Edge-biased probability of sensitivity <= t (complement of the tail)."""
-    profile = sensitivity_profile(f)
+    profile = f.profile()
     if profile.moment(1.0) == 0.0:
         raise InputError("edge-biased sampling is undefined for constant functions")
     levels = np.arange(profile.n + 1, dtype=np.float64)
@@ -115,20 +113,8 @@ def edge_threshold_check_exhaustive(n: int) -> ExhaustiveEdgeReport:
     per-function tables.
     """
     n = int(n)
-    if n < 1:
-        raise InputError("need n >= 1")
-    if n > EXHAUSTIVE_CAP:
-        raise CapacityError(
-            f"n={n} means 2^{1 << n} functions; the cap is n <= {EXHAUSTIVE_CAP}")
-    size = 1 << n
-    nfuncs = 1 << size
-    codes = np.arange(nfuncs, dtype=np.uint32)
-    bits = ((codes[:, None] >> np.arange(size, dtype=np.uint32)[None, :]) & 1).astype(np.int8)
-    cols = np.arange(size)
-    sens = np.zeros((nfuncs, size), dtype=np.uint8)
-    for i in range(n):
-        sens += bits != bits[:, cols ^ (1 << i)]
-    sens64 = sens.astype(np.int64)
+    sens64 = sensitivities(all_functions(n))[0].astype(np.int64)
+    nfuncs = sens64.shape[0]
     edge_sum = sens64.sum(axis=1)  # 2^n * Inf, integer
     nonconstant = edge_sum > 0
     sqrt_sum = np.sqrt(sens64).sum(axis=1)  # 2^n * BSA
@@ -167,8 +153,3 @@ def chain_tail_bound_holds(f: TruthTable, t: float) -> tuple[bool, float, float]
     lhs = edge_biased_cdf(f, t)
     rhs = float(np.sqrt(t) * report.bsa / report.influence)
     return lhs <= rhs + 1e-12, lhs, rhs
-
-
-def influence_report(f: TruthTable):
-    """Convenience passthrough used by the CLI: total and per-coordinate."""
-    return total_influence(f)

@@ -24,8 +24,8 @@ from . import boundary as boundary_mod
 from . import partition as partition_mod
 from . import restriction as restriction_mod
 from . import verify as verify_mod
-from .core import (EXACT_CAP, TruthTable, bsa, bsa_via_tails, fractional_moment,
-                   noise_sensitivity, sensitivity_profile, total_influence)
+from .core import (EXACT_CAP, TruthTable, bsa_via_tails, fractional_moment,
+                   noise_sensitivity, total_influence)
 from .errors import (BoolsurfError, CapacityError, InputError, ParseError,
                      VerificationError)
 from .ptf import ALPHA_EXACT_CAP, SparsePolynomial, alpha_estimate, alpha_exact, generate, sign_table
@@ -248,8 +248,11 @@ def render_json(payload) -> str:
 
 def emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -279,7 +282,7 @@ def _cmd_analyze(args) -> int:
         raise InputError("analyze reports are JSON only")
     spec = parse_function_spec(args.spec)
     table, zero_hits = spec.resolve_table()
-    profile = sensitivity_profile(table)
+    profile = table.profile()
     influence = total_influence(table)
     moments = parse_float_list(args.moments)
     deltas = parse_float_list(args.deltas)
@@ -336,7 +339,10 @@ def _cmd_partition(args) -> int:
     rows = []
     failures = 0
     if args.sizes:
-        sizes = tuple(int(s) for s in args.sizes.split("-") if s)
+        try:
+            sizes = tuple(int(s) for s in args.sizes.split("-") if s)
+        except ValueError:
+            raise ParseError(f"--sizes needs dash-joined integers, got {args.sizes!r}")
         n = sum(sizes)
         ks = parse_int_list(args.k) if args.k else list(range(0, n + 1))
         cases = [(n, k, sizes) for k in ks]
@@ -448,7 +454,7 @@ def _cmd_sweep(args) -> int:
         for family in args.family.split(","):
             for n in parse_int_list(args.n):
                 table = _family_table(family, n)
-                profile = sensitivity_profile(table)
+                profile = table.profile()
                 rows.append([family, n, profile.bsa(), bsa_via_tails(table),
                              profile.moment(1.0), profile.count_ge(1) / profile.points])
         _emit_table(args, "sweep", None, header, rows)

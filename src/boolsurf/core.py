@@ -9,13 +9,15 @@ The pointwise sensitivity s(x) counts coordinates whose flip changes f
 at x.  Everything downstream is a moment of the sensitivity histogram:
 average sensitivity (total influence) is E[s], Boolean surface area is
 E[sqrt(s)], and the general fractional moment is E[s^alpha].  One
-O(n 2^n) vectorised scan builds the histogram; moments are dot products
-against cached weight tables, so quantities related by "same summation"
-claims (surface area vs the alpha = 1/2 moment, influence vs the
-alpha = 1 moment) are bit-for-bit identical.
+kernel, ``sensitivities``, scans a batch of tables in O(n 2^n) per table
+and returns s at every point plus the per-axis disagreeing-pair counts
+(the per-coordinate influences); every histogram and audit uses it.
+Moments are dot products against cached weight tables, so quantities
+related by "same summation" claims (surface area vs the alpha = 1/2
+moment, influence vs the alpha = 1 moment) are bit-for-bit identical.
 
-Tables are capped at EXACT_CAP variables; anything larger must go
-through the Monte Carlo paths in the sibling modules.
+Tables are capped at EXACT_CAP variables and the all-functions audits at
+EXHAUSTIVE_CAP; anything larger goes through the Monte Carlo paths.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import CapacityError, InputError
 from .seeding import substream
 
 EXACT_CAP = 24
+EXHAUSTIVE_CAP = 4
 
 
 @lru_cache(maxsize=None)
@@ -118,7 +121,7 @@ class SensitivityProfile:
 class TruthTable:
     """Dense sign table of a Boolean function on n <= EXACT_CAP variables."""
 
-    __slots__ = ("n", "values", "_profile", "_spectrum")
+    __slots__ = ("n", "values", "_profile", "_edges", "_spectrum")
 
     def __init__(self, n: int, values):
         n = _check_n(n)
@@ -132,6 +135,7 @@ class TruthTable:
         self.n = n
         self.values = arr
         self._profile = None
+        self._edges = None
         self._spectrum = None
 
     def __eq__(self, other):
@@ -189,8 +193,8 @@ class TruthTable:
 
     def profile(self) -> SensitivityProfile:
         if self._profile is None:
-            counts = np.bincount(_sensitivity_per_point(self.values, self.n),
-                                 minlength=self.n + 1)
+            sens, self._edges = sensitivities(self.values)
+            counts = np.bincount(sens, minlength=self.n + 1)
             self._profile = SensitivityProfile(self.n, counts)
         return self._profile
 
@@ -201,16 +205,46 @@ class TruthTable:
         return self._spectrum
 
 
-def _sensitivity_per_point(values: np.ndarray, n: int) -> np.ndarray:
-    """Vector of s(x) for every index x, via n reshaped slice comparisons."""
-    sens = np.zeros(len(values), dtype=np.uint8)
+def sensitivities(values) -> tuple[np.ndarray, np.ndarray]:
+    """(s, edges) for tables along the last axis of `values` (..., 2^n).
+
+    s is C-contiguous uint8 of the input's shape: s[..., x] counts the
+    axes whose flip changes that table at x.  edges[i] counts the pairs
+    {x, x ^ (1 << i)} that disagree, summed over every table.  The scan
+    runs points-major (tables on the contiguous inner axis), which keeps
+    batches of many small tables as fast as one large table.
+    """
+    values = np.asarray(values)
+    size = values.shape[-1]
+    if size == 0 or size & (size - 1):
+        raise InputError(f"table length must be a power of two, got {size}")
+    n = size.bit_length() - 1
+    cols = np.ascontiguousarray(values.reshape(-1, size).T)  # (2^n, tables)
+    sens = np.zeros(cols.shape, dtype=np.uint8)
+    edges = np.empty(n, dtype=np.int64)
     for i in range(n):
-        pairs = values.reshape(-1, 2, 1 << i)
+        stride = (1 << i) * cols.shape[1]
+        pairs = cols.reshape(-1, 2, stride)
         differs = pairs[:, 0, :] != pairs[:, 1, :]
-        halves = sens.reshape(-1, 2, 1 << i)
+        edges[i] = np.count_nonzero(differs)
+        halves = sens.reshape(-1, 2, stride)
         halves[:, 0, :] += differs
         halves[:, 1, :] += differs
-    return sens
+    return np.ascontiguousarray(sens.T).reshape(values.shape), edges
+
+
+def all_functions(n: int) -> np.ndarray:
+    """All 2^(2^n) functions on n >= 1 variables: row c of this 0/1 int8
+    matrix has bit x of c at column x."""
+    n = int(n)
+    if n < 1:
+        raise InputError("need n >= 1")
+    if n > EXHAUSTIVE_CAP:
+        raise CapacityError(
+            f"n={n} means 2^{1 << n} functions; the cap is n <= {EXHAUSTIVE_CAP}")
+    size = 1 << n
+    codes = np.arange(1 << size, dtype=np.uint32)
+    return ((codes[:, None] >> np.arange(size, dtype=np.uint32)[None, :]) & 1).astype(np.int8)
 
 
 class FourierSpectrum:
@@ -255,10 +289,6 @@ def sensitivity(f: TruthTable, x: int) -> int:
     return int(sum(f.values[x] != f.values[x ^ (1 << i)] for i in range(f.n)))
 
 
-def sensitivity_profile(f: TruthTable) -> SensitivityProfile:
-    return f.profile()
-
-
 def bsa(f: TruthTable) -> float:
     """Boolean surface area E[sqrt(s(x))]."""
     return f.profile().bsa()
@@ -289,20 +319,12 @@ def bsa_via_tails(f: TruthTable) -> float:
 def total_influence(f: TruthTable) -> Influence:
     """Average sensitivity, total and split by coordinate.
 
-    total is computed from the sensitivity histogram (the alpha = 1
-    moment); per-coordinate values come from one pair-disagreement scan
-    per axis, and their exact integer sums agree by the handshake count.
+    total is the alpha = 1 moment of the sensitivity histogram; the
+    per-coordinate values are the per-axis edge counts of the same scan,
+    and their exact integer sums agree by the handshake count.
     """
-    per = np.empty(f.n, dtype=np.float64)
-    points = 1 << f.n
-    for i in range(f.n):
-        pairs = f.values.reshape(-1, 2, 1 << i)
-        per[i] = 2 * int((pairs[:, 0, :] != pairs[:, 1, :]).sum()) / points
-    return Influence(f.profile().moment(1.0), per)
-
-
-def fourier_transform(f: TruthTable) -> FourierSpectrum:
-    return f.spectrum()
+    profile = f.profile()
+    return Influence(profile.moment(1.0), 2 * f._edges / profile.points)
 
 
 def _check_delta(delta: float) -> float:

@@ -34,7 +34,7 @@ from math import comb
 import mpmath as mp
 import numpy as np
 
-from .core import TruthTable, bsa
+from .core import TruthTable, bsa, sensitivities
 from .errors import DegenerateInputError, InputError, VerificationError
 from .seeding import Estimate, mc_values, mean_and_stderr
 
@@ -374,11 +374,7 @@ def bsa_block_bound(f: TruthTable, blocks: int, trials: int, seed: int = 0,
                 base = outside[rows, l] & ~block_mask
                 inside = sub_bits[m_l][None, :, :] << positions[:, None, :]
                 idx = base[:, None] + inside.sum(axis=2)  # (seg, 2^m_l)
-                vals = f.values[idx]
-                cols = np.arange(1 << m_l)
-                sens = np.zeros(vals.shape, dtype=np.uint8)
-                for j in range(m_l):
-                    sens += vals != vals[:, cols ^ (1 << j)]
+                sens, _ = sensitivities(f.values[idx])
                 total[rows] += roots[sens].mean(axis=1)
         return total / root_b
 

@@ -17,13 +17,12 @@ from math import nan
 
 import numpy as np
 
-from .core import EXACT_CAP, TruthTable, sensitivity_profile
+from .core import EXACT_CAP, TruthTable, all_functions, sensitivities
 from .errors import CapacityError, InputError, VerificationError
 from .ptf import SparsePolynomial, eval_on_cube, restrict_poly
 from .seeding import chunk_sizes, resolve_workers, substream
 
 RATE_GUIDELINE = 1.0 / 16.0
-EXHAUSTIVE_CAP = 4
 
 
 class Restriction:
@@ -218,7 +217,7 @@ def tail_coupling_check(f: TruthTable, m: int) -> TailReport:
         raise InputError("tail levels need a function on n >= 1 variables")
     if not 1 <= m <= f.n:
         raise InputError(f"level m must lie in 1..{f.n}, got {m}")
-    counts = sensitivity_profile(f).counts
+    counts = f.profile().counts
     points = 1 << f.n
     p_e = Fraction(int(counts[m:].sum()), points)
     keep = 1 - Fraction(1, m)
@@ -253,20 +252,9 @@ def sensitive_fraction_bound_exhaustive(ell: int) -> SensitiveFractionReport:
     sensitive points is at most (ell + 1) times the distance to the
     nearest constant.  Vectorised over all 2^(2^ell) functions."""
     ell = int(ell)
-    if ell < 1:
-        raise InputError("need ell >= 1")
-    if ell > EXHAUSTIVE_CAP:
-        raise CapacityError(
-            f"ell={ell} means 2^{1 << ell} functions; the cap is ell <= {EXHAUSTIVE_CAP}")
-    size = 1 << ell
-    nfuncs = 1 << size
-    codes = np.arange(nfuncs, dtype=np.uint32)
-    bits = ((codes[:, None] >> np.arange(size, dtype=np.uint32)[None, :]) & 1).astype(np.int8)
-    cols = np.arange(size)
-    sens_any = np.zeros((nfuncs, size), dtype=bool)
-    for i in range(ell):
-        sens_any |= bits != bits[:, cols ^ (1 << i)]
-    sensitive = sens_any.sum(axis=1)  # points with s >= 1, per function
+    bits = all_functions(ell)
+    nfuncs, size = bits.shape
+    sensitive = np.count_nonzero(sensitivities(bits)[0], axis=1)  # points with s >= 1
     ones = bits.sum(axis=1, dtype=np.int64)
     miscount = np.minimum(ones, size - ones)  # 2^ell * closeness
     allowed = (ell + 1) * miscount

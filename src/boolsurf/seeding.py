@@ -37,7 +37,11 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
 def resolve_workers(workers: int | None = None) -> int:
     """Explicit worker count, or the BOOLSURF_WORKERS variable, or 1."""
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        text = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            raise InputError(f"{WORKERS_ENV} must be an integer, got {text!r}")
     workers = int(workers)
     if workers < 1:
         raise InputError("worker count must be >= 1")

@@ -31,8 +31,7 @@ import numpy as np
 
 from . import boundary, partition, restriction
 from .core import (TruthTable, bsa, bsa_via_tails, fractional_moment,
-                   noise_sensitivity, noise_sensitivity_semigroup,
-                   sensitivity_profile)
+                   noise_sensitivity, noise_sensitivity_semigroup)
 from .errors import BoolsurfError, VerificationError
 from .ptf import generate, sign_table
 from .seeding import substream
@@ -174,7 +173,7 @@ def _c3():
     min_slack = math.inf
     ok = True
     for f in tables:
-        profile = sensitivity_profile(f)
+        profile = f.profile()
         area = profile.bsa()
         root_inf = math.sqrt(profile.moment(1.0))
         if np.count_nonzero(profile.counts) == 1:

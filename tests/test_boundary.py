@@ -6,7 +6,7 @@ import pytest
 from boolsurf.boundary import (boundary_report, chain_tail_bound_holds,
                                edge_biased_cdf, edge_threshold_check,
                                edge_threshold_check_exhaustive,
-                               influence_report, level_sign_counts)
+                               level_sign_counts)
 from boolsurf.core import TruthTable, bsa, total_influence
 from boolsurf.errors import CapacityError, InputError
 
@@ -140,9 +140,3 @@ def test_level_sign_counts_majority5():
 def test_level_sign_counts_dictator():
     rows = level_sign_counts(TruthTable.dictator(2))
     assert rows == [(0, 1, 0), (1, 1, 1), (2, 0, 1)]
-
-
-def test_influence_report_passthrough():
-    total, per = influence_report(TruthTable.majority(3))
-    assert total == 1.5
-    assert per.tolist() == [0.5, 0.5, 0.5]

@@ -169,6 +169,25 @@ def test_cli_bad_flag_exits_nonzero(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["partition", "--sizes", "3-x-2"], {}),
+    (["partition", "--sizes", "3-0-2"], {}),
+    (["analyze", "maj:5", "--out", "{missing}/x.json"], {}),
+    (["sweep", "--kind", "alpha", "--n", "3", "--seeds", "0", "--trials", "10"],
+     {"BOOLSURF_WORKERS": "abc"}),
+    (["tail", "maj:5", "--m", "1..x"], {}),
+    (["restrict", "maj:5", "--trials", "0"], {}),
+], ids=["sizes-not-integer", "sizes-zero-block", "out-dir-missing", "workers-env-not-integer",
+        "tail-bad-range", "restrict-zero-trials"])
+def test_malformed_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"boolsurf {argv[0]}: ")
+
+
 # ---------------------------------------------------------------- analyze
 
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from boolsurf.core import (EXACT_CAP, FourierSpectrum, TruthTable,
-                           all_points_signs, bsa, bsa_via_tails,
-                           fourier_transform, fractional_moment,
-                           index_to_point, noise_sensitivity,
-                           noise_sensitivity_semigroup, point_to_index,
-                           sensitivity, sensitivity_profile, total_influence,
-                           walsh_hadamard)
+                           all_functions, all_points_signs, bsa, bsa_via_tails,
+                           fractional_moment, index_to_point,
+                           noise_sensitivity, noise_sensitivity_semigroup,
+                           point_to_index, sensitivities, sensitivity,
+                           total_influence, walsh_hadamard)
 from boolsurf.errors import CapacityError, InputError
 
 
@@ -42,7 +41,7 @@ def test_table_validation():
 def test_zero_variable_table_is_legal():
     f = TruthTable.constant(0, -1)
     assert f.values.tolist() == [-1]
-    assert sensitivity_profile(f).counts.tolist() == [1]
+    assert f.profile().counts.tolist() == [1]
     assert bsa(f) == 0.0
     total, per = total_influence(f)
     assert total == 0.0 and per.size == 0
@@ -92,21 +91,80 @@ def test_sensitivity_index_range():
 
 
 def test_profile_majority5():
-    counts = sensitivity_profile(TruthTable.majority(5)).counts
+    counts = TruthTable.majority(5).profile().counts
     assert counts.tolist() == [12, 0, 0, 20, 0, 0]
 
 
 def test_profile_dictator_and_full_parity():
-    assert sensitivity_profile(TruthTable.dictator(6, 2)).counts.tolist() \
+    assert TruthTable.dictator(6, 2).profile().counts.tolist() \
         == [0, 64, 0, 0, 0, 0, 0]
-    par = sensitivity_profile(TruthTable.parity(5, 0b11111))
+    par = TruthTable.parity(5, 0b11111).profile()
     assert par.counts.tolist() == [0, 0, 0, 0, 0, 32]
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_profile_matches_brute_oracle(seed):
     f = TruthTable.random(seed % 7 + 1, seed=seed)
-    assert sensitivity_profile(f).counts.tolist() == brute_profile(f)
+    assert f.profile().counts.tolist() == brute_profile(f)
+
+
+# ---------------------------------------------------------------- kernel
+
+
+def test_batched_sensitivities_match_single_tables_and_oracle():
+    tables = [TruthTable.random(5, seed=seed) for seed in range(6)]
+    batch = np.stack([f.values for f in tables]).reshape(2, 3, 32)
+    sens, _ = sensitivities(batch)
+    assert sens.shape == (2, 3, 32) and sens.dtype == np.uint8
+    for row, f in zip(sens.reshape(6, 32), tables):
+        single, _ = sensitivities(f.values)
+        assert row.tolist() == single.tolist()
+        assert row.tolist() == [sensitivity(f, x) for x in range(32)]
+
+
+def test_sensitivities_are_c_contiguous():
+    batch = np.stack([TruthTable.random(4, seed=seed).values for seed in range(7)])
+    sens, _ = sensitivities(batch)
+    assert sens.flags.c_contiguous
+    assert sensitivities(batch[0])[0].flags.c_contiguous
+
+
+def test_edges_match_brute_pair_counts():
+    tables = [TruthTable.random(6, seed=seed) for seed in range(4)]
+    _, edges = sensitivities(np.stack([f.values for f in tables]))
+    brute = [sum(int(f.values[x] != f.values[x ^ (1 << i)])
+                 for f in tables for x in range(64) if not x >> i & 1)
+             for i in range(6)]
+    assert edges.tolist() == brute
+
+
+def test_sensitivities_validation():
+    with pytest.raises(InputError):
+        sensitivities(np.ones(6))
+    with pytest.raises(InputError):
+        sensitivities(np.ones((3, 0)))
+
+
+def test_all_functions_rows_and_cap_reach_both_audits():
+    from boolsurf.boundary import edge_threshold_check_exhaustive
+    from boolsurf.restriction import sensitive_fraction_bound_exhaustive
+    bits = all_functions(2)
+    assert bits.shape == (16, 4) and bits[0b0110].tolist() == [0, 1, 1, 0]
+    with pytest.raises(CapacityError):
+        all_functions(5)
+    with pytest.raises(CapacityError):
+        edge_threshold_check_exhaustive(5)
+    with pytest.raises(CapacityError):
+        sensitive_fraction_bound_exhaustive(5)
+
+
+def test_block_bound_golden_digits():
+    from boolsurf.partition import bsa_block_bound
+    from boolsurf.ptf import generate, sign_table
+    f = sign_table(generate("random", 10, degree=2, seed=100))[0]
+    rep = bsa_block_bound(f, 2, trials=4000, seed=20260814, workers=1)
+    assert rep.rhs_estimate == 1.4523564346100697
+    assert rep.stderr == 0.00374142201920397
 
 
 def test_profile_validation():
@@ -174,7 +232,7 @@ def test_fractional_moment_monotone_when_sensitivity_positive():
 
 def test_bsa_via_tails_golden_and_telescoping():
     maj3 = TruthTable.majority(3)
-    assert sensitivity_profile(maj3).counts.tolist() == [2, 0, 6, 0]
+    assert maj3.profile().counts.tolist() == [2, 0, 6, 0]
     assert abs(bsa_via_tails(maj3) - (6.0 / 8.0) * math.sqrt(2.0)) < 1e-15
     assert bsa_via_tails(TruthTable.constant(5, -1)) == 0.0
     assert abs(bsa_via_tails(TruthTable.parity(9, (1 << 9) - 1)) - 3.0) < 1e-12
@@ -189,7 +247,7 @@ def test_bsa_via_tails_matches_bsa():
 def test_holder_bound():
     for seed in range(30):
         f = TruthTable.random(seed % 11 + 1, seed=seed)
-        profile = sensitivity_profile(f)
+        profile = f.profile()
         assert profile.bsa() <= math.sqrt(profile.moment(1.0)) + 1e-12
 
 
@@ -204,18 +262,18 @@ def test_walsh_hadamard_validation():
 
 
 def test_fourier_dictator_and_constant():
-    spec = fourier_transform(TruthTable.dictator(4))
+    spec = TruthTable.dictator(4).spectrum()
     want = np.zeros(16)
     want[1] = 1.0
     assert (spec.coefficients == want).all()
-    spec = fourier_transform(TruthTable.constant(3))
+    spec = TruthTable.constant(3).spectrum()
     assert spec.coefficients[0] == 1.0
     assert (spec.coefficients[1:] == 0.0).all()
 
 
 def test_fourier_majority3_oracle():
     # direct summation over the 8 points, computed by hand
-    spec = fourier_transform(TruthTable.majority(3))
+    spec = TruthTable.majority(3).spectrum()
     expected = [0.0, 0.5, 0.5, 0.0, 0.5, 0.0, 0.0, -0.5]
     assert spec.coefficients.tolist() == expected
 
@@ -223,7 +281,7 @@ def test_fourier_majority3_oracle():
 def test_parseval_and_double_transform():
     for seed in range(10):
         f = TruthTable.random(seed % 8 + 1, seed=100 + seed)
-        spec = fourier_transform(f)
+        spec = f.spectrum()
         assert abs(spec.parseval_sum() - 1.0) < 1e-10
         back = walsh_hadamard(walsh_hadamard(f.values)) / (1 << f.n)
         assert np.abs(back - f.values).max() < 1e-12

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boolsurf.core import TruthTable, sensitivity_profile
+from boolsurf.core import TruthTable
 from boolsurf.errors import CapacityError, InputError
 from boolsurf.ptf import SparsePolynomial, generate, restrict_poly, sign_table
 from boolsurf.restriction import (Restriction, closeness_to_constant,
@@ -242,7 +242,7 @@ def test_tail_majority5_level3_exact():
 def test_tail_level1_counts_sensitive_points():
     f = TruthTable.majority(3)
     rep = tail_coupling_check(f, 1)
-    counts = sensitivity_profile(f).counts
+    counts = f.profile().counts
     assert rep.p_e == Fraction(int(counts[1:].sum()), 8) == Fraction(6, 8)
     assert rep.coupling_lb == rep.p_e  # every resampling hits when m = 1
     assert rep.bound_ratio == 1
@@ -275,7 +275,7 @@ def test_sensitive_fraction_single_variable():
     assert rep.violations == 0
     assert rep.max_ratio == 1.0
     # the extremal function is a dictator (or its negation): s identically 1
-    assert sensitivity_profile(rep.witness).counts.tolist() == [0, 2]
+    assert rep.witness.profile().counts.tolist() == [0, 2]
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4])
