@@ -1,19 +1,21 @@
 """Multilinear polynomials over the signed hypercube and their sign functions.
 
-A polynomial is a sparse map from variable subsets (bitmasks) to real
-coefficients.  Subsets rather than exponent vectors because squares of
-signs collapse: every polynomial function of signs is multilinear.
-Signing a polynomial gives a threshold function; ties p(x) = 0 resolve
-to +1 and are counted so callers can detect degenerate inputs.
+A polynomial is a sparse set of terms: variable subsets (bitmasks) with
+real coefficients.  Subsets rather than exponent vectors because squares
+of signs collapse: every polynomial function of signs is multilinear.
+The terms are stored as two parallel arrays sorted by mask, so every
+routine here (evaluation, restriction, statistics, the alpha averages)
+is a handful of array operations over all terms at once.  Signing a
+polynomial gives a threshold function; ties p(x) = 0 resolve to +1 and
+are counted so callers can detect degenerate inputs.
 
-Storage allows up to STORAGE_CAP variables (masks stay machine ints);
+Storage allows up to STORAGE_CAP variables (masks fit in uint64);
 dense evaluation over all 2^n points additionally needs n <= the exact
 cap from the core module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
@@ -35,12 +37,13 @@ ALPHA_EXACT_CAP = 11
 class SparsePolynomial:
     """Immutable sparse multilinear polynomial on n variables.
 
-    `terms` maps a subset bitmask (bit i set means variable i appears)
-    to a nonzero float coefficient; iteration order is sorted by mask,
+    `masks` (uint64, bit i set means variable i appears) and `coefs`
+    (float64, all nonzero) are parallel read-only arrays sorted by mask,
     so every evaluation and serialisation order is deterministic.
+    `terms` returns the same data as a {mask: coef} dict.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "masks", "coefs")
 
     def __init__(self, n: int, terms):
         n = int(n)
@@ -49,38 +52,56 @@ class SparsePolynomial:
         if n > STORAGE_CAP:
             raise CapacityError(f"n={n} exceeds the storage cap of {STORAGE_CAP} variables")
         source = dict(terms)
-        clean: dict[int, float] = {}
-        for mask in sorted(int(m) for m in source):
-            coef = float(source[mask])
+        masks = [int(m) for m in source]
+        for mask in masks:
             if not 0 <= mask < 1 << n:
                 raise InputError(f"term mask {mask} out of range for n={n}")
-            if not np.isfinite(coef):
-                raise InputError(f"coefficient for mask {mask} is not finite")
-            if coef != 0.0:
-                clean[mask] = coef
-        self.n = n
-        self.terms = clean
+        masks = np.array(masks, dtype=np.uint64)
+        coefs = np.array([float(c) for c in source.values()], dtype=np.float64)
+        infinite = ~np.isfinite(coefs)
+        if infinite.any():
+            raise InputError(f"coefficient for mask {masks[infinite].min()} is not finite")
+        order = np.argsort(masks)
+        self._store(n, masks[order], coefs[order])
+
+    @classmethod
+    def _from_arrays(cls, n: int, masks: np.ndarray, coefs: np.ndarray) -> "SparsePolynomial":
+        """Wrap terms without validation: masks sorted, distinct and in
+        range, coefficients finite."""
+        p = object.__new__(cls)
+        p._store(n, masks, coefs)
+        return p
+
+    def _store(self, n: int, masks: np.ndarray, coefs: np.ndarray) -> None:
+        keep = coefs != 0.0
+        self.n, self.masks, self.coefs = n, masks[keep], coefs[keep]
+        self.masks.flags.writeable = False
+        self.coefs.flags.writeable = False
+
+    @property
+    def terms(self) -> dict[int, float]:
+        """{mask: coef} with Python ints and floats, in mask order."""
+        return dict(zip(self.masks.tolist(), self.coefs.tolist()))
 
     def __eq__(self, other):
         return (
             isinstance(other, SparsePolynomial)
             and self.n == other.n
-            and self.terms == other.terms
+            and np.array_equal(self.masks, other.masks)
+            and np.array_equal(self.coefs, other.coefs)
         )
 
     def __repr__(self):
-        return f"SparsePolynomial(n={self.n}, nterms={len(self.terms)}, degree={self.degree})"
+        return f"SparsePolynomial(n={self.n}, nterms={len(self.masks)}, degree={self.degree})"
 
     @property
     def degree(self) -> int:
         """Largest subset size with a nonzero coefficient; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(int(m).bit_count() for m in self.terms)
+        return int(np.bitwise_count(self.masks).max(initial=0))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.masks.size
 
     @classmethod
     def from_json_dict(cls, data) -> "SparsePolynomial":
@@ -119,17 +140,19 @@ class SparsePolynomial:
         return cls(n, acc)
 
     def to_json_dict(self) -> dict:
-        terms = []
-        for mask, coef in self.terms.items():
-            variables = [i + 1 for i in range(self.n) if mask >> i & 1]
-            terms.append({"vars": variables, "coef": coef})
+        terms = [{"vars": [i + 1 for i in range(self.n) if mask >> i & 1], "coef": coef}
+                 for mask, coef in zip(self.masks.tolist(), self.coefs.tolist())]
         return {"n": self.n, "terms": terms}
 
-    @classmethod
-    def from_truth_table(cls, table: TruthTable) -> "SparsePolynomial":
-        """Exact multilinear interpolation via the Walsh spectrum."""
-        coeffs = table.spectrum().coefficients
-        return cls(table.n, {int(m): float(c) for m, c in enumerate(coeffs) if c != 0.0})
+
+def _running_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum; np.sum adds pairwise, which can move the last bits."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+def _parity(masks: np.ndarray, points) -> np.ndarray:
+    """|S & x| mod 2, for terms S and points x broadcast together."""
+    return np.bitwise_count(masks & points) & 1
 
 
 def eval_poly(p: SparsePolynomial, x: int) -> float:
@@ -137,10 +160,7 @@ def eval_poly(p: SparsePolynomial, x: int) -> float:
     x = int(x)
     if not 0 <= x < 1 << p.n:
         raise InputError(f"point index {x} out of range for n={p.n}")
-    total = 0.0
-    for mask, coef in p.terms.items():
-        total += -coef if (mask & x).bit_count() & 1 else coef
-    return total
+    return _running_sum(np.where(_parity(p.masks, np.uint64(x)), -p.coefs, p.coefs))
 
 
 def eval_on_cube(p: SparsePolynomial) -> np.ndarray:
@@ -148,8 +168,7 @@ def eval_on_cube(p: SparsePolynomial) -> np.ndarray:
     if p.n > EXACT_CAP:
         raise CapacityError(f"n={p.n} exceeds the exact-enumeration cap of {EXACT_CAP}")
     dense = np.zeros(1 << p.n, dtype=np.float64)
-    for mask, coef in p.terms.items():
-        dense[mask] = coef
+    dense[p.masks] = p.coefs
     return walsh_hadamard(dense)
 
 
@@ -170,26 +189,18 @@ def restrict_poly(p: SparsePolynomial, rho: "Restriction") -> SparsePolynomial:
 
     The result lives on the free coordinates, renumbered in increasing
     order of original index, matching how table restriction renumbers.
+    Terms that land on the same free subset are summed in mask order.
     """
     if rho.n != p.n:
         raise InputError(f"restriction is on {rho.n} variables, polynomial on {p.n}")
-    free = [int(i) for i in rho.free_indices()]
-    position = {i: j for j, i in enumerate(free)}
-    pattern = rho.pattern
-    acc: dict[int, float] = {}
-    for mask, coef in p.terms.items():
-        new_mask = 0
-        sign = 1
-        for i in range(p.n):
-            if not mask >> i & 1:
-                continue
-            fixed = int(pattern[i])
-            if fixed == 0:
-                new_mask |= 1 << position[i]
-            elif fixed == -1:
-                sign = -sign
-        acc[new_mask] = acc.get(new_mask, 0.0) + sign * coef
-    return SparsePolynomial(len(free), {m: c for m, c in acc.items() if c != 0.0})
+    free = rho.free_indices()
+    signed = np.where(_parity(p.masks, np.uint64(rho.fixed_base_index())), -p.coefs, p.coefs)
+    compressed = np.zeros_like(p.masks)
+    for j, i in enumerate(free.tolist()):
+        compressed |= (p.masks >> i & 1) << j
+    masks, slot = np.unique(compressed, return_inverse=True)
+    coefs = np.bincount(slot, weights=signed, minlength=len(masks))
+    return SparsePolynomial._from_arrays(len(free), masks, coefs)
 
 
 class PolyStats(NamedTuple):
@@ -209,24 +220,17 @@ def poly_stats(p: SparsePolynomial) -> PolyStats:
     """
     if p.is_zero:
         raise DegenerateInputError("statistics of the zero polynomial are undefined")
-    influences = np.zeros(p.n, dtype=np.float64)
-    variance = 0.0
-    for mask, coef in p.terms.items():
-        sq = coef * coef
-        if mask:
-            variance += sq
-        for i in range(p.n):
-            if mask >> i & 1:
-                influences[i] += sq
+    sq = p.coefs * p.coefs
+    variance = _running_sum(sq[p.masks != 0])
+    influences = np.array([_running_sum(sq[p.masks >> i & 1 == 1]) for i in range(p.n)],
+                          dtype=np.float64)
     tau = float(influences.max() / variance) if variance > 0.0 and p.n else 0.0
     return PolyStats(variance, influences, tau)
 
 
-def _term_columns(p: SparsePolynomial):
-    masks = list(p.terms)
-    coefs = np.array([p.terms[m] for m in masks], dtype=np.float64)
-    cols = [[i for i in range(p.n) if m >> i & 1] for m in masks]
-    return coefs, cols
+def _characters(p: SparsePolynomial, points: np.ndarray) -> np.ndarray:
+    """chi_S(x) = (-1)^|S & x| as float64, rows x in `points`, columns the terms S."""
+    return np.where(_parity(p.masks, points[:, None]), -1.0, 1.0)
 
 
 def _gradient_ratio(chi: np.ndarray, sb: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -252,21 +256,15 @@ def alpha_estimate(p: SparsePolynomial, trials: int, seed: int = 0,
         raise DegenerateInputError("alpha of the zero polynomial is undefined")
     if trials < 1:
         raise InputError("need trials >= 1")
-    coefs, cols = _term_columns(p)
+    sizes = np.bitwise_count(p.masks).astype(np.float64)
+    powers = np.uint64(1) << np.arange(p.n, dtype=np.uint64)  # 0/1 rows @ powers = point index
 
     def draw(rng, size):
-        a_bits = rng.integers(0, 2, size=(size, p.n), dtype=np.int8)
-        b_signs = 1.0 - 2.0 * rng.integers(0, 2, size=(size, p.n), dtype=np.int8)
-        chi = np.empty((size, len(coefs)), dtype=np.float64)
-        sb = np.empty((size, len(coefs)), dtype=np.float64)
-        for t, c in enumerate(cols):
-            if c:
-                chi[:, t] = 1.0 - 2.0 * (a_bits[:, c].sum(axis=1) & 1)
-                sb[:, t] = b_signs[:, c].sum(axis=1)
-            else:
-                chi[:, t] = 1.0
-                sb[:, t] = 0.0
-        return _gradient_ratio(chi, sb, coefs)
+        a = rng.integers(0, 2, size=(size, p.n), dtype=np.int8).astype(np.uint64) @ powers
+        b = rng.integers(0, 2, size=(size, p.n), dtype=np.int8).astype(np.uint64) @ powers
+        # sum of B's signs over each term's variables: |S| - 2 |S & {B = -1}|
+        sb = sizes - 2.0 * np.bitwise_count(p.masks & b[:, None])
+        return _gradient_ratio(_characters(p, a), sb, p.coefs)
 
     values = mc_values(trials, seed, workers, draw)
     return Estimate(*mean_and_stderr(values))
@@ -279,17 +277,12 @@ def alpha_exact(p: SparsePolynomial) -> float:
     if p.n > ALPHA_EXACT_CAP:
         raise CapacityError(
             f"exact alpha enumerates 4^n pairs; n={p.n} exceeds the cap of {ALPHA_EXACT_CAP}")
-    coefs, cols = _term_columns(p)
-    points = 1 << p.n
     signs = all_points_signs(p.n)  # (points, n)
-    chi = np.empty((points, len(coefs)), dtype=np.float64)
-    var_count = np.zeros((len(coefs), p.n), dtype=np.float64)
-    for t, c in enumerate(cols):
-        chi[:, t] = signs[:, c].prod(axis=1) if c else 1.0
-        var_count[t, c] = 1.0
-    pv = chi @ coefs  # p(A) for every A
+    chi = _characters(p, np.arange(1 << p.n, dtype=np.uint64))
+    var_count = (p.masks[:, None] >> np.arange(p.n, dtype=np.uint64) & 1).astype(np.float64)
+    pv = chi @ p.coefs  # p(A) for every A
     # derivative values for every (A, B): rows A, columns B
-    weighted = chi * coefs[None, :]  # (points, terms)
+    weighted = chi * p.coefs[None, :]  # (points, terms)
     dv = (weighted @ var_count) @ signs.T  # (points_A, points_B)
     safe = np.where(pv == 0.0, 1.0, pv)
     ratio = np.minimum(1.0, (dv / safe[:, None]) ** 2)
@@ -313,10 +306,11 @@ def generate(kind: str, n: int, *, subset: int | None = None, degree: int | None
     if n > STORAGE_CAP:
         raise CapacityError(f"n={n} exceeds the storage cap of {STORAGE_CAP} variables")
     kind = kind.lower()
+    singletons = np.uint64(1) << np.arange(n, dtype=np.uint64)
     if kind in ("majority", "maj"):
-        return SparsePolynomial(n, {1 << i: 1.0 for i in range(n)})
+        return SparsePolynomial._from_arrays(n, singletons, np.ones(n))
     if kind in ("harmonic", "harm"):
-        return SparsePolynomial(n, {1 << i: 1.0 / np.sqrt(i + 1.0) for i in range(n)})
+        return SparsePolynomial._from_arrays(n, singletons, 1.0 / np.sqrt(np.arange(1.0, n + 1.0)))
     if kind in ("parity", "par"):
         if subset is None:
             raise InputError("parity needs a subset mask")
@@ -333,13 +327,11 @@ def generate(kind: str, n: int, *, subset: int | None = None, degree: int | None
         count = sum(comb(n, k) for k in range(degree + 1))
         if count > GENERATE_TERM_CAP:
             raise CapacityError(f"{count} candidate terms exceed the cap of {GENERATE_TERM_CAP}")
-        masks = []
-        for k in range(degree + 1):
-            for combo in combinations(range(n), k):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                masks.append(mask)
+        levels = [np.zeros(1, dtype=np.uint64)]  # subsets by size, in combinations order
+        for k in range(1, degree + 1):
+            members = np.fromiter(combinations(range(n), k), np.dtype((np.uint64, k)), comb(n, k))
+            levels.append((np.uint64(1) << members).sum(axis=1, dtype=np.uint64))
+        masks = np.concatenate(levels)
         rng = substream(seed, 0)
         if kind in ("random-sparse", "rands"):
             if nterms is None:
@@ -347,8 +339,8 @@ def generate(kind: str, n: int, *, subset: int | None = None, degree: int | None
             nterms = int(nterms)
             if not 1 <= nterms <= count:
                 raise InputError(f"term count must lie in 1..{count}, got {nterms}")
-            chosen = sorted(rng.choice(len(masks), size=nterms, replace=False))
-            masks = [masks[j] for j in chosen]
+            masks = masks[np.sort(rng.choice(len(masks), size=nterms, replace=False))]
         coefs = rng.standard_normal(len(masks))
-        return SparsePolynomial(n, dict(zip(masks, coefs)))
+        order = np.argsort(masks)
+        return SparsePolynomial._from_arrays(n, masks[order], coefs[order])
     raise InputError(f"unknown polynomial family {kind!r}")

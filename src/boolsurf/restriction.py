@@ -20,7 +20,7 @@ import numpy as np
 from .core import EXACT_CAP, TruthTable, all_functions, sensitivities
 from .errors import CapacityError, InputError, VerificationError
 from .ptf import SparsePolynomial, eval_on_cube, restrict_poly
-from .seeding import chunk_sizes, resolve_workers, substream
+from .seeding import mc_values, resolve_workers, substream
 
 RATE_GUIDELINE = 1.0 / 16.0
 
@@ -34,7 +34,7 @@ class Restriction:
         arr = np.asarray(pattern, dtype=np.int8)
         if arr.ndim != 1:
             raise InputError("restriction pattern must be one-dimensional")
-        if not np.isin(arr, (-1, 0, 1)).all():
+        if arr.size and not -1 <= arr.min() <= arr.max() <= 1:
             raise InputError("pattern entries must be -1, 0, or +1")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -59,10 +59,7 @@ class Restriction:
 
     def fixed_base_index(self) -> int:
         """Point-index bits contributed by coordinates fixed to -1."""
-        base = 0
-        for i in np.flatnonzero(self.pattern == -1):
-            base |= 1 << int(i)
-        return base
+        return sum(1 << i for i in np.flatnonzero(self.pattern == -1).tolist())
 
     def complete(self, y: int) -> int:
         """Full point index with free coordinates taken from sub-index y."""
@@ -85,13 +82,18 @@ def sample_restriction(n: int, rate: float, seed: int = 0) -> Restriction:
     return _sample_patterns(n, rate, substream(seed, 0), 1)[0]
 
 
+def _open_unit(name: str, value: float) -> float:
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise InputError(f"{name} must lie strictly in (0, 1), got {value}")
+    return value
+
+
 def _sample_patterns(n: int, rate: float, rng, count: int) -> list[Restriction]:
     n = int(n)
     if n < 1:
         raise InputError("restrictions need n >= 1")
-    rate = float(rate)
-    if not 0.0 < rate < 1.0:
-        raise InputError(f"free-rate must lie strictly in (0, 1), got {rate}")
+    rate = _open_unit("free-rate", rate)
     free = rng.random((count, n)) < rate
     signs = (1 - 2 * rng.integers(0, 2, size=(count, n), dtype=np.int8)).astype(np.int8)
     out = []
@@ -155,38 +157,33 @@ def restriction_failure_prob(p: SparsePolynomial, rate: float, delta: float,
     """
     if trials < 1:
         raise InputError("need trials >= 1")
-    delta = float(delta)
-    if not 0.0 < delta < 1.0:
-        raise InputError(f"delta must lie strictly in (0, 1), got {delta}")
-    if float(rate) > RATE_GUIDELINE or delta > RATE_GUIDELINE:
+    delta = _open_unit("delta", delta)
+    rate = _open_unit("free-rate", rate)
+    if not 1 <= max_free <= EXACT_CAP:
+        raise InputError(f"max_free must lie in 1..{EXACT_CAP}")
+    workers = resolve_workers(workers)
+    if rate > RATE_GUIDELINE or delta > RATE_GUIDELINE:
         warnings.warn(
             f"rate={rate} delta={delta}: values above {RATE_GUIDELINE} are outside the "
             "regime where restriction collapse is guaranteed",
             stacklevel=2)
-    if not 1 <= max_free <= EXACT_CAP:
-        raise InputError(f"max_free must lie in 1..{EXACT_CAP}")
-    workers = resolve_workers(workers)
-    far = 0
-    accepted = 0
-    rejected = 0
-    for index, size in enumerate(chunk_sizes(trials, workers)):
-        if size == 0:
-            continue
-        rng = substream(seed, index)
-        for rho in _sample_patterns(p.n, rate, rng, size):
-            if rho.free_count > max_free:
-                rejected += 1
-                continue
-            accepted += 1
-            restricted = restrict_poly(p, rho)
-            vals = eval_on_cube(restricted)
-            table = TruthTable(restricted.n, np.where(vals >= 0.0, 1, -1).astype(np.int8))
-            dist, _ = closeness_to_constant(table)
-            if dist > delta:
-                far += 1
+
+    def draw(rng, size):
+        # per trial: 1.0 far from constant, 0.0 close, NaN rejected
+        values = np.full(size, nan)
+        for t, rho in enumerate(_sample_patterns(p.n, rate, rng, size)):
+            if rho.free_count <= max_free:
+                vals = eval_on_cube(restrict_poly(p, rho))
+                plus = int(np.count_nonzero(vals >= 0.0))  # sign(0) = +1
+                values[t] = min(plus, vals.size - plus) / vals.size > delta
+        return values
+
+    values = mc_values(trials, seed, workers, draw)
+    accepted = int(np.count_nonzero(~np.isnan(values)))
+    rejected = trials - accepted
     if accepted == 0:
         return FailureProbEstimate(nan, nan, 1.0, trials, rejected)
-    est = far / accepted
+    est = int(np.count_nonzero(values == 1.0)) / accepted
     stderr = float(np.sqrt(est * (1.0 - est) / accepted))
     return FailureProbEstimate(est, stderr, rejected / trials, trials, rejected)
 

@@ -60,12 +60,13 @@ def mc_values(total: int, seed: int, workers: int | None, draw) -> np.ndarray:
     """Concatenated per-trial values from chunked substreams.
 
     ``draw(rng, size)`` must return a 1-D float array of length `size`.
-    Chunks whose size is zero are skipped without consuming a substream
-    value, but the substream index still advances with the chunk index.
+    Chunk i draws from substream i.  With more workers than trials only
+    the first `total` chunks are nonempty, so only those are walked; the
+    empty ones would consume nothing.
     """
     workers = resolve_workers(workers)
     parts = []
-    for index, size in enumerate(chunk_sizes(total, workers)):
+    for index, size in enumerate(chunk_sizes(total, max(1, min(workers, total)))):
         if size == 0:
             continue
         parts.append(np.asarray(draw(substream(seed, index), size), dtype=np.float64))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -177,13 +178,19 @@ def test_cli_bad_flag_exits_nonzero(capsys):
      {"BOOLSURF_WORKERS": "abc"}),
     (["tail", "maj:5", "--m", "1..x"], {}),
     (["restrict", "maj:5", "--trials", "0"], {}),
+    (["restrict", "maj:5", "--rate", "2"], {}),
+    (["restrict", "maj:5", "--trials", "10", "--workers", "0"], {}),
 ], ids=["sizes-not-integer", "sizes-zero-block", "out-dir-missing", "workers-env-not-integer",
-        "tail-bad-range", "restrict-zero-trials"])
+        "tail-bad-range", "restrict-zero-trials", "restrict-rate-above-1",
+        "restrict-zero-workers"])
 def test_malformed_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv, env):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
-    code, _, err = run_cli(capsys, *argv)
+    # a warning would print before the error line; make one fail the test outright
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith(f"boolsurf {argv[0]}: ")
 

@@ -27,6 +27,11 @@ def maj_poly(n):
     return SparsePolynomial(n, {1 << i: 1.0 for i in range(n)})
 
 
+def from_truth_table(table):
+    """Exact multilinear interpolation: the Walsh spectrum as terms."""
+    return SparsePolynomial(table.n, dict(enumerate(table.spectrum().coefficients)))
+
+
 # ---------------------------------------------------------------- evaluation
 
 
@@ -156,7 +161,7 @@ def test_json_validation():
 
 
 def test_from_truth_table_majority3():
-    p = SparsePolynomial.from_truth_table(TruthTable.majority(3))
+    p = from_truth_table(TruthTable.majority(3))
     assert set(p.terms) == {0b001, 0b010, 0b100, 0b111}
     for mask in (0b001, 0b010, 0b100):
         assert abs(p.terms[mask] - 0.5) < 1e-12
@@ -164,6 +169,14 @@ def test_from_truth_table_majority3():
     table, zero_hits = sign_table(p)
     assert table == TruthTable.majority(3)
     assert zero_hits == 0
+
+
+def test_terms_stored_as_sorted_read_only_arrays():
+    p = SparsePolynomial(3, {0b101: 2.0, 0b001: -1.0, 0b010: 0.0})
+    assert p.masks.dtype == np.uint64 and p.coefs.dtype == np.float64
+    assert p.masks.tolist() == [0b001, 0b101] and p.coefs.tolist() == [-1.0, 2.0]
+    assert not p.masks.flags.writeable and not p.coefs.flags.writeable
+    assert [(type(m), type(c)) for m, c in p.terms.items()] == [(int, float)] * 2
 
 
 # ---------------------------------------------------------------- restriction
@@ -254,7 +267,7 @@ def test_poly_stats_constant_and_zero():
 
 def test_poly_stats_boolean_matches_table_influence():
     f = TruthTable.majority(5)
-    stats = poly_stats(SparsePolynomial.from_truth_table(f))
+    stats = poly_stats(from_truth_table(f))
     _, per = total_influence(f)
     for got, want in zip(stats.influences, per):
         assert abs(got - want) < 1e-12
@@ -303,6 +316,33 @@ def test_alpha_estimate_deterministic():
     a = alpha_estimate(p, trials=500, seed=42, workers=3)
     b = alpha_estimate(p, trials=500, seed=42, workers=3)
     assert a == b
+
+
+def test_alpha_estimate_ignores_workers_beyond_trials():
+    # chunks past the trial count are empty; they must not even be walked
+    q = generate("random", 10, degree=2, seed=4)
+    assert (alpha_estimate(q, 10, seed=0, workers=10**12)
+            == alpha_estimate(q, 10, seed=0, workers=10))
+
+
+# ---------------------------------------------------------------- golden values
+# Exact reference figures: they pin the order in which terms are summed
+# and how the random streams are consumed.
+
+
+def test_golden_stats_and_evaluation():
+    q = generate("random", 10, degree=2, seed=4)
+    stats = poly_stats(q)
+    assert stats.variance == 58.67931870074336
+    assert stats.regular_tau == 0.30759317225799426
+    assert eval_poly(q, 0) == -5.959491373898838
+    assert eval_poly(q, 777) == 2.835369039696076
+
+
+def test_golden_alpha_estimate():
+    q = generate("random", 10, degree=2, seed=4)
+    assert alpha_estimate(q, 3000, seed=5, workers=2) == (0.7334012683720249,
+                                                          0.006975978299715539)
 
 
 # ---------------------------------------------------------------- generators

@@ -211,6 +211,17 @@ def test_failure_prob_validation():
                                  max_free=0)
 
 
+def test_failure_prob_golden():
+    # exact reference figures: pin term summation order and stream consumption
+    p = generate("random", 14, degree=2, seed=3)
+    out = restriction_failure_prob(p, 0.0625, 0.0625, 2000, seed=11, workers=2)
+    assert (out.estimate, out.stderr) == (0.2025, 0.008985926496472138)
+    with pytest.warns(UserWarning):
+        out = restriction_failure_prob(p, 0.5, 0.0625, 500, seed=11, workers=3, max_free=6)
+    assert (out.estimate, out.stderr, out.rejected) == (0.824468085106383,
+                                                        0.027745084071700496, 312)
+
+
 # ---------------------------------------------------------------- tails
 
 
