@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ from .ptf import ALPHA_EXACT_CAP, SparsePolynomial, alpha_estimate, alpha_exact,
 
 DEFAULT_MOMENTS = "0.25,0.5,0.75,1"
 DEFAULT_DELTAS = "0.05,0.1,0.25"
+# (n, k, sizes) triples one `partition --n` sweep may certify; c6 checks 75,640
+PARTITION_SWEEP_CAP = 10**6
 
 
 # ------------------------------------------------------------ function specs
@@ -347,8 +350,14 @@ def _cmd_partition(args) -> int:
         ks = parse_int_list(args.k) if args.k else list(range(0, n + 1))
         cases = [(n, k, sizes) for k in ks]
     else:
+        ns = parse_int_list(args.n)
+        triples = sum(n * (n + 1) for n in ns if n > 0)
+        if triples > PARTITION_SWEEP_CAP:
+            raise CapacityError(
+                f"--n {args.n} sweeps {triples} (n, k, sizes) triples; "
+                f"the cap is {PARTITION_SWEEP_CAP}")
         cases = []
-        for n in parse_int_list(args.n):
+        for n in ns:
             for b in range(1, n + 1):
                 sizes = partition_mod.near_equal_sizes(n, b)
                 for k in range(0, n + 1):
@@ -589,8 +598,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and bad flags
         return int(exc.code or 0)
+    prefix = f"boolsurf {args.command}"
+    # warnings print as one line, not as a path plus a source line; the
+    # filters still decide whether a warning shows at all
+    default_format = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"{prefix}: warning: {message}\n"
     try:
         return _DISPATCH[args.command](args)
-    except (BoolsurfError,) as exc:
-        print(f"boolsurf {args.command}: {exc}", file=sys.stderr)
+    except BoolsurfError as exc:
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    finally:
+        warnings.formatwarning = default_format

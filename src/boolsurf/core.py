@@ -59,25 +59,98 @@ def _check_n(n: int) -> int:
     return n
 
 
+# walsh_hadamard works on blocks of 2^16 float64 entries (512 KiB), rows for
+# the low stages and strips of columns for the high ones: with their
+# temporaries they stay inside a 2 MiB L2 cache.
+_BLOCK_BITS = 16
+# Below 2^10 entries the transposed copy of a row costs more than it saves.
+_SPLIT_BITS = 10
+
+
+def _butterflies(x: np.ndarray, stages: int) -> None:
+    """Radix-2 stages 0..stages-1 along axis 0 of x, shape (2^stages, w), in place.
+
+    Stages run in pairs as radix-4 butterflies; an odd last stage runs alone.
+    x may be a strided view; every reshape here splits axis 0 only, so it
+    stays a view of x.
+    """
+    h = 1
+    w = x.shape[1]
+    for _ in range(stages >> 1):
+        v = x.reshape(-1, 4, h, w)
+        a = v[:, 0]
+        b = v[:, 1]
+        c = v[:, 2]
+        d = v[:, 3]
+        s = a + b
+        t = a - b
+        u = c + d
+        e = c - d
+        a[...] = s + u
+        b[...] = t + e
+        c[...] = s - u
+        d[...] = t - e
+        h <<= 2
+    if stages & 1:
+        v = x.reshape(2, h, w)
+        a = v[0]
+        b = v[1]
+        s = a + b
+        b[...] = a - b
+        a[...] = s
+
+
 def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform, in place on a float64 copy.
 
     Self-inverse up to a factor of len(vec).  The kernel is
     (-1)^popcount(S & x) under the index encoding above, which matches
     evaluating multilinear monomials at sign vectors.
+
+    Stage i replaces each pair (y[x], y[x + 2^i]), bit i of x clear, by
+    (sum, difference); stages run in the order i = 0, 1, ..., n - 1.
+    Rather than sweep the whole table once per stage, the stages are
+    cache-blocked (as in FFTW; Frigo & Johnson, Proc. IEEE 2005):
+
+    - the low min(n, 16) stages only pair entries inside one contiguous
+      row of 2^16, so they run a row at a time while it sits in cache;
+      the lower half of them runs on a transposed copy of the row, so
+      each butterfly spans contiguous runs of 2^8 entries in a full row
+      rather than 1, 4, 16, ... (tables under 2^10 entries skip the copy);
+    - the high stages only pair entries in the same column of the
+      (rows, 2^16) matrix, so they run one strip of columns, again 2^16
+      entries, at a time;
+    - stages run in pairs as radix-4 butterflies, so every temporary is
+      bounded by a row or a strip, not by the table.
+
+    The result equals the plain radix-2 loop bit for bit.  A fused pair
+    computes (a+b)+(c+d), (a-b)+(c-d), (a+b)-(c+d) and (a-b)-(c-d): the
+    same IEEE operations on the same operands as two radix-2 stages.
+    Each output depends only on its own chain of butterflies, so the
+    order in which rows, strips and blocks are visited changes no bit;
+    only the stage order matters, and it is kept.
     """
     out = np.array(vec, dtype=np.float64, copy=True)
     size = out.shape[0]
     if size == 0 or size & (size - 1):
         raise InputError(f"length must be a power of two, got {size}")
-    h = 1
-    while h < size:
-        blocks = out.reshape(-1, 2, h)
-        top = blocks[:, 0, :] + blocks[:, 1, :]
-        bottom = blocks[:, 0, :] - blocks[:, 1, :]
-        blocks[:, 0, :] = top
-        blocks[:, 1, :] = bottom
-        h *= 2
+    n = size.bit_length() - 1
+    if n < _SPLIT_BITS:
+        _butterflies(out.reshape(size, 1), n)
+        return out
+    low = min(n, _BLOCK_BITS)
+    half = low >> 1
+    rows = out.reshape(-1, 1 << low)
+    for row in rows:
+        square = row.reshape(-1, 1 << half)
+        flipped = square.T.copy()
+        _butterflies(flipped, half)
+        square[...] = flipped.T
+        _butterflies(square, low - half)
+    if n > low:
+        width = 1 << max(_BLOCK_BITS - (n - low), 0)
+        for j in range(0, rows.shape[1], width):
+            _butterflies(rows[:, j:j + width], n - low)
     return out
 
 
@@ -128,9 +201,11 @@ class TruthTable:
         arr = np.asarray(values)
         if arr.shape != (1 << n,):
             raise InputError(f"need exactly 2^{n} values, got shape {arr.shape}")
-        arr = arr.astype(np.int8)
-        if not np.isin(arr, (-1, 1)).all():
+        # check the given values, not their int8 cast, which wraps 255 to -1
+        # and truncates 1.5 to 1
+        if np.count_nonzero(arr == 1) + np.count_nonzero(arr == -1) != arr.size:
             raise InputError("table entries must be +1 or -1")
+        arr = arr.astype(np.int8)
         arr.flags.writeable = False
         self.n = n
         self.values = arr

@@ -179,8 +179,8 @@ def sign_table(p: SparsePolynomial) -> tuple[TruthTable, int]:
     polynomial whose threshold function is sensitive to perturbation.
     """
     vals = eval_on_cube(p)
-    zero_hits = int((vals == 0.0).sum())
-    table = TruthTable(p.n, np.where(vals >= 0.0, 1, -1).astype(np.int8))
+    zero_hits = int(np.count_nonzero(vals == 0.0))
+    table = TruthTable(p.n, np.where(vals >= 0.0, np.int8(1), np.int8(-1)))
     return table, zero_hits
 
 

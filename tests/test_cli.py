@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -170,20 +174,23 @@ def test_cli_bad_flag_exits_nonzero(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["partition", "--sizes", "3-x-2"], {}),
-    (["partition", "--sizes", "3-0-2"], {}),
-    (["analyze", "maj:5", "--out", "{missing}/x.json"], {}),
+# each row exits with its documented code: 2 for malformed input, 3 over a cap
+@pytest.mark.parametrize("argv, env, exit_code", [
+    (["partition", "--sizes", "3-x-2"], {}, 2),
+    (["partition", "--sizes", "3-0-2"], {}, 2),
+    (["analyze", "maj:5", "--out", "{missing}/x.json"], {}, 2),
     (["sweep", "--kind", "alpha", "--n", "3", "--seeds", "0", "--trials", "10"],
-     {"BOOLSURF_WORKERS": "abc"}),
-    (["tail", "maj:5", "--m", "1..x"], {}),
-    (["restrict", "maj:5", "--trials", "0"], {}),
-    (["restrict", "maj:5", "--rate", "2"], {}),
-    (["restrict", "maj:5", "--trials", "10", "--workers", "0"], {}),
+     {"BOOLSURF_WORKERS": "abc"}, 2),
+    (["tail", "maj:5", "--m", "1..x"], {}, 2),
+    (["restrict", "maj:5", "--trials", "0"], {}, 2),
+    (["restrict", "maj:5", "--rate", "2"], {}, 2),
+    (["restrict", "maj:5", "--trials", "10", "--workers", "0"], {}, 2),
+    (["partition", "--n", "1..100000"], {}, 3),
 ], ids=["sizes-not-integer", "sizes-zero-block", "out-dir-missing", "workers-env-not-integer",
         "tail-bad-range", "restrict-zero-trials", "restrict-rate-above-1",
-        "restrict-zero-workers"])
-def test_malformed_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv, env):
+        "restrict-zero-workers", "partition-sweep-over-cap"])
+def test_malformed_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv, env,
+                                               exit_code):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
@@ -191,8 +198,20 @@ def test_malformed_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, ar
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _, err = run_cli(capsys, *argv)
-    assert code == 2
+    assert code == exit_code
     assert len(err.splitlines()) == 1 and err.startswith(f"boolsurf {argv[0]}: ")
+
+
+def test_warning_prints_as_one_line():
+    # pytest records warnings in-process, so run the CLI as a user would
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "boolsurf", "restrict", "maj:5", "--trials", "10"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("boolsurf restrict: warning: rate=0.25 ")
 
 
 # ---------------------------------------------------------------- analyze

@@ -32,6 +32,9 @@ def test_table_validation():
         TruthTable(2, [1, 1, 1])  # wrong length
     with pytest.raises(InputError):
         TruthTable(1, [1, 0])  # bad entry
+    for bad in ([255, 1], [1.5, -1], [257, -1]):  # int8 casts give valid signs
+        with pytest.raises(InputError):
+            TruthTable(1, bad)
     with pytest.raises(InputError):
         TruthTable(-1, [])
     with pytest.raises(CapacityError):
@@ -252,6 +255,39 @@ def test_holder_bound():
 
 
 # ---------------------------------------------------------------- transform
+
+
+def reference_walsh_hadamard(vec):
+    """The plain radix-2 loop: one whole-table pass per stage, in stage order."""
+    out = np.array(vec, dtype=np.float64, copy=True)
+    h = 1
+    while h < out.shape[0]:
+        blocks = out.reshape(-1, 2, h)
+        top = blocks[:, 0, :] + blocks[:, 1, :]
+        bottom = blocks[:, 0, :] - blocks[:, 1, :]
+        blocks[:, 0, :] = top
+        blocks[:, 1, :] = bottom
+        h *= 2
+    return out
+
+
+# 17 and 20 reach the strip pass with an odd and an even number of high stages
+@pytest.mark.parametrize("n", list(range(19)) + [20])
+def test_walsh_hadamard_matches_radix2_loop_bit_for_bit(n):
+    vec = np.random.default_rng(1000 + n).standard_normal(1 << n)
+    given = vec.copy()
+    assert np.array_equal(walsh_hadamard(vec), reference_walsh_hadamard(vec))
+    assert np.array_equal(vec, given)
+
+
+@pytest.mark.parametrize("n", [3, 12, 17])
+def test_walsh_hadamard_int8_input(n):
+    vec = np.random.default_rng(n).integers(-128, 128, size=1 << n, dtype=np.int8)
+    given = vec.copy()
+    out = walsh_hadamard(vec)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, reference_walsh_hadamard(vec))
+    assert np.array_equal(vec, given)
 
 
 def test_walsh_hadamard_validation():
