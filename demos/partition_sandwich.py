@@ -5,11 +5,9 @@ near-equal blocks.  The number of live positions in a block of size m is
 hypergeometric, and the average
     B = (1/sqrt(b)) * sum over blocks of E[sqrt(X_block)]
 sits just below A = sqrt(n - k): concavity gives B <= A, and a two-step
-Jensen argument caps the gap.  Everything exact-rational or
-multiprecision; Monte Carlo only as an external cross-check.
+Jensen argument caps the gap.  Everything is exact rational or an
+integer-interval certificate; Monte Carlo only as an external cross-check.
 """
-
-import mpmath as mp
 
 from boolsurf import (BlockPartitionSpec, HypergeometricParams, TruthTable,
                       block_average_B, bsa_block_bound, hg_pmf,
@@ -25,16 +23,16 @@ def main():
     print("hypergeometric building block: 4 positions, 2 live, blocks of 2")
     for s in params.support():
         print(f"  P[X = {s}] = {hg_pmf(params, s)}")
-    print(f"  E[sqrt(X)] = {mp.nstr(mean_sqrt_hg(params, precision=30), 20)}"
+    print(f"  E[sqrt(X)] = {float(mean_sqrt_hg(params, precision=30)):.16f}"
           "  (= 2/3 + sqrt(2)/6)")
 
     spec = BlockPartitionSpec(4, 2, (2, 2))
     report = sandwich_check(spec, precision=30)
     print(f"\nn=4, k=2, sizes 2-2:")
-    print(f"  A = sqrt(n - k) = {mp.nstr(report.sqrt_total, 20)}")
-    print(f"  B (block avg)   = {mp.nstr(report.block_average, 20)}")
-    print(f"  gap             = {mp.nstr(report.gap, 20)}")
-    print(f"  certified bound = {mp.nstr(report.gap_bound, 20)}")
+    print(f"  A = sqrt(n - k) = {float(report.sqrt_total):.16f}")
+    print(f"  B (block avg)   = {float(report.block_average):.16f}")
+    print(f"  gap             = {float(report.gap):.16f}")
+    print(f"  certified bound = {float(report.gap_bound):.16f}")
     print(f"  lower/upper/gap checks: {report.pass_lower}/"
           f"{report.pass_upper}/{report.pass_gap}")
 
@@ -51,8 +49,8 @@ def main():
 
     out = jensen_bounds([0, 4], [0.5, 0.5], precision=30)
     print("\ntwo-sided Jensen enclosure for X uniform on {0, 4}:")
-    print(f"  sqrt(E X) = {mp.nstr(out.upper, 12)},  "
-          f"lower = {mp.nstr(out.lower, 12)},  E sqrt(X) = {mp.nstr(out.mean_sqrt, 12)}")
+    print(f"  sqrt(E X) = {float(out.upper):.12g},  "
+          f"lower = {float(out.lower):.12g},  E sqrt(X) = {float(out.mean_sqrt):.12g}")
 
     est = mc_partition_average([1, 1, 0, 0], (2, 2), trials=200_000, seed=1)
     exact = float(block_average_B(spec, precision=30))

@@ -3,8 +3,8 @@ functions on the signed hypercube.
 
 Exact truth-table analysis up to 24 variables, sparse multilinear
 polynomials and their threshold functions, random restrictions,
-certified hypergeometric block-partition bounds, and seeded Monte Carlo
-for everything too big to enumerate.
+hypergeometric block-partition bounds certified in integer interval
+arithmetic, and seeded Monte Carlo for everything too big to enumerate.
 """
 
 from .boundary import (BoundaryReport, EdgeThresholdCheck, boundary_report,
@@ -18,6 +18,7 @@ from .core import (EXACT_CAP, EXHAUSTIVE_CAP, FourierSpectrum, Influence,
                    walsh_hadamard)
 from .errors import (BoolsurfError, CapacityError, DegenerateInputError,
                      InputError, ParseError, VerificationError)
+from .interval import Interval
 from .partition import (BlockBoundReport, BlockPartitionSpec,
                         HypergeometricParams, JensenBounds, SandwichReport,
                         block_average_B, bsa_block_bound, gap_bound, hg_pmf,

@@ -18,6 +18,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +36,7 @@ DEFAULT_MOMENTS = "0.25,0.5,0.75,1"
 DEFAULT_DELTAS = "0.05,0.1,0.25"
 # (n, k, sizes) triples one `partition --n` sweep may certify; c6 checks 75,640
 PARTITION_SWEEP_CAP = 10**6
+INT_LIST_CAP = 10**6  # integers one list option may expand to, counted before expanding
 
 
 # ------------------------------------------------------------ function specs
@@ -201,6 +203,9 @@ def parse_int_list(text: str) -> list[int]:
                 start, stop = int(lo), int(hi)
                 if stop < start:
                     raise InputError(f"empty range {chunk!r}")
+                if len(out) + stop - start + 1 > INT_LIST_CAP:
+                    raise CapacityError(
+                        f"{text!r} expands to more than {INT_LIST_CAP} integers")
                 out.extend(range(start, stop + 1))
             else:
                 out.append(int(chunk))
@@ -230,18 +235,18 @@ def _check_precision_option(precision: int) -> int:
 # ------------------------------------------------------------ output plumbing
 
 def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".17g")
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return format(value, ".17g")
     return str(value)
 
 def render_csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+        lines.append(",".join(map(_csv_cell, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -329,9 +334,14 @@ _PARTITION_HEADER = ["n", "k", "sizes", "A", "B", "gap", "gap_bound",
                      "pass_lower", "pass_upper", "pass_gap"]
 
 
+@lru_cache(maxsize=None)
+def _sizes_label(sizes: tuple[int, ...]) -> str:
+    return "-".join(map(str, sizes))
+
+
 def _partition_row(report: partition_mod.SandwichReport) -> list:
     spec = report.spec
-    return [spec.n, spec.k, "-".join(str(s) for s in spec.sizes),
+    return [spec.n, spec.k, _sizes_label(spec.sizes),
             float(report.sqrt_total), float(report.block_average), float(report.gap),
             None if report.gap_bound is None else float(report.gap_bound),
             report.pass_lower, report.pass_upper, report.pass_gap]

@@ -10,42 +10,48 @@ its ones count is hypergeometric and
 
     B = (1 / sqrt(b)) * sum_l E[sqrt(X_l)],  X_l ~ Hg(n, n - k, m_l).
 
-This module computes B exactly (rational PMF weights, high-precision
-square roots), certifies the sandwich B <= sqrt(n - k) <= B + b for
-near-equal block sizes, bounds the gap for arbitrary sizes through a
-second-order Jensen estimate, and cross-checks everything against a
-shuffle-based Monte Carlo and against restricted sub-function averages
-of actual Boolean functions.
+This module computes B exactly (integer PMF weights, integer square
+roots), certifies the sandwich B <= sqrt(n - k) <= B + b for near-equal
+block sizes, bounds the gap for arbitrary sizes through a second-order
+Jensen estimate, and cross-checks everything against a shuffle-based
+Monte Carlo and against restricted sub-function averages of actual
+Boolean functions.
 
-Certification convention: an inequality checked at `precision` decimal
-digits is accepted with additive slack 10^-precision, while all
-arithmetic carries 15 extra guard digits.  Guard rounding therefore sits
-many orders below the slack, and the slack is what lets exact-equality
-cases (k = 0 with equal sizes, b = 1, k = n) certify cleanly.
+Certification convention: every certified quantity is an
+`interval.Interval`, an enclosure with integer ends carried at
+`precision` decimal digits plus guard bits.  An inequality passes only
+by strict separation of the two enclosures (rerun at more bits while
+they overlap) or by one of these structural equalities, which hold as
+identities:
+
+- B = sqrt(n - k) when k = n, when b = 1, or when k = 0 with equal
+  sizes: every block count is then constant and the blocks are alike;
+- gap_bound = sqrt(n - k) - B when k = 0, where both equal
+  sqrt(n) - sum_l sqrt(m_l) / sqrt(b), and gap_bound = 0 when b = 1;
+- the Jensen enclosure collapses to one point when Var(Y) = 0.
+
+Nothing passes within a slack.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from functools import lru_cache, partial
+from math import comb, lcm
+from operator import mul
 
-import mpmath as mp
 import numpy as np
 
 from .core import TruthTable, bsa, sensitivities
 from .errors import DegenerateInputError, InputError, VerificationError
+from .interval import Interval, refine, sqrt_sum, working_bits
 from .seeding import Estimate, mc_values, mean_and_stderr
 
 DEFAULT_PRECISION = 15
 CERT_PRECISION = 30
-GUARD_DIGITS = 15
 ABS_NOISE = 1e-9  # float-conversion allowance when a Monte Carlo stderr is 0
-
-
-def _slack(precision: int):
-    return mp.mpf(10) ** (-precision)
 
 
 def _check_precision(precision: int) -> int:
@@ -53,6 +59,16 @@ def _check_precision(precision: int) -> int:
     if not 1 <= precision <= 100:
         raise InputError(f"precision must lie in 1..100 decimal digits, got {precision}")
     return precision
+
+
+def _settled(*values) -> bool:
+    return all(v is None or v.settled for v in values)
+
+
+def _refined(compute, precision: int):
+    """An enclosure from `compute(bits)`, refined until its float is settled."""
+    return refine(lambda bits: (x := compute(bits), _settled(x)),
+                  working_bits(_check_precision(precision)))
 
 
 @dataclass(frozen=True)
@@ -97,29 +113,23 @@ def hg_pmf(params: HypergeometricParams, s: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _sqrt_int(s: int, dps: int):
-    with mp.workdps(dps):
-        return mp.sqrt(s)
-
-
-@lru_cache(maxsize=None)
-def _mean_sqrt_weighted(population: int, successes: int, draws: int, dps: int):
-    """E[sqrt(X)] with integer PMF weights summed before one division."""
+def _mean_sqrt(population: int, successes: int, draws: int, bits: int) -> Interval:
+    """E[sqrt(X)]: integer PMF weights times integer root enclosures,
+    summed before one outward division by C(n, m)."""
     n, k, m = population, successes, draws
-    low = max(0, m - (n - k))
-    high = min(m, k)
-    with mp.workdps(dps):
-        total = mp.mpf(0)
-        for s in range(max(low, 1), high + 1):
-            total += comb(k, s) * comb(n - k, m - s) * _sqrt_int(s, dps)
-        return total / comb(n, m)
+    lo = hi = 0
+    for s in range(max(1, m - (n - k)), min(m, k) + 1):
+        weight = comb(k, s) * comb(n - k, m - s)
+        root = Interval.sqrt(s, bits)  # cached: every sweep reuses the same few s
+        lo += weight * root.lo
+        hi += weight * root.hi
+    return Interval(lo, hi, bits) / comb(n, m)
 
 
-def mean_sqrt_hg(params: HypergeometricParams, precision: int = DEFAULT_PRECISION):
-    """E[sqrt(X)] to `precision` digits (carried with guard digits)."""
-    precision = _check_precision(precision)
-    return _mean_sqrt_weighted(params.population, params.successes, params.draws,
-                               precision + GUARD_DIGITS)
+def mean_sqrt_hg(params: HypergeometricParams, precision: int = DEFAULT_PRECISION) -> Interval:
+    """E[sqrt(X)] enclosed at `precision` digits."""
+    return _refined(partial(_mean_sqrt, params.population, params.successes, params.draws),
+                    precision)
 
 
 @dataclass(frozen=True)
@@ -131,13 +141,13 @@ class BlockPartitionSpec:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(map(int, self.sizes))
         object.__setattr__(self, "sizes", sizes)
         if self.n < 1:
             raise InputError("need n >= 1")
         if not 0 <= self.k <= self.n:
             raise InputError(f"k must lie in 0..{self.n}, got {self.k}")
-        if not sizes or any(s < 1 for s in sizes):
+        if not sizes or min(sizes) < 1:
             raise InputError("block sizes must be positive")
         if sum(sizes) != self.n:
             raise InputError(f"block sizes sum to {sum(sizes)}, expected n={self.n}")
@@ -149,9 +159,14 @@ class BlockPartitionSpec:
     @property
     def near_equal(self) -> bool:
         """True when sizes are a permutation of the floor/ceil split of n."""
-        m, r = divmod(self.n, self.blocks)
-        want = sorted([m + 1] * r + [m] * (self.blocks - r))
-        return sorted(self.sizes) == want
+        m = self.n // self.blocks  # sizes in {m, m + 1} summing to n: r of them m + 1
+        return m <= min(self.sizes) and max(self.sizes) <= m + 1
+
+    @property
+    def average_is_total(self) -> bool:
+        """B = sqrt(n - k) identically: k = n, b = 1, or k = 0 with equal sizes."""
+        return (self.k == self.n or self.blocks == 1
+                or (self.k == 0 and min(self.sizes) == max(self.sizes)))
 
 
 def near_equal_sizes(n: int, blocks: int) -> tuple[int, ...]:
@@ -162,51 +177,75 @@ def near_equal_sizes(n: int, blocks: int) -> tuple[int, ...]:
     return tuple([m + 1] * r + [m] * (blocks - r))
 
 
-def block_average_B(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION):
-    """The partition average (1/sqrt(b)) * sum_l E[sqrt(X_l)], exactly."""
-    precision = _check_precision(precision)
-    dps = precision + GUARD_DIGITS
-    with mp.workdps(dps):
-        total = mp.mpf(0)
-        for m_l in spec.sizes:
-            total += _mean_sqrt_weighted(spec.n, spec.n - spec.k, m_l, dps)
-        return total / _sqrt_int(spec.blocks, dps)
+@lru_cache(maxsize=None)
+def _split(n: int, sizes: tuple[int, ...], bits: int):
+    """The k-free parts of a split into b blocks of sizes m_l: the
+    (distinct size, count) pairs, 1 / sqrt(b), and the gap bound's
+    tilt = 1 - sum_l sqrt(m_l) / sqrt(b n) and
+    slope = sum_l (n - m_l) / sqrt(m_l) / (2 (n - 1) sqrt(b n))."""
+    size_counts = tuple(Counter(sizes).items())
+    root_bn = Interval.sqrt(len(sizes) * n, bits)
+    sum_roots = sum_ratio = Interval.exact(0, bits)
+    for m, count in size_counts:
+        root = Interval.sqrt(m, bits)
+        sum_roots += count * root
+        sum_ratio += Interval.exact(count * (n - m), bits) / root
+    tilt = (root_bn - sum_roots) / root_bn
+    slope = sum_ratio / (2 * (n - 1) * root_bn)
+    return size_counts, 1 / Interval.sqrt(len(sizes), bits), tilt, slope
 
 
-def gap_bound(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION):
+def _block_average(spec: BlockPartitionSpec, bits: int) -> Interval:
+    n, k = spec.n, spec.k
+    if spec.average_is_total:
+        return Interval.sqrt(n - k, bits)
+    size_counts, inv_root_b, _, _ = _split(n, spec.sizes, bits)
+    lo = hi = 0
+    for m, count in size_counts:
+        mean = _mean_sqrt(n, n - k, m, bits)
+        lo += count * mean.lo
+        hi += count * mean.hi
+    return Interval(lo, hi, bits) * inv_root_b
+
+
+def block_average_B(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION) -> Interval:
+    """The partition average (1/sqrt(b)) * sum_l E[sqrt(X_l)], enclosed."""
+    return _refined(partial(_block_average, spec), precision)
+
+
+def _gap_bound(spec: BlockPartitionSpec, bits: int) -> Interval | None:
+    """sqrt(n - k) * (tilt + k * slope / (n - k)): the Jensen steps
+    sqrt(n - k) * tilt and k * slope / sqrt(n - k)."""
+    n, k = spec.n, spec.k
+    if k == n:
+        return None
+    if spec.blocks == 1 or (k == 0 and spec.average_is_total):
+        return Interval.exact(0, bits)
+    _, _, tilt, slope = _split(n, spec.sizes, bits)
+    if k:  # tilt + slope * k / (n - k), rounded outward in one step
+        tilt = Interval(tilt.lo + slope.lo * k // (n - k),
+                        tilt.hi - (-slope.hi * k // (n - k)), bits)
+    return Interval.sqrt(n - k, bits) * tilt
+
+
+def gap_bound(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION) -> Interval | None:
     """Certified upper bound on sqrt(n - k) - B from two Jensen steps.
 
     Undefined (returns None) when k = n, where both sides vanish.
     """
-    precision = _check_precision(precision)
-    n, k, b = spec.n, spec.k, spec.blocks
-    if k == n:
-        return None
-    dps = precision + GUARD_DIGITS
-    with mp.workdps(dps):
-        sum_roots = mp.mpf(0)
-        sum_ratio = mp.mpf(0)
-        for m_l in spec.sizes:
-            root = _sqrt_int(m_l, dps)
-            sum_roots += root
-            sum_ratio += (n - m_l) / root
-        first = _sqrt_int(n - k, dps) * (1 - sum_roots / _sqrt_int(b * n, dps))
-        if k == 0:
-            return first
-        second = k * sum_ratio / (2 * (n - 1) * _sqrt_int(b * n * (n - k), dps))
-        return first + second
+    return _refined(partial(_gap_bound, spec), precision)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SandwichReport:
     """Certified comparison of sqrt(n - k) against the partition average."""
 
     spec: BlockPartitionSpec
     precision: int
-    sqrt_total: object  # mpf: sqrt(n - k)
-    block_average: object  # mpf: the average B
-    gap: object  # mpf: sqrt_total - block_average
-    gap_bound: object  # mpf or None when k = n
+    sqrt_total: Interval  # sqrt(n - k)
+    block_average: Interval  # the average B
+    gap: Interval  # sqrt_total - block_average
+    gap_bound: Interval | None  # None when k = n
     near_equal: bool
     pass_lower: bool
     pass_upper: bool | None
@@ -217,33 +256,52 @@ class SandwichReport:
         return self.pass_lower and self.pass_upper is not False and self.pass_gap is not False
 
 
+def _sandwich(spec: BlockPartitionSpec, precision: int, bits: int):
+    a_val = Interval.sqrt(spec.n - spec.k, bits)
+    if spec.average_is_total:
+        b_val, gap, pass_lower = a_val, Interval.exact(0, bits), True
+    else:
+        b_val = _block_average(spec, bits)
+        gap = a_val - b_val
+        pass_lower = b_val < a_val
+    bound = _gap_bound(spec, bits)
+    if bound is None:
+        pass_gap = None
+    elif spec.k == 0 or spec.blocks == 1:
+        pass_gap = True  # the bound is the gap itself, or both are 0
+    else:
+        pass_gap = gap < bound
+    near = spec.near_equal
+    pass_upper = gap < spec.blocks if near else None  # A <= B + b
+    report = SandwichReport(spec, precision, a_val, b_val, gap, bound, near,
+                            pass_lower, pass_upper, pass_gap)
+    return report, report.all_passed and _settled(a_val, b_val, gap, bound)
+
+
 def sandwich_check(spec: BlockPartitionSpec,
                    precision: int = DEFAULT_PRECISION) -> SandwichReport:
     """Certify B <= sqrt(n - k), the gap bound, and (for near-equal
-    sizes) sqrt(n - k) <= B + b, each with 10^-precision slack."""
+    sizes) sqrt(n - k) <= B + b, each by strict separation or by a
+    structural equality."""
     precision = _check_precision(precision)
-    dps = precision + GUARD_DIGITS
-    with mp.workdps(dps):
-        slack = _slack(precision)
-        a_val = _sqrt_int(spec.n - spec.k, dps)
-        b_val = block_average_B(spec, precision)
-        gap = a_val - b_val
-        bound = gap_bound(spec, precision)
-        pass_lower = bool(b_val <= a_val + slack)
-        pass_gap = None if bound is None else bool(gap <= bound + slack)
-        near = spec.near_equal
-        pass_upper = bool(a_val <= b_val + spec.blocks + slack) if near else None
-    return SandwichReport(spec, precision, a_val, b_val, gap, bound, near,
-                          pass_lower, pass_upper, pass_gap)
+    return refine(partial(_sandwich, spec, precision), working_bits(precision))
 
 
 @dataclass(frozen=True)
 class JensenBounds:
     """Two-sided enclosure of E[sqrt(Y)] for Y = scale * X + shift >= 0."""
 
-    lower: object
-    upper: object
-    mean_sqrt: object
+    lower: Interval
+    upper: Interval
+    mean_sqrt: Interval
+
+
+def _over_common_denominator(numbers) -> tuple[list[int], int]:
+    """Integer numerators over one common positive denominator."""
+    pairs = [x.as_integer_ratio() if type(x) in (int, float, Fraction)
+             else tuple(map(int, Fraction(x).as_integer_ratio())) for x in numbers]
+    common = lcm(*(d for _, d in pairs))
+    return [n * (common // d) for n, d in pairs], common
 
 
 def jensen_bounds(values, probs, precision: int = DEFAULT_PRECISION,
@@ -252,43 +310,54 @@ def jensen_bounds(values, probs, precision: int = DEFAULT_PRECISION,
     sqrt(E[Y]) - scale^2 Var(X) / (2 E[Y]^{3/2}) and sqrt(E[Y]).
 
     The distribution of X is given by parallel `values` / `probs`
-    sequences (Fractions welcome).  Y must be nonnegative with positive
-    mean.  The exact mean of sqrt(Y) is computed alongside and the
-    enclosure is verified before returning.
+    sequences (Fractions and floats welcome; both are read exactly).
+    Y must be nonnegative with positive mean.  The exact mean of
+    sqrt(Y) is computed alongside, and the enclosure is certified by
+    strict separation before returning.
     """
     precision = _check_precision(precision)
-    dps = precision + GUARD_DIGITS
     values = list(values)
     probs = list(probs)
     if len(values) != len(probs) or not values:
         raise InputError("need matching nonempty values/probs sequences")
-    with mp.workdps(dps):
-        pr = [mp.mpmathify(p) for p in probs]
-        xs = [mp.mpmathify(v) for v in values]
-        sc = mp.mpmathify(scale)
-        sh = mp.mpmathify(shift)
-        if any(p < 0 for p in pr):
-            raise InputError("probabilities must be nonnegative")
-        total = mp.fsum(pr)
-        if abs(total - 1) > mp.mpf("1e-9"):
-            raise InputError("probabilities must sum to 1")
-        pr = [p / total for p in pr]  # absorb float-level normalisation drift
-        ys = [sc * x + sh for x in xs]
-        if any(y < 0 for y in ys):
-            raise InputError("scale * X + shift must be nonnegative")
-        mean_x = mp.fsum(p * x for p, x in zip(pr, xs))
-        var_x = mp.fsum(p * (x - mean_x) ** 2 for p, x in zip(pr, xs))
-        mean_y = sc * mean_x + sh
-        if mean_y <= 0:
-            raise DegenerateInputError("E[scale * X + shift] must be positive")
-        upper = mp.sqrt(mean_y)
-        lower = upper - sc * sc * var_x / (2 * mean_y ** mp.mpf("1.5"))
-        mean_sqrt = mp.fsum(p * mp.sqrt(y) for p, y in zip(pr, ys))
-        slack = _slack(precision)
-        if not lower - slack <= mean_sqrt <= upper + slack:
-            raise VerificationError(
-                f"E[sqrt(Y)] = {mean_sqrt} escaped the enclosure [{lower}, {upper}]")
-    return JensenBounds(lower, upper, mean_sqrt)
+    weights, weight_den = _over_common_denominator(probs)
+    if min(weights) < 0:
+        raise InputError("probabilities must be nonnegative")
+    total = sum(weights)
+    if abs(total - weight_den) * 10**9 > weight_den:
+        raise InputError("probabilities must sum to 1")
+    # P[X = x_i] = weights[i] / total: dividing by the total absorbs
+    # float-level normalisation drift.  Y_i = ys[i] / y_den exactly.
+    (sc, sh, *xs), x_den = _over_common_denominator([scale, shift, *values])
+    ys = [sc * x + sh * x_den for x in xs]
+    y_den = x_den * x_den
+    if min(ys) < 0:
+        raise InputError("scale * X + shift must be nonnegative")
+    # E[Y] = first / den and Var(Y) = spread / den^2
+    den = total * y_den
+    first = sum(map(mul, weights, ys))
+    if first <= 0:
+        raise DegenerateInputError("E[scale * X + shift] must be positive")
+    spread = total * sum(map(mul, weights, map(mul, ys, ys))) - first * first
+
+    def enclose(bits):
+        root = Interval.exact(first * den, bits).root()
+        upper = root / den  # sqrt(E[Y])
+        if spread == 0:
+            return JensenBounds(upper, upper, upper), upper.settled
+        # sqrt(E[Y]) - Var(Y) / (2 E[Y]^{3/2}) = (2 first^2 - spread) / (2 first root),
+        # exactly 0 when E[Y^2] = 3 E[Y]^2
+        lower = Interval.exact(2 * first * first - spread, bits) / (root * (2 * first))
+        mean_sqrt = sqrt_sum(zip(weights, (y * y_den for y in ys)), bits) / den
+        bounds = JensenBounds(lower, upper, mean_sqrt)
+        return bounds, lower < mean_sqrt < upper and _settled(lower, upper, mean_sqrt)
+
+    bounds = refine(enclose, working_bits(precision))
+    if spread and not bounds.lower < bounds.mean_sqrt < bounds.upper:
+        raise VerificationError(
+            f"E[sqrt(Y)] = {float(bounds.mean_sqrt)!r} is not certified inside "
+            f"[{float(bounds.lower)!r}, {float(bounds.upper)!r}]")
+    return bounds
 
 
 def mc_partition_average(y, sizes, trials: int, seed: int = 0,

@@ -186,9 +186,10 @@ def test_cli_bad_flag_exits_nonzero(capsys):
     (["restrict", "maj:5", "--rate", "2"], {}, 2),
     (["restrict", "maj:5", "--trials", "10", "--workers", "0"], {}, 2),
     (["partition", "--n", "1..100000"], {}, 3),
+    (["partition", "--n", "1..2000000000"], {}, 3),
 ], ids=["sizes-not-integer", "sizes-zero-block", "out-dir-missing", "workers-env-not-integer",
         "tail-bad-range", "restrict-zero-trials", "restrict-rate-above-1",
-        "restrict-zero-workers", "partition-sweep-over-cap"])
+        "restrict-zero-workers", "partition-sweep-over-cap", "partition-range-unbounded"])
 def test_malformed_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv, env,
                                                exit_code):
     for name, value in env.items():
@@ -353,6 +354,64 @@ def test_partition_k_selection(capsys):
     assert abs(row["A"] - math.sqrt(2.0)) < 1e-12
     assert abs(row["B"] - 1.2761423749153966) < 1e-12
     assert row["pass_lower"] is True and row["pass_upper"] is True
+
+
+def test_partition_exact_equalities_print_zero(capsys):
+    # B = A exactly when k = n, b = 1, or k = 0 with equal blocks, and the
+    # gap bound is exactly 0 when b = 1 or k = 0 with equal blocks
+    code, out, _ = run_cli(capsys, "partition", "--n", "12", "--precision", "30")
+    assert code == 0
+    zero_gaps = zero_bounds = 0
+    for line in out.strip().split("\n")[1:]:
+        n, k, sizes, _, _, gap, bound = line.split(",")[:7]
+        n, k, sizes = int(n), int(k), [int(m) for m in sizes.split("-")]
+        equal_blocks = len(set(sizes)) == 1
+        if k == n or len(sizes) == 1 or (k == 0 and equal_blocks):
+            assert gap == "0"
+            zero_gaps += 1
+        if k < n and (len(sizes) == 1 or (k == 0 and equal_blocks)):
+            assert bound == "0"
+            zero_bounds += 1
+        assert float(gap) >= 0.0
+        assert bound == "" or float(bound) >= 0.0
+    assert zero_gaps == 12 + 13 + 6 - 2 and zero_bounds == 12 + 6 - 1
+
+
+# A, B, gap and gap_bound as earlier releases printed them (their repr),
+# on rows with no exact equality: near-equal splits and --sizes ones
+PARTITION_GOLDEN = [
+    (12, 5, "3-3-3-3", 30, 2.6457513110645907, 2.5374018392189606,
+     0.10834947184562982, 0.2577030497790186),
+    (12, 7, "4-4-4", 30, 2.23606797749979, 2.1107520108782016,
+     0.12531596662158828, 0.2845904698636096),
+    (12, 1, "2-2-2-2-2-2", 30, 3.3166247903554, 3.294999636411992,
+     0.02162515394340801, 0.06852530558585537),
+    (12, 9, "3-3-2-2-2", 30, 1.7320508075688772, 1.2364602974649606,
+     0.49559051010391686, 0.9724808172737464),
+    (41, 17, "7-7-7-7-7-6", 50, 4.898979485566356, 4.8348516037438065,
+     0.06412788182255, 0.21913382776745993),
+    (7, 2, "3-2-2", 15, 2.23606797749979, 2.1622355610023156,
+     0.07383241649747418, 0.16335594196489112),
+    (12, 4, "5-1-6", 15, 2.8284271247461903, 2.577802238179249,
+     0.2506248865669411, 0.3258631449552163),
+    (20, 11, "1-6-13", 30, 3.0, 2.5754188528967292,
+     0.42458114710327083, 0.5996587393091223),
+    (9, 6, "2-7", 50, 1.7320508075688772, 1.5061226521053148,
+     0.22592815546356246, 0.3657436689055924),
+    (40, 13, "11-29", 30, 5.196152422706632, 5.04525837283615,
+     0.15089404987048202, 0.17955083496059682),
+]
+
+
+@pytest.mark.parametrize("n, k, sizes, precision, a, b, gap, bound", PARTITION_GOLDEN)
+def test_partition_golden_floats(capsys, n, k, sizes, precision, a, b, gap, bound):
+    code, out, _ = run_cli(capsys, "partition", "--sizes", sizes, "--k", str(k),
+                           "--precision", str(precision), "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert (row["n"], row["k"], row["sizes"]) == (n, k, sizes)
+    assert (row["A"], row["B"], row["gap"], row["gap_bound"]) == (a, b, gap, bound)
+    assert row["pass_lower"] and row["pass_gap"] and row["pass_upper"] is not False
 
 
 def test_partition_precision_validation(capsys):

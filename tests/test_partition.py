@@ -2,7 +2,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,6 +13,25 @@ from boolsurf.partition import (BlockPartitionSpec, HypergeometricParams,
                                 hg_pmf, jensen_bounds, mc_partition_average,
                                 mean_sqrt_hg, near_equal_sizes,
                                 sandwich_check)
+
+# Exact references: sqrt(s) to within 1e-60 as a Fraction, and the ends
+# of an enclosure as Fractions.  `close` holds when both ends of the
+# enclosure lie within `tol` of the reference.
+SCALE = 10**60
+TOL = Fraction(1, 10**25)
+
+
+def root(s) -> Fraction:
+    s = Fraction(s)
+    return Fraction(math.isqrt(s.numerator * SCALE * SCALE // s.denominator), SCALE)
+
+
+def ends(x) -> tuple[Fraction, Fraction]:
+    return Fraction(x.lo, 1 << x.bits), Fraction(x.hi, 1 << x.bits)
+
+
+def close(x, want, tol=TOL) -> bool:
+    return all(abs(end - want) < tol for end in ends(x))
 
 
 # ---------------------------------------------------------------- pmf
@@ -79,15 +97,12 @@ def test_hg_moments_match_pmf():
 
 def test_mean_sqrt_golden_case():
     got = mean_sqrt_hg(HypergeometricParams(4, 2, 2), precision=30)
-    with mp.workdps(60):
-        want = mp.mpf(2) / 3 + mp.sqrt(mp.mpf(2)) / 6
-        assert abs(got - want) < mp.mpf(10) ** -25
+    assert close(got, Fraction(2, 3) + root(2) / 6)
 
 
 def test_mean_sqrt_degenerate_rows():
     got = mean_sqrt_hg(HypergeometricParams(6, 6, 4), precision=30)
-    with mp.workdps(60):
-        assert abs(got - mp.sqrt(4)) < mp.mpf(10) ** -25
+    assert close(got, root(4))
     assert mean_sqrt_hg(HypergeometricParams(6, 0, 4), precision=30) == 0
 
 
@@ -95,11 +110,9 @@ def test_mean_sqrt_matches_pmf_route():
     for n, k, m in [(9, 4, 3), (12, 7, 5), (30, 11, 10)]:
         params = HypergeometricParams(n, k, m)
         got = mean_sqrt_hg(params, precision=30)
-        with mp.workdps(60):
-            want = mp.fsum(mp.mpf(hg_pmf(params, s).numerator)
-                           / hg_pmf(params, s).denominator * mp.sqrt(s)
-                           for s in params.support() if hg_pmf(params, s))
-            assert abs(got - want) < mp.mpf(10) ** -25
+        want = sum(hg_pmf(params, s) * root(s)
+                   for s in params.support() if hg_pmf(params, s))
+        assert close(got, want)
 
 
 def test_mean_sqrt_precision_validation():
@@ -139,17 +152,14 @@ def test_near_equal_property():
 def test_block_average_golden_case():
     spec = BlockPartitionSpec(4, 2, (2, 2))
     got = block_average_B(spec, precision=30)
-    with mp.workdps(60):
-        want = mp.sqrt(2) * (mp.mpf(2) / 3 + mp.sqrt(2) / 6)
-        assert abs(got - want) < mp.mpf(10) ** -25
+    assert close(got, root(2) * Fraction(2, 3) + Fraction(1, 3))  # sqrt(2) (2/3 + sqrt(2)/6)
     assert abs(float(got) - 1.2761423749153966) < 1e-12
 
 
 def test_block_average_no_zeros_equal_blocks_is_sqrt_n():
     spec = BlockPartitionSpec(12, 0, (4, 4, 4))
     got = block_average_B(spec, precision=30)
-    with mp.workdps(60):
-        assert abs(got - mp.sqrt(12)) < mp.mpf(10) ** -25
+    assert close(got, root(12))
 
 
 def test_block_average_all_zeros_is_zero():
@@ -197,7 +207,7 @@ def test_sandwich_golden_case():
 
 def test_sandwich_no_zeros_equal_blocks_is_tight():
     report = sandwich_check(BlockPartitionSpec(9, 0, (3, 3, 3)), precision=30)
-    assert abs(report.gap) < mp.mpf(10) ** -25
+    assert close(report.gap, 0)
     assert float(report.gap_bound) == pytest.approx(0.0, abs=1e-25)
     assert report.all_passed
 
@@ -230,19 +240,16 @@ def test_sandwich_skewed_sizes_skip_upper():
 
 def test_jensen_point_mass():
     out = jensen_bounds([9], [1], precision=30)
-    with mp.workdps(60):
-        assert abs(out.mean_sqrt - 3) < mp.mpf(10) ** -25
-        assert abs(out.upper - 3) < mp.mpf(10) ** -25
-        assert abs(out.lower - 3) < mp.mpf(10) ** -25
+    assert close(out.mean_sqrt, 3)
+    assert close(out.upper, 3)
+    assert close(out.lower, 3)
 
 
 def test_jensen_uniform_two_point():
     out = jensen_bounds([0, 4], [Fraction(1, 2), Fraction(1, 2)], precision=30)
-    with mp.workdps(60):
-        root2 = mp.sqrt(2)
-        assert abs(out.upper - root2) < mp.mpf(10) ** -25
-        assert abs(out.lower - root2 / 2) < mp.mpf(10) ** -25
-        assert abs(out.mean_sqrt - 1) < mp.mpf(10) ** -25
+    assert close(out.upper, root(2))
+    assert close(out.lower, root(2) / 2)
+    assert close(out.mean_sqrt, 1)
 
 
 def test_jensen_hypergeometric_golden():
@@ -250,23 +257,19 @@ def test_jensen_hypergeometric_golden():
     support = list(params.support())
     out = jensen_bounds(support, [hg_pmf(params, s) for s in support],
                         precision=30)
-    with mp.workdps(60):
-        assert abs(out.upper - 1) < mp.mpf(10) ** -25
-        assert abs(out.lower - mp.mpf(5) / 6) < mp.mpf(10) ** -25
-        want = mp.mpf(2) / 3 + mp.sqrt(2) / 6
-        assert abs(out.mean_sqrt - want) < mp.mpf(10) ** -25
+    assert close(out.upper, 1)
+    assert close(out.lower, Fraction(5, 6))
+    assert close(out.mean_sqrt, Fraction(2, 3) + root(2) / 6)
 
 
 def test_jensen_affine_scaling():
     out = jensen_bounds([0, 1], [Fraction(1, 2), Fraction(1, 2)],
                         precision=30, scale=2, shift=1)
-    with mp.workdps(60):
-        root2 = mp.sqrt(2)
-        assert abs(out.upper - root2) < mp.mpf(10) ** -25
-        # Var(X) = 1/4, E[Y] = 2: penalty = 4 * (1/4) / (2 * 2^1.5)
-        assert abs(out.lower - (root2 - 1 / (2 * root2 ** 3))) < mp.mpf(10) ** -20
-        assert abs(out.mean_sqrt - (1 + mp.sqrt(3)) / 2) < mp.mpf(10) ** -25
-        assert out.lower <= out.mean_sqrt <= out.upper
+    assert close(out.upper, root(2))
+    # Var(X) = 1/4, E[Y] = 2: penalty = 4 * (1/4) / (2 * 2^1.5) = sqrt(2) / 8
+    assert close(out.lower, root(2) - root(2) / 8, Fraction(1, 10**20))
+    assert close(out.mean_sqrt, (1 + root(3)) / 2)
+    assert out.lower <= out.mean_sqrt <= out.upper
 
 
 def test_jensen_float_probabilities_accepted():
@@ -300,9 +303,8 @@ def test_jensen_two_point_block_size_sweep():
             if m == 0:
                 continue  # impossible: b <= n forces m >= 1
             out = jensen_bounds(values, probs, precision=30)
-            with mp.workdps(60):
-                assert out.lower - mp.mpf(10) ** -25 <= out.mean_sqrt
-                assert out.mean_sqrt <= out.upper + mp.mpf(10) ** -25
+            assert ends(out.lower)[1] - TOL <= ends(out.mean_sqrt)[0]
+            assert ends(out.mean_sqrt)[1] <= ends(out.upper)[0] + TOL
 
 
 # ---------------------------------------------------------------- monte carlo
