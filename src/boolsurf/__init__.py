@@ -26,7 +26,7 @@ from .partition import (BlockBoundReport, BlockPartitionSpec,
                         near_equal_sizes, sandwich_check)
 from .ptf import (PolyStats, SparsePolynomial, alpha_estimate, alpha_exact,
                   eval_on_cube, eval_poly, generate, poly_stats, restrict_poly,
-                  sign_table)
+                  sign_table, variables_mask)
 from .restriction import (FailureProbEstimate, Restriction,
                           SensitiveFractionReport, TailReport,
                           closeness_to_constant, restrict_table,

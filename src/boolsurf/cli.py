@@ -6,7 +6,7 @@ produces byte-identical output.  JSON floats use Python's shortest
 round-trip form; CSV floats carry 17 significant digits with a '.'
 decimal point, no locale.
 
-Exit codes: 0 success, 2 malformed input, 3 capacity exceeded,
+Exit codes: 0 success, 2 malformed input, 3 capacity exceeded or out of memory,
 4 verification failure.
 """
 
@@ -26,11 +26,12 @@ from . import boundary as boundary_mod
 from . import partition as partition_mod
 from . import restriction as restriction_mod
 from . import verify as verify_mod
-from .core import (EXACT_CAP, TruthTable, bsa_via_tails, fractional_moment,
+from .core import (TruthTable, _check_n, bsa_via_tails, fractional_moment,
                    noise_sensitivity, total_influence)
 from .errors import (BoolsurfError, CapacityError, InputError, ParseError,
                      VerificationError)
-from .ptf import ALPHA_EXACT_CAP, SparsePolynomial, alpha_estimate, alpha_exact, generate, sign_table
+from .ptf import (SparsePolynomial, alpha_estimate, alpha_exact, generate, sign_table,
+                  variables_mask)
 
 DEFAULT_MOMENTS = "0.25,0.5,0.75,1"
 DEFAULT_DELTAS = "0.05,0.1,0.25"
@@ -103,14 +104,7 @@ def _parse_generator(text: str) -> FunctionSpec:
         except ValueError:
             raise ParseError(f"parity spec needs integers, got {rest!r}",
                              position=len(name) + 1)
-        mask = 0
-        for v in variables:
-            if not 1 <= v <= n:
-                raise InputError(f"parity variable {v} out of range 1..{n}")
-            bit = 1 << (v - 1)
-            if mask & bit:
-                raise ParseError(f"parity variable {v} repeated")
-            mask |= bit
+        mask = variables_mask(variables, n)
         return FunctionSpec(text, "parity", polynomial=generate("parity", n, subset=mask))
     if name == "rand":
         params = _parse_kv_int(rest, {"d": True, "n": True, "seed": False}, "rand")
@@ -135,8 +129,7 @@ def parse_table_text(content: str) -> TruthTable:
         n = int(lines[0][2:])
     except ValueError:
         raise ParseError(f"bad variable count {lines[0][2:]!r}", position=2)
-    if n < 0 or n > EXACT_CAP:
-        raise CapacityError(f"table files support 0 <= n <= {EXACT_CAP}, got {n}")
+    n = _check_n(n)
     row = lines[1]
     if len(row) != 1 << n:
         raise ParseError(f"sign row has {len(row)} characters, expected {1 << n}")
@@ -485,8 +478,8 @@ def _cmd_sweep(args) -> int:
             for n in parse_int_list(args.n):
                 table = _family_table(family, n)
                 for delta in parse_float_list(args.delta):
+                    ns = noise_sensitivity(table, delta)  # checks 0 < delta < 1/2
                     t = -math.log(1.0 - 2.0 * delta)
-                    ns = noise_sensitivity(table, delta)
                     rows.append([family, n, float(delta), t, ns, ns / math.sqrt(t)])
         _emit_table(args, "sweep", None, header, rows)
         return 0
@@ -497,12 +490,7 @@ def _cmd_sweep(args) -> int:
             for seed in parse_int_list(args.seeds):
                 poly = generate("random", n, degree=args.degree, seed=seed)
                 est = alpha_estimate(poly, args.trials, seed=seed, workers=args.workers)
-                exact = None
-                if args.exact:
-                    if n > ALPHA_EXACT_CAP:
-                        raise CapacityError(
-                            f"--exact alpha needs n <= {ALPHA_EXACT_CAP}, got {n}")
-                    exact = alpha_exact(poly)
+                exact = alpha_exact(poly) if args.exact else None
                 rows.append([n, args.degree, seed, est.estimate, est.stderr, exact])
         _emit_table(args, "sweep", None, header, rows)
         return 0
@@ -540,7 +528,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="1..12", help="population sizes, e.g. 1..12")
     p.add_argument("--sizes", help="explicit dash-joined block sizes, e.g. 3-2-2")
     p.add_argument("--k", help="zero counts to sweep with --sizes (default 0..n)")
-    p.add_argument("--precision", type=int, default=15, help="decimal digits (10..50)")
+    p.add_argument("--precision", type=int, default=partition_mod.DEFAULT_PRECISION,
+                   help="decimal digits (10..50)")
     add_output(p, "csv")
 
     p = sub.add_parser("restrict", help="Monte Carlo restriction-collapse grid")
@@ -618,5 +607,8 @@ def main(argv=None) -> int:
     except BoolsurfError as exc:
         print(f"{prefix}: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    except MemoryError:  # a request too large for this host is over capacity, too
+        print(f"{prefix}: out of memory", file=sys.stderr)
+        return 3
     finally:
         warnings.formatwarning = default_format

@@ -370,8 +370,6 @@ def mc_partition_average(y, sizes, trials: int, seed: int = 0,
     sizes = tuple(int(s) for s in sizes)
     if not sizes or any(s < 1 for s in sizes) or sum(sizes) != len(y):
         raise InputError("block sizes must be positive and sum to the population size")
-    if trials < 1:
-        raise InputError("need trials >= 1")
     b = len(sizes)
     offsets = np.cumsum((0,) + sizes[:-1])
     root_b = np.sqrt(float(b))
@@ -419,8 +417,6 @@ def bsa_block_bound(f: TruthTable, blocks: int, trials: int, seed: int = 0,
     """
     n = f.n
     sizes = near_equal_sizes(n, blocks)
-    if trials < 1:
-        raise InputError("need trials >= 1")
     offsets = np.cumsum((0,) + sizes[:-1])
     root_b = np.sqrt(float(blocks))
     sub_bits = {}

@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .core import EXACT_CAP, TruthTable, all_points_signs, walsh_hadamard
-from .errors import CapacityError, DegenerateInputError, InputError
+from .core import TruthTable, _check_n, all_points_signs, walsh_hadamard
+from .errors import CapacityError, DegenerateInputError, InputError, ParseError
 from .seeding import Estimate, mc_values, mean_and_stderr, substream
 
 if TYPE_CHECKING:
@@ -116,7 +116,7 @@ class SparsePolynomial:
         try:
             n = int(data["n"])
             raw_terms = data["terms"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"polynomial JSON needs integer 'n' and a 'terms' list: {exc}")
         if not isinstance(raw_terms, list):
             raise InputError("'terms' must be a list")
@@ -125,17 +125,12 @@ class SparsePolynomial:
             try:
                 variables = list(term["vars"])
                 coef = float(term["coef"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"term {pos} needs 'vars' and numeric 'coef': {exc}")
-            mask = 0
-            for v in variables:
-                v = int(v)
-                if not 1 <= v <= n:
-                    raise InputError(f"term {pos}: variable {v} out of range 1..{n}")
-                bit = 1 << (v - 1)
-                if mask & bit:
-                    raise InputError(f"term {pos}: variable {v} repeated")
-                mask |= bit
+            try:
+                mask = variables_mask(variables, n)
+            except InputError as exc:
+                raise type(exc)(f"term {pos}: {exc}") from None
             acc[mask] = acc.get(mask, 0.0) + coef
         return cls(n, acc)
 
@@ -143,6 +138,25 @@ class SparsePolynomial:
         terms = [{"vars": [i + 1 for i in range(self.n) if mask >> i & 1], "coef": coef}
                  for mask, coef in zip(self.masks.tolist(), self.coefs.tolist())]
         return {"n": self.n, "terms": terms}
+
+
+def variables_mask(variables, n: int) -> int:
+    """Bitmask of 1-indexed variables, each an integer in 1..n and none repeated."""
+    mask = 0
+    for v in variables:
+        try:
+            index = int(v)
+        except (TypeError, ValueError, OverflowError):
+            index = None
+        if index is None or index != v:
+            raise InputError(f"variable {v!r} is not an integer")
+        if not 1 <= index <= n:
+            raise InputError(f"variable {index} out of range 1..{n}")
+        bit = 1 << (index - 1)
+        if mask & bit:
+            raise ParseError(f"variable {index} repeated")
+        mask |= bit
+    return mask
 
 
 def _running_sum(values: np.ndarray) -> float:
@@ -165,9 +179,7 @@ def eval_poly(p: SparsePolynomial, x: int) -> float:
 
 def eval_on_cube(p: SparsePolynomial) -> np.ndarray:
     """Values at every point index, through the fast transform."""
-    if p.n > EXACT_CAP:
-        raise CapacityError(f"n={p.n} exceeds the exact-enumeration cap of {EXACT_CAP}")
-    dense = np.zeros(1 << p.n, dtype=np.float64)
+    dense = np.zeros(1 << _check_n(p.n), dtype=np.float64)
     dense[p.masks] = p.coefs
     return walsh_hadamard(dense)
 
@@ -254,8 +266,6 @@ def alpha_estimate(p: SparsePolynomial, trials: int, seed: int = 0,
     """
     if p.is_zero:
         raise DegenerateInputError("alpha of the zero polynomial is undefined")
-    if trials < 1:
-        raise InputError("need trials >= 1")
     sizes = np.bitwise_count(p.masks).astype(np.float64)
     powers = np.uint64(1) << np.arange(p.n, dtype=np.uint64)  # 0/1 rows @ powers = point index
 

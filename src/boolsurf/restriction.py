@@ -17,10 +17,10 @@ from math import nan
 
 import numpy as np
 
-from .core import EXACT_CAP, TruthTable, all_functions, sensitivities
-from .errors import CapacityError, InputError, VerificationError
+from .core import EXACT_CAP, TruthTable, _check_n, all_functions, sensitivities
+from .errors import InputError, VerificationError
 from .ptf import SparsePolynomial, eval_on_cube, restrict_poly
-from .seeding import mc_values, resolve_workers, substream
+from .seeding import mc_values, substream
 
 RATE_GUIDELINE = 1.0 / 16.0
 
@@ -108,9 +108,7 @@ def restrict_table(f: TruthTable, rho: Restriction) -> TruthTable:
     if rho.n != f.n:
         raise InputError(f"restriction is on {rho.n} variables, table on {f.n}")
     free = rho.free_indices()
-    ell = len(free)
-    if ell > EXACT_CAP:
-        raise CapacityError(f"{ell} free coordinates exceed the exact cap of {EXACT_CAP}")
+    ell = _check_n(len(free))
     sub = np.arange(1 << ell, dtype=np.int64)
     idx = np.full(1 << ell, rho.fixed_base_index(), dtype=np.int64)
     for j, i in enumerate(free):
@@ -153,20 +151,12 @@ def restriction_failure_prob(p: SparsePolynomial, rate: float, delta: float,
     Samples with more than `max_free` free coordinates are rejected and
     reported through `rejection_rate` (the estimate conditions on
     acceptance).  Rates or deltas above 1/16 are allowed but draw a
-    warning since the collapse guarantees degrade quickly there.
+    warning, issued once every input has passed its checks, since the
+    collapse guarantees degrade quickly there.
     """
-    if trials < 1:
-        raise InputError("need trials >= 1")
     delta = _open_unit("delta", delta)
-    rate = _open_unit("free-rate", rate)
     if not 1 <= max_free <= EXACT_CAP:
         raise InputError(f"max_free must lie in 1..{EXACT_CAP}")
-    workers = resolve_workers(workers)
-    if rate > RATE_GUIDELINE or delta > RATE_GUIDELINE:
-        warnings.warn(
-            f"rate={rate} delta={delta}: values above {RATE_GUIDELINE} are outside the "
-            "regime where restriction collapse is guaranteed",
-            stacklevel=2)
 
     def draw(rng, size):
         # per trial: 1.0 far from constant, 0.0 close, NaN rejected
@@ -178,7 +168,12 @@ def restriction_failure_prob(p: SparsePolynomial, rate: float, delta: float,
                 values[t] = min(plus, vals.size - plus) / vals.size > delta
         return values
 
-    values = mc_values(trials, seed, workers, draw)
+    values = mc_values(trials, seed, workers, draw)  # checks trials, workers and rate
+    if rate > RATE_GUIDELINE or delta > RATE_GUIDELINE:
+        warnings.warn(
+            f"rate={rate} delta={delta}: values above {RATE_GUIDELINE} are outside the "
+            "regime where restriction collapse is guaranteed",
+            stacklevel=2)
     accepted = int(np.count_nonzero(~np.isnan(values)))
     rejected = trials - accepted
     if accepted == 0:

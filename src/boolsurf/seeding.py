@@ -29,8 +29,11 @@ class Estimate(NamedTuple):
 
 
 def substream(seed: int, index: int = 0) -> np.random.Generator:
-    """Independent generator for substream `index` of master `seed`."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
+    """Independent generator for substream `index` of master `seed` (>= 0)."""
+    seed = int(seed)
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(int(index),))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -64,14 +67,12 @@ def mc_values(total: int, seed: int, workers: int | None, draw) -> np.ndarray:
     the first `total` chunks are nonempty, so only those are walked; the
     empty ones would consume nothing.
     """
+    if total < 1:
+        raise InputError("need trials >= 1")
     workers = resolve_workers(workers)
     parts = []
-    for index, size in enumerate(chunk_sizes(total, max(1, min(workers, total)))):
-        if size == 0:
-            continue
+    for index, size in enumerate(chunk_sizes(total, min(workers, total))):
         parts.append(np.asarray(draw(substream(seed, index), size), dtype=np.float64))
-    if not parts:
-        return np.zeros(0, dtype=np.float64)
     return np.concatenate(parts)
 
 

@@ -112,6 +112,11 @@ def test_parse_file_errors(tmp_path):
         parse_function_spec(f"@{bad}")
 
 
+def test_table_text_negative_n_is_malformed():
+    with pytest.raises(InputError):
+        parse_table_text("n=-1\n+\n")
+
+
 def test_table_text_round_trip():
     for f in (TruthTable.majority(3), TruthTable.constant(0, -1),
               TruthTable.random(5, seed=2)):
@@ -187,9 +192,21 @@ def test_cli_bad_flag_exits_nonzero(capsys):
     (["restrict", "maj:5", "--trials", "10", "--workers", "0"], {}, 2),
     (["partition", "--n", "1..100000"], {}, 3),
     (["partition", "--n", "1..2000000000"], {}, 3),
+    (["analyze", "rand:d=2,n=5,seed=-4"], {}, 2),
+    (["analyze", "rands:d=2,n=5,terms=3,seed=-4"], {}, 2),
+    (["restrict", "maj:5", "--trials", "10", "--seed", "-1"], {}, 2),
+    (["sweep", "--kind", "alpha", "--n", "3", "--trials", "10", "--seeds", "-1"], {}, 2),
+    (["sweep", "--kind", "ns", "--n", "3", "--delta", "0.5"], {}, 2),
+    (["analyze", '{{"n": 1e400, "terms": []}}'], {}, 2),
+    (["analyze", '{{"n": 2, "terms": [{{"vars": ["a"], "coef": 1.0}}]}}'], {}, 2),
+    (["analyze", '{{"n": 2, "terms": [{{"vars": [1e400], "coef": 1.0}}]}}'], {}, 2),
+    (["analyze", '{{"n": 2, "terms": [{{"vars": [1], "coef": 1' + "0" * 400 + '}}]}}'], {}, 2),
 ], ids=["sizes-not-integer", "sizes-zero-block", "out-dir-missing", "workers-env-not-integer",
         "tail-bad-range", "restrict-zero-trials", "restrict-rate-above-1",
-        "restrict-zero-workers", "partition-sweep-over-cap", "partition-range-unbounded"])
+        "restrict-zero-workers", "partition-sweep-over-cap", "partition-range-unbounded",
+        "rand-negative-seed", "rands-negative-seed", "restrict-negative-seed",
+        "sweep-alpha-negative-seed", "sweep-ns-delta-half", "json-n-infinite",
+        "json-variable-not-integer", "json-variable-infinite", "json-coef-too-large"])
 def test_malformed_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv, env,
                                                exit_code):
     for name, value in env.items():
@@ -213,6 +230,28 @@ def test_warning_prints_as_one_line():
     assert done.returncode == 0
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("boolsurf restrict: warning: rate=0.25 ")
+
+
+def _limit_address_space():
+    import resource
+    limit = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+# each asks for hundreds of GiB; the address-space limit makes the allocation
+# fail at once instead of letting an overcommitting host start paging it in
+@pytest.mark.parametrize("argv", [
+    ["restrict", "maj:5", "--trials", "100000000000", "--rate", "0.01"],
+    ["sweep", "--kind", "alpha", "--n", "3", "--seeds", "0", "--trials", "100000000000"],
+], ids=["restrict", "sweep-alpha"])
+def test_out_of_memory_exits_3_with_one_line(argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "boolsurf", *argv], capture_output=True,
+        text=True, env=env, timeout=120, preexec_fn=_limit_address_space)
+    assert done.returncode == 3
+    assert done.stderr == f"boolsurf {argv[0]}: out of memory\n"
 
 
 # ---------------------------------------------------------------- analyze

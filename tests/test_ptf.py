@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from boolsurf.core import TruthTable, total_influence
-from boolsurf.errors import CapacityError, DegenerateInputError, InputError
+from boolsurf.errors import CapacityError, DegenerateInputError, InputError, ParseError
 from boolsurf.ptf import (ALPHA_EXACT_CAP, SparsePolynomial, alpha_estimate,
                           alpha_exact, eval_on_cube, eval_poly, generate,
-                          poly_stats, restrict_poly, sign_table)
+                          poly_stats, restrict_poly, sign_table, variables_mask)
 from boolsurf.restriction import Restriction
 
 
@@ -158,6 +158,20 @@ def test_json_validation():
         SparsePolynomial.from_json_dict({"n": 2, "terms": [{"vars": [3], "coef": 1.0}]})
     with pytest.raises(InputError):
         SparsePolynomial.from_json_dict({"n": 2, "terms": [{"vars": [0], "coef": 1.0}]})
+
+
+def test_variables_mask_owns_variable_lists():
+    assert variables_mask([1, 3], 3) == 0b101
+    assert variables_mask([], 3) == 0
+    with pytest.raises(ParseError):
+        variables_mask([2, 2], 3)
+    for bad in ([0], [4], ["a"], [1.5], [float("inf")]):
+        with pytest.raises(InputError) as info:
+            variables_mask(bad, 3)
+        assert not isinstance(info.value, ParseError)
+    with pytest.raises(InputError, match="^term 1: variable 'a' is not an integer$"):
+        SparsePolynomial.from_json_dict(
+            {"n": 2, "terms": [{"vars": [1], "coef": 1.0}, {"vars": ["a"], "coef": 1.0}]})
 
 
 def test_from_truth_table_majority3():

@@ -71,3 +71,10 @@ def test_mean_and_stderr():
     assert m == 2.5
     want = values.std(ddof=1) / 2.0
     assert e == pytest.approx(float(want))
+
+
+def test_trial_count_and_seed_are_checked_once_for_every_estimator():
+    with pytest.raises(InputError, match="need trials >= 1"):
+        mc_values(0, 0, 1, lambda rng, size: rng.random(size))
+    with pytest.raises(InputError, match="seed must be >= 0"):
+        substream(-1)
