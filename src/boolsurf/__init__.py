@@ -12,10 +12,10 @@ from .boundary import (BoundaryReport, EdgeThresholdCheck, boundary_report,
                        edge_threshold_check_exhaustive, level_sign_counts)
 from .core import (EXACT_CAP, EXHAUSTIVE_CAP, FourierSpectrum, Influence,
                    SensitivityProfile, TruthTable, all_functions, all_points_signs,
-                   bsa, bsa_via_tails, fractional_moment, index_to_point,
+                   bsa, bsa_via_tails, fractional_moment, index_to_point, minus_mask,
                    noise_sensitivity, noise_sensitivity_semigroup, point_to_index,
-                   popcount_table, sensitivities, sensitivity, total_influence,
-                   walsh_hadamard)
+                   popcount_table, sensitivities, sensitivity, spread_bits,
+                   to_signs, total_influence, walsh_hadamard)
 from .errors import (BoolsurfError, CapacityError, DegenerateInputError,
                      InputError, ParseError, VerificationError)
 from .interval import Interval
@@ -23,7 +23,7 @@ from .partition import (BlockBoundReport, BlockPartitionSpec,
                         HypergeometricParams, JensenBounds, SandwichReport,
                         block_average_B, bsa_block_bound, gap_bound, hg_pmf,
                         jensen_bounds, mc_partition_average, mean_sqrt_hg,
-                        near_equal_sizes, sandwich_check)
+                        near_equal_sizes, near_equal_sweep, sandwich_check)
 from .ptf import (PolyStats, SparsePolynomial, alpha_estimate, alpha_exact,
                   eval_on_cube, eval_poly, generate, poly_stats, restrict_poly,
                   sign_table, variables_mask)

@@ -47,22 +47,21 @@ def boundary_report(f: TruthTable) -> BoundaryReport:
     if influence == 0.0:
         return BoundaryReport(f.n, 0.0, 0.0, 0.0, 0.0, None, None, True)
     threshold = influence * influence / (4.0 * area * area)
-    tail = _edge_mass_at_least(profile, threshold)
+    tail = _edge_biased_share(profile, lambda levels: levels >= threshold)
     return BoundaryReport(f.n, influence, area, var, vertex_fraction,
                           threshold, tail, False)
 
 
-def _edge_mass_at_least(profile, threshold: float) -> float:
-    """Edge-biased probability of sensitivity >= threshold.
+def _edge_biased_share(profile, select) -> float:
+    """Edge-biased probability that s lies in the levels `select(levels)` picks.
 
     A boundary edge is sampled by picking a point with probability
-    proportional to s(x); the chance it has s >= t is
-    sum_{m >= t} m * counts[m] / sum_m m * counts[m].
+    proportional to s(x); for a nonconstant function the chance that s is
+    in a set M is sum_{m in M} m * counts[m] / sum_m m * counts[m].
     """
     levels = np.arange(profile.n + 1, dtype=np.float64)
     mass = levels * profile.counts
-    total = mass.sum()
-    return float(mass[levels >= threshold].sum() / total)
+    return float(mass[select(levels)].sum() / mass.sum())
 
 
 def edge_biased_cdf(f: TruthTable, t: float) -> float:
@@ -70,9 +69,7 @@ def edge_biased_cdf(f: TruthTable, t: float) -> float:
     profile = f.profile()
     if profile.moment(1.0) == 0.0:
         raise InputError("edge-biased sampling is undefined for constant functions")
-    levels = np.arange(profile.n + 1, dtype=np.float64)
-    mass = levels * profile.counts
-    return float(mass[levels <= t].sum() / mass.sum())
+    return _edge_biased_share(profile, lambda levels: levels <= t)
 
 
 @dataclass(frozen=True)
@@ -147,9 +144,7 @@ def chain_tail_bound_holds(f: TruthTable, t: float) -> tuple[bool, float, float]
     Pr_edge[s <= t] <= sqrt(t) * BSA / Inf; returns (ok, lhs, rhs)."""
     if t < 0:
         raise InputError("threshold t must be nonnegative")
+    lhs = edge_biased_cdf(f, t)  # raises for constant functions
     report = boundary_report(f)
-    if report.is_constant:
-        raise InputError("edge-biased sampling is undefined for constant functions")
-    lhs = edge_biased_cdf(f, t)
     rhs = float(np.sqrt(t) * report.bsa / report.influence)
     return lhs <= rhs + 1e-12, lhs, rhs

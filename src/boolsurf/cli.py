@@ -359,12 +359,7 @@ def _cmd_partition(args) -> int:
             raise CapacityError(
                 f"--n {args.n} sweeps {triples} (n, k, sizes) triples; "
                 f"the cap is {PARTITION_SWEEP_CAP}")
-        cases = []
-        for n in ns:
-            for b in range(1, n + 1):
-                sizes = partition_mod.near_equal_sizes(n, b)
-                for k in range(0, n + 1):
-                    cases.append((n, k, sizes))
+        cases = partition_mod.near_equal_sweep(ns)
     for n, k, sizes in cases:
         report = partition_mod.sandwich_check(
             partition_mod.BlockPartitionSpec(n, k, sizes), precision)
@@ -489,8 +484,9 @@ def _cmd_sweep(args) -> int:
         for n in parse_int_list(args.n):
             for seed in parse_int_list(args.seeds):
                 poly = generate("random", n, degree=args.degree, seed=seed)
-                est = alpha_estimate(poly, args.trials, seed=seed, workers=args.workers)
+                # first, so a capacity error comes before the Monte Carlo work
                 exact = alpha_exact(poly) if args.exact else None
+                est = alpha_estimate(poly, args.trials, seed=seed, workers=args.workers)
                 rows.append([n, args.degree, seed, est.estimate, est.stderr, exact])
         _emit_table(args, "sweep", None, header, rows)
         return 0

@@ -59,6 +59,31 @@ def _check_n(n: int) -> int:
     return n
 
 
+def _check_index(value: int, n: int, what: str) -> int:
+    """`value` as an int in [0, 2^n): a point index or a subset mask on n variables."""
+    value = int(value)
+    if not 0 <= value < 1 << n:
+        raise InputError(f"{what} {value} out of range for n={n}")
+    return value
+
+
+def to_signs(values) -> np.ndarray:
+    """int8 +1/-1 by the sign of each value; sign(0) = +1."""
+    return np.where(np.asarray(values) >= 0, np.int8(1), np.int8(-1))
+
+
+def spread_bits(sub, positions) -> np.ndarray:
+    """int64 indices with bit j of each sub-cube index `sub` moved to bit
+    positions[..., j]; the shape is that of `sub` and positions[..., 0]
+    broadcast together."""
+    sub = np.asarray(sub, dtype=np.int64)
+    positions = np.asarray(positions, dtype=np.int64)
+    out = np.zeros(np.broadcast_shapes(sub.shape, positions.shape[:-1]), dtype=np.int64)
+    for j in range(positions.shape[-1]):
+        out |= (sub >> j & 1) << positions[..., j]
+    return out
+
+
 # walsh_hadamard works on blocks of 2^16 float64 entries (512 KiB), rows for
 # the low stages and strips of columns for the high ones: with their
 # temporaries they stay inside a 2 MiB L2 cache.
@@ -244,9 +269,7 @@ class TruthTable:
     def parity(cls, n: int, mask: int) -> "TruthTable":
         """Product of the coordinates in `mask` (a bitmask; 0 gives constant +1)."""
         n = _check_n(n)
-        mask = int(mask)
-        if not 0 <= mask < 1 << n:
-            raise InputError(f"subset mask {mask} out of range for n={n}")
+        mask = _check_index(mask, n, "subset mask")
         odd = popcount_table(n)[np.arange(1 << n) & mask] & 1
         return cls(n, np.where(odd.astype(bool), -1, 1).astype(np.int8))
 
@@ -258,7 +281,7 @@ class TruthTable:
             raise InputError("majority needs n >= 1")
         # coordinate sum = n - 2 * (number of -1 coordinates) = n - 2 * popcount
         total = n - 2 * popcount_table(n).astype(np.int32)
-        return cls(n, np.where(total >= 0, 1, -1).astype(np.int8))
+        return cls(n, to_signs(total))
 
     @classmethod
     def random(cls, n: int, seed: int = 0) -> "TruthTable":
@@ -347,8 +370,7 @@ class FourierSpectrum:
 
     def inverse_table(self) -> TruthTable:
         """Round the inverse back to signs; exact for spectra of sign tables."""
-        vals = self.inverse_values()
-        return TruthTable(self.n, np.where(vals >= 0, 1, -1).astype(np.int8))
+        return TruthTable(self.n, to_signs(self.inverse_values()))
 
 
 class Influence(NamedTuple):
@@ -358,9 +380,7 @@ class Influence(NamedTuple):
 
 def sensitivity(f: TruthTable, x: int) -> int:
     """Number of coordinate flips that change f at point index x."""
-    x = int(x)
-    if not 0 <= x < 1 << f.n:
-        raise InputError(f"point index {x} out of range for n={f.n}")
+    x = _check_index(x, f.n, "point index")
     return int(sum(f.values[x] != f.values[x ^ (1 << i)] for i in range(f.n)))
 
 
@@ -437,9 +457,7 @@ def noise_sensitivity_semigroup(f: TruthTable, delta: float) -> float:
 def index_to_point(n: int, x: int) -> np.ndarray:
     """Coordinate signs of point index x (bit set means -1)."""
     n = _check_n(n)
-    x = int(x)
-    if not 0 <= x < 1 << n:
-        raise InputError(f"point index {x} out of range for n={n}")
+    x = _check_index(x, n, "point index")
     bits = (x >> np.arange(n)) & 1
     return (1 - 2 * bits).astype(np.int8)
 
@@ -449,11 +467,13 @@ def point_to_index(signs) -> int:
     arr = np.asarray(signs, dtype=np.int8)
     if arr.ndim != 1 or not np.isin(arr, (-1, 1)).all():
         raise InputError("point must be a 1-D sequence of +1/-1 signs")
-    idx = 0
-    for i, v in enumerate(arr):
-        if v == -1:
-            idx |= 1 << i
-    return idx
+    return minus_mask(arr)
+
+
+def minus_mask(signs) -> int:
+    """Index bits of the coordinates equal to -1, as a Python int, exact
+    past 63 coordinates."""
+    return sum(1 << i for i in np.flatnonzero(np.asarray(signs) == -1).tolist())
 
 
 def all_points_signs(n: int) -> np.ndarray:

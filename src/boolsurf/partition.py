@@ -44,7 +44,7 @@ from operator import mul
 
 import numpy as np
 
-from .core import TruthTable, bsa, sensitivities
+from .core import TruthTable, bsa, sensitivities, spread_bits
 from .errors import DegenerateInputError, InputError, VerificationError
 from .interval import Interval, refine, sqrt_sum, working_bits
 from .seeding import Estimate, mc_values, mean_and_stderr
@@ -175,6 +175,17 @@ def near_equal_sizes(n: int, blocks: int) -> tuple[int, ...]:
         raise InputError(f"blocks must lie in 1..{n}, got {blocks}")
     m, r = divmod(n, blocks)
     return tuple([m + 1] * r + [m] * (blocks - r))
+
+
+def near_equal_sweep(ns):
+    """Every (n, k, sizes) with `sizes` the near-equal split of n into b
+    blocks, for n in `ns`, b in 1..n and k in 0..n, in that nesting order:
+    n(n + 1) cases per n."""
+    for n in ns:
+        for b in range(1, n + 1):
+            sizes = near_equal_sizes(n, b)
+            for k in range(0, n + 1):
+                yield n, k, sizes
 
 
 @lru_cache(maxsize=None)
@@ -419,10 +430,6 @@ def bsa_block_bound(f: TruthTable, blocks: int, trials: int, seed: int = 0,
     sizes = near_equal_sizes(n, blocks)
     offsets = np.cumsum((0,) + sizes[:-1])
     root_b = np.sqrt(float(blocks))
-    sub_bits = {}
-    for m_l in set(sizes):
-        sub = np.arange(1 << m_l, dtype=np.int64)
-        sub_bits[m_l] = ((sub[:, None] >> np.arange(m_l)[None, :]) & 1).astype(np.int64)
     roots = np.sqrt(np.arange(n + 1, dtype=np.float64))
     m_max = max(sizes)
     segment = max(1, 2_000_000 // ((1 << m_max) * m_max))  # bound the index temps
@@ -437,8 +444,7 @@ def bsa_block_bound(f: TruthTable, blocks: int, trials: int, seed: int = 0,
                 positions = perms[rows, offsets[l]:offsets[l] + m_l]  # (seg, m_l)
                 block_mask = np.bitwise_or.reduce(np.int64(1) << positions, axis=1)
                 base = outside[rows, l] & ~block_mask
-                inside = sub_bits[m_l][None, :, :] << positions[:, None, :]
-                idx = base[:, None] + inside.sum(axis=2)  # (seg, 2^m_l)
+                idx = base[:, None] + spread_bits(np.arange(1 << m_l), positions[:, None, :])
                 sens, _ = sensitivities(f.values[idx])
                 total[rows] += roots[sens].mean(axis=1)
         return total / root_b

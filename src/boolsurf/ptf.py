@@ -22,7 +22,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .core import TruthTable, _check_n, all_points_signs, walsh_hadamard
+from .core import (TruthTable, _check_index, _check_n, all_points_signs, to_signs,
+                   walsh_hadamard)
 from .errors import CapacityError, DegenerateInputError, InputError, ParseError
 from .seeding import Estimate, mc_values, mean_and_stderr, substream
 
@@ -46,17 +47,9 @@ class SparsePolynomial:
     __slots__ = ("n", "masks", "coefs")
 
     def __init__(self, n: int, terms):
-        n = int(n)
-        if n < 0:
-            raise InputError(f"variable count must be >= 0, got {n}")
-        if n > STORAGE_CAP:
-            raise CapacityError(f"n={n} exceeds the storage cap of {STORAGE_CAP} variables")
+        n = _check_storage_n(n)
         source = dict(terms)
-        masks = [int(m) for m in source]
-        for mask in masks:
-            if not 0 <= mask < 1 << n:
-                raise InputError(f"term mask {mask} out of range for n={n}")
-        masks = np.array(masks, dtype=np.uint64)
+        masks = np.array([_check_index(m, n, "term mask") for m in source], dtype=np.uint64)
         coefs = np.array([float(c) for c in source.values()], dtype=np.float64)
         infinite = ~np.isfinite(coefs)
         if infinite.any():
@@ -140,6 +133,15 @@ class SparsePolynomial:
         return {"n": self.n, "terms": terms}
 
 
+def _check_storage_n(n: int) -> int:
+    n = int(n)
+    if n < 0:
+        raise InputError(f"variable count must be >= 0, got {n}")
+    if n > STORAGE_CAP:
+        raise CapacityError(f"n={n} exceeds the storage cap of {STORAGE_CAP} variables")
+    return n
+
+
 def variables_mask(variables, n: int) -> int:
     """Bitmask of 1-indexed variables, each an integer in 1..n and none repeated."""
     mask = 0
@@ -171,9 +173,7 @@ def _parity(masks: np.ndarray, points) -> np.ndarray:
 
 def eval_poly(p: SparsePolynomial, x: int) -> float:
     """Value at point index x (same bit encoding as truth tables)."""
-    x = int(x)
-    if not 0 <= x < 1 << p.n:
-        raise InputError(f"point index {x} out of range for n={p.n}")
+    x = _check_index(x, p.n, "point index")
     return _running_sum(np.where(_parity(p.masks, np.uint64(x)), -p.coefs, p.coefs))
 
 
@@ -192,7 +192,7 @@ def sign_table(p: SparsePolynomial) -> tuple[TruthTable, int]:
     """
     vals = eval_on_cube(p)
     zero_hits = int(np.count_nonzero(vals == 0.0))
-    table = TruthTable(p.n, np.where(vals >= 0.0, np.int8(1), np.int8(-1)))
+    table = TruthTable(p.n, to_signs(vals))
     return table, zero_hits
 
 
@@ -245,13 +245,12 @@ def _characters(p: SparsePolynomial, points: np.ndarray) -> np.ndarray:
     return np.where(_parity(p.masks, points[:, None]), -1.0, 1.0)
 
 
-def _gradient_ratio(chi: np.ndarray, sb: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """min(1, (sum c chi sb / sum c chi)^2) rowwise, with 0/0 capped at 1."""
-    pv = chi @ coefs
-    dv = (chi * sb) @ coefs
-    safe = np.where(pv == 0.0, 1.0, pv)
-    ratio = np.minimum(1.0, (dv / safe) ** 2)
-    return np.where(pv == 0.0, 1.0, ratio)
+def _gradient_ratio(pv: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """min(1, (dv / pv)^2), broadcast elementwise, and 1 wherever pv = 0."""
+    zero = pv == 0.0
+    ratio = np.minimum(1.0, (dv / np.where(zero, 1.0, pv)) ** 2)
+    np.copyto(ratio, 1.0, where=zero)
+    return ratio
 
 
 def alpha_estimate(p: SparsePolynomial, trials: int, seed: int = 0,
@@ -274,7 +273,8 @@ def alpha_estimate(p: SparsePolynomial, trials: int, seed: int = 0,
         b = rng.integers(0, 2, size=(size, p.n), dtype=np.int8).astype(np.uint64) @ powers
         # sum of B's signs over each term's variables: |S| - 2 |S & {B = -1}|
         sb = sizes - 2.0 * np.bitwise_count(p.masks & b[:, None])
-        return _gradient_ratio(_characters(p, a), sb, p.coefs)
+        chi = _characters(p, a)
+        return _gradient_ratio(chi @ p.coefs, (chi * sb) @ p.coefs)
 
     values = mc_values(trials, seed, workers, draw)
     return Estimate(*mean_and_stderr(values))
@@ -294,10 +294,7 @@ def alpha_exact(p: SparsePolynomial) -> float:
     # derivative values for every (A, B): rows A, columns B
     weighted = chi * p.coefs[None, :]  # (points, terms)
     dv = (weighted @ var_count) @ signs.T  # (points_A, points_B)
-    safe = np.where(pv == 0.0, 1.0, pv)
-    ratio = np.minimum(1.0, (dv / safe[:, None]) ** 2)
-    ratio[pv == 0.0, :] = 1.0
-    return float(ratio.mean())
+    return float(_gradient_ratio(pv[:, None], dv).mean())
 
 
 def generate(kind: str, n: int, *, subset: int | None = None, degree: int | None = None,
@@ -310,11 +307,9 @@ def generate(kind: str, n: int, *, subset: int | None = None, degree: int | None
     "random-sparse" (same but on `nterms` subsets sampled without
     replacement).
     """
-    n = int(n)
-    if n < 1:
+    if int(n) < 1:
         raise InputError("generator needs n >= 1")
-    if n > STORAGE_CAP:
-        raise CapacityError(f"n={n} exceeds the storage cap of {STORAGE_CAP} variables")
+    n = _check_storage_n(n)
     kind = kind.lower()
     singletons = np.uint64(1) << np.arange(n, dtype=np.uint64)
     if kind in ("majority", "maj"):
@@ -324,10 +319,7 @@ def generate(kind: str, n: int, *, subset: int | None = None, degree: int | None
     if kind in ("parity", "par"):
         if subset is None:
             raise InputError("parity needs a subset mask")
-        subset = int(subset)
-        if not 0 <= subset < 1 << n:
-            raise InputError(f"subset mask {subset} out of range for n={n}")
-        return SparsePolynomial(n, {subset: 1.0})
+        return SparsePolynomial(n, {_check_index(subset, n, "subset mask"): 1.0})
     if kind in ("random", "rand", "random-sparse", "rands"):
         if degree is None:
             raise InputError("random polynomials need a degree")

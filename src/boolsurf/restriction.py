@@ -17,7 +17,8 @@ from math import nan
 
 import numpy as np
 
-from .core import EXACT_CAP, TruthTable, _check_n, all_functions, sensitivities
+from .core import (EXACT_CAP, TruthTable, _check_n, all_functions, minus_mask,
+                   sensitivities, spread_bits, to_signs)
 from .errors import InputError, VerificationError
 from .ptf import SparsePolynomial, eval_on_cube, restrict_poly
 from .seeding import mc_values, substream
@@ -28,7 +29,7 @@ RATE_GUIDELINE = 1.0 / 16.0
 class Restriction:
     """Partial assignment on n coordinates: +1 or -1 fixed, 0 free."""
 
-    __slots__ = ("n", "pattern")
+    __slots__ = ("n", "pattern", "_free", "_base")
 
     def __init__(self, pattern):
         arr = np.asarray(pattern, dtype=np.int8)
@@ -38,8 +39,12 @@ class Restriction:
             raise InputError("pattern entries must be -1, 0, or +1")
         arr = arr.copy()
         arr.flags.writeable = False
+        free = np.flatnonzero(arr == 0)
+        free.flags.writeable = False
         self.n = arr.shape[0]
         self.pattern = arr
+        self._free = free
+        self._base = minus_mask(arr)
 
     @classmethod
     def from_string(cls, text: str) -> "Restriction":
@@ -51,24 +56,25 @@ class Restriction:
             raise InputError(f"bad restriction character {exc.args[0]!r}")
 
     def free_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.pattern == 0)
+        """Free coordinates in increasing order, read-only."""
+        return self._free
 
     @property
     def free_count(self) -> int:
-        return int((self.pattern == 0).sum())
+        return len(self._free)
 
     def fixed_base_index(self) -> int:
         """Point-index bits contributed by coordinates fixed to -1."""
-        return sum(1 << i for i in np.flatnonzero(self.pattern == -1).tolist())
+        return self._base
 
     def complete(self, y: int) -> int:
         """Full point index with free coordinates taken from sub-index y."""
-        free = self.free_indices()
+        free = self._free
         if not 0 <= y < 1 << len(free):
             raise InputError(f"sub-index {y} out of range for {len(free)} free coordinates")
-        idx = self.fixed_base_index()
-        for j, i in enumerate(free):
-            idx |= ((y >> j) & 1) << int(i)
+        idx = self._base
+        for j, i in enumerate(free.tolist()):
+            idx |= ((y >> j) & 1) << i
         return idx
 
     def __repr__(self):
@@ -96,23 +102,15 @@ def _sample_patterns(n: int, rate: float, rng, count: int) -> list[Restriction]:
     rate = _open_unit("free-rate", rate)
     free = rng.random((count, n)) < rate
     signs = (1 - 2 * rng.integers(0, 2, size=(count, n), dtype=np.int8)).astype(np.int8)
-    out = []
-    for row in range(count):
-        pattern = np.where(free[row], 0, signs[row]).astype(np.int8)
-        out.append(Restriction(pattern))
-    return out
+    return [Restriction(pattern) for pattern in np.where(free, 0, signs).astype(np.int8)]
 
 
 def restrict_table(f: TruthTable, rho: Restriction) -> TruthTable:
     """Sub-table on the free coordinates, renumbered in increasing order."""
     if rho.n != f.n:
         raise InputError(f"restriction is on {rho.n} variables, table on {f.n}")
-    free = rho.free_indices()
-    ell = _check_n(len(free))
-    sub = np.arange(1 << ell, dtype=np.int64)
-    idx = np.full(1 << ell, rho.fixed_base_index(), dtype=np.int64)
-    for j, i in enumerate(free):
-        idx |= ((sub >> j) & 1) << int(i)
+    ell = _check_n(rho.free_count)
+    idx = spread_bits(np.arange(1 << ell), rho.free_indices()) | rho.fixed_base_index()
     return TruthTable(ell, f.values[idx])
 
 
@@ -163,9 +161,9 @@ def restriction_failure_prob(p: SparsePolynomial, rate: float, delta: float,
         values = np.full(size, nan)
         for t, rho in enumerate(_sample_patterns(p.n, rate, rng, size)):
             if rho.free_count <= max_free:
-                vals = eval_on_cube(restrict_poly(p, rho))
-                plus = int(np.count_nonzero(vals >= 0.0))  # sign(0) = +1
-                values[t] = min(plus, vals.size - plus) / vals.size > delta
+                signs = to_signs(eval_on_cube(restrict_poly(p, rho)))
+                plus = int(np.count_nonzero(signs == 1))
+                values[t] = min(plus, signs.size - plus) / signs.size > delta
         return values
 
     values = mc_values(trials, seed, workers, draw)  # checks trials, workers and rate

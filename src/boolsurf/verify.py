@@ -232,16 +232,12 @@ def _c5():
 def _c6():
     triples = 0
     failures = 0
-    for n in range(1, 61):
-        for b in range(1, n + 1):
-            sizes = partition.near_equal_sizes(n, b)
-            for k in range(0, n + 1):
-                spec = partition.BlockPartitionSpec(n, k, sizes)
-                report = partition.sandwich_check(spec, partition.CERT_PRECISION)
-                triples += 1
-                if not (report.pass_lower and report.pass_upper
-                        and report.pass_gap is not False):
-                    failures += 1
+    for n, k, sizes in partition.near_equal_sweep(range(1, 61)):
+        spec = partition.BlockPartitionSpec(n, k, sizes)
+        report = partition.sandwich_check(spec, partition.CERT_PRECISION)
+        triples += 1
+        if not (report.pass_lower and report.pass_upper and report.pass_gap is not False):
+            failures += 1
     return failures == 0, f"{triples} (n, k, b) triples at 30-digit precision, {failures} failures"
 
 
@@ -270,13 +266,9 @@ def _c7():
 
 
 def _c6_hypergeometric_cases():
-    cases = set()
-    for n in range(1, 61):
-        for b in range(1, n + 1):
-            for m in set(partition.near_equal_sizes(n, b)):
-                for k in range(0, n + 1):
-                    cases.add((n, n - k, m))
-    return sorted(cases)
+    # a near-equal split has at most two distinct sizes, its first and its last
+    return sorted({(n, n - k, m) for n, k, sizes in partition.near_equal_sweep(range(1, 61))
+                   for m in (sizes[0], sizes[-1])})
 
 
 @_criterion("c8", "square-root mean enclosure on random distributions and the sweep's "

@@ -128,6 +128,17 @@ def test_chain_tail_bound_random_grid():
             assert ok
 
 
+def test_golden_edge_biased_mass_random10():
+    f = TruthTable.random(10, seed=42)
+    assert f.profile().counts.tolist() == [2, 16, 46, 131, 209, 256, 212, 97, 41, 12, 2]
+    rep = boundary_report(f)
+    assert rep.threshold == 1.2659461444461622
+    assert rep.edge_biased_prob == 0.9968152866242038
+    for t, want in ((0.0, 0.0), (2.0, 0.021496815286624203),
+                    (4.5, 0.26612261146496813), (10.0, 1.0)):
+        assert edge_biased_cdf(f, t) == want
+
+
 def test_level_sign_counts_majority5():
     rows = level_sign_counts(TruthTable.majority(5))
     # level = number of -1 inputs; majority flips between levels 2 and 3

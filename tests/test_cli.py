@@ -601,6 +601,19 @@ def test_sweep_alpha_exact_capacity(capsys):
     assert code == 3
 
 
+def test_sweep_alpha_exact_capacity_comes_before_the_estimate(capsys, monkeypatch):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("alpha_estimate ran before the capacity check")
+
+    monkeypatch.setattr("boolsurf.cli.alpha_estimate", no_estimate)
+    code, out, err = run_cli(capsys, "sweep", "--kind", "alpha", "--n", "12",
+                             "--seeds", "0", "--trials", "200000", "--exact")
+    assert code == 3
+    assert out == ""
+    assert err == ("boolsurf sweep: exact alpha enumerates 4^n pairs; "
+                   "n=12 exceeds the cap of 11\n")
+
+
 def test_sweep_unknown_family(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--kind", "bsa", "--family", "zig",
                          "--n", "3")

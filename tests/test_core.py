@@ -8,7 +8,7 @@ from boolsurf.core import (EXACT_CAP, FourierSpectrum, TruthTable,
                            fractional_moment, index_to_point,
                            noise_sensitivity, noise_sensitivity_semigroup,
                            point_to_index, sensitivities, sensitivity,
-                           total_influence, walsh_hadamard)
+                           spread_bits, total_influence, walsh_hadamard)
 from boolsurf.errors import CapacityError, InputError
 
 
@@ -360,6 +360,38 @@ def test_noise_sensitivity_validation():
     for delta in (0.0, 0.5, -0.1, 0.9):
         with pytest.raises(InputError):
             noise_sensitivity(f, delta)
+
+
+# ---------------------------------------------------------------- sub-cube indices
+
+
+def reference_spread(sub_count, free, base=0):
+    """The per-bit loop restriction used to index a sub-table with: bit j of
+    each sub-index goes to coordinate free[j], on top of `base`."""
+    sub = np.arange(sub_count, dtype=np.int64)
+    idx = np.full(sub_count, base, dtype=np.int64)
+    for j, i in enumerate(free):
+        idx |= ((sub >> j) & 1) << int(i)
+    return idx
+
+
+@pytest.mark.parametrize("free", [[], [0], [3], [0, 1, 2], [5, 1, 7], [2, 9, 4, 23, 11],
+                                  list(range(24)), [62, 0, 40]])
+def test_spread_bits_matches_per_bit_loop(free):
+    sub = np.arange(1 << len(free))
+    out = spread_bits(sub, np.array(free, dtype=np.int64))
+    assert out.dtype == np.int64
+    assert np.array_equal(out, reference_spread(1 << len(free), free))
+
+
+def test_spread_bits_batched_positions():
+    rng = np.random.default_rng(5)
+    positions = np.stack([rng.permutation(20)[:4] for _ in range(7)])  # (seg, m)
+    sub = np.arange(16)
+    out = spread_bits(sub, positions[:, None, :])  # (seg, 1, m) positions
+    assert out.shape == (7, 16)
+    for row, free in zip(out, positions):
+        assert np.array_equal(row, reference_spread(16, free))
 
 
 # ---------------------------------------------------------------- constructors

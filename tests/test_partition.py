@@ -11,7 +11,7 @@ from boolsurf.errors import (DegenerateInputError, InputError,
 from boolsurf.partition import (BlockPartitionSpec, HypergeometricParams,
                                 block_average_B, bsa_block_bound, gap_bound,
                                 hg_pmf, jensen_bounds, mc_partition_average,
-                                mean_sqrt_hg, near_equal_sizes,
+                                mean_sqrt_hg, near_equal_sizes, near_equal_sweep,
                                 sandwich_check)
 
 # Exact references: sqrt(s) to within 1e-60 as a Fraction, and the ends
@@ -142,6 +142,16 @@ def test_near_equal_sizes():
         near_equal_sizes(3, 4)
     with pytest.raises(InputError):
         near_equal_sizes(3, 0)
+
+
+def test_near_equal_sweep_order_and_count():
+    cases = list(near_equal_sweep([3, 0, 2]))
+    assert len(cases) == 3 * 4 + 2 * 3
+    # n, then b, then k: the order the c6 criterion certifies in
+    assert cases == [(n, k, near_equal_sizes(n, b)) for n in (3, 2)
+                     for b in range(1, n + 1) for k in range(n + 1)]
+    for n in range(1, 13):
+        assert sum(1 for _ in near_equal_sweep([n])) == n * (n + 1)
 
 
 def test_near_equal_property():

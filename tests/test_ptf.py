@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from boolsurf.core import TruthTable, total_influence
-from boolsurf.errors import CapacityError, DegenerateInputError, InputError, ParseError
+from boolsurf.core import TruthTable, index_to_point, sensitivity, total_influence
+from boolsurf.errors import (BoolsurfError, CapacityError, DegenerateInputError, InputError,
+                             ParseError)
 from boolsurf.ptf import (ALPHA_EXACT_CAP, SparsePolynomial, alpha_estimate,
                           alpha_exact, eval_on_cube, eval_poly, generate,
                           poly_stats, restrict_poly, sign_table, variables_mask)
@@ -314,6 +315,12 @@ def test_alpha_exact_capacity_and_validation():
         alpha_estimate(maj_poly(3), trials=0, seed=0)
 
 
+@pytest.mark.parametrize("n, seed, want", [(6, 3, 0.7350877552626325),
+                                           (9, 11, 0.7185232508795675)])
+def test_golden_alpha_exact(n, seed, want):
+    assert alpha_exact(generate("random", n, degree=2, seed=seed)) == want
+
+
 def test_alpha_estimate_concentrates_on_exact():
     p = generate("random", 6, degree=2, seed=13)
     truth = alpha_exact(p)
@@ -399,6 +406,30 @@ def test_generate_validation():
         generate("parity", 3, subset=0b1000)
     with pytest.raises(InputError):
         generate("parity", 3)
+
+
+@pytest.mark.parametrize("call, cls, text", [
+    (lambda: sensitivity(TruthTable.majority(3), 8), InputError,
+     "point index 8 out of range for n=3"),
+    (lambda: index_to_point(3, -1), InputError, "point index -1 out of range for n=3"),
+    (lambda: eval_poly(maj_poly(3), 8), InputError, "point index 8 out of range for n=3"),
+    (lambda: TruthTable.parity(3, 8), InputError, "subset mask 8 out of range for n=3"),
+    (lambda: generate("parity", 3, subset=8), InputError,
+     "subset mask 8 out of range for n=3"),
+    (lambda: SparsePolynomial(2, {4: 1.0}), InputError, "term mask 4 out of range for n=2"),
+    (lambda: SparsePolynomial(-1, {}), InputError, "variable count must be >= 0, got -1"),
+    (lambda: SparsePolynomial(65, {}), CapacityError,
+     "n=65 exceeds the storage cap of 64 variables"),
+    (lambda: generate("majority", 65), CapacityError,
+     "n=65 exceeds the storage cap of 64 variables"),
+], ids=["sensitivity", "index_to_point", "eval_poly", "TruthTable.parity",
+        "generate-parity", "SparsePolynomial-mask", "SparsePolynomial-negative-n",
+        "SparsePolynomial-cap", "generate-cap"])
+def test_index_and_storage_checks_keep_class_and_text(call, cls, text):
+    with pytest.raises(BoolsurfError) as caught:
+        call()
+    assert caught.type is cls
+    assert str(caught.value) == text
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])

@@ -48,6 +48,28 @@ def test_complete_places_fixed_signs():
     assert rho.complete(0b11) == 0b1101
 
 
+def test_free_indices_are_stored_read_only():
+    rho = Restriction.from_string("-*+*-")
+    free = rho.free_indices()
+    assert free is rho.free_indices()
+    assert not free.flags.writeable
+    with pytest.raises(ValueError):
+        free[0] = 2
+    assert rho.free_count == 2 and rho.fixed_base_index() == 0b10001
+
+
+def test_complete_is_exact_beyond_63_coordinates():
+    pattern = [-1] * 64
+    pattern[63] = 0
+    pattern[5] = 1
+    rho = Restriction(pattern)
+    minus = (1 << 63) - 1 - (1 << 5)
+    assert rho.fixed_base_index() == minus
+    assert rho.complete(0) == minus
+    assert rho.complete(1) == minus + (1 << 63) == 2**64 - 1 - 32
+    assert type(rho.complete(1)) is int
+
+
 def test_sample_restriction_deterministic():
     a = sample_restriction(12, 0.25, seed=3)
     b = sample_restriction(12, 0.25, seed=3)
