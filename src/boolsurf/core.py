@@ -154,12 +154,23 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
     Each output depends only on its own chain of butterflies, so the
     order in which rows, strips and blocks are visited changes no bit;
     only the stage order matters, and it is kept.
+
+    A stack of shape (..., 2^n) with more than one row is transformed
+    along its last axis: the rows are copied once into the columns of a
+    (2^n, rows) array, whose stages then run over every row together, so
+    each row equals its own transform bit for bit.  The result has the
+    stack's shape.
     """
-    out = np.array(vec, dtype=np.float64, copy=True)
-    size = out.shape[0]
+    vec = np.asarray(vec)
+    size = vec.shape[-1]
     if size == 0 or size & (size - 1):
         raise InputError(f"length must be a power of two, got {size}")
     n = size.bit_length() - 1
+    if vec.size != size:
+        stack = np.array(vec.reshape(-1, size).T, dtype=np.float64, order="C")
+        _butterflies(stack, n)
+        return np.ascontiguousarray(stack.T).reshape(vec.shape)
+    out = np.array(vec, dtype=np.float64, copy=True)
     if n < _SPLIT_BITS:
         _butterflies(out.reshape(size, 1), n)
         return out

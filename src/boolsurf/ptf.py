@@ -171,10 +171,16 @@ def _parity(masks: np.ndarray, points) -> np.ndarray:
     return np.bitwise_count(masks & points) & 1
 
 
+def _signed_coefs(p: SparsePolynomial, points) -> np.ndarray:
+    """Each coefficient times its character chi_S(x) = (-1)^|S & x|, for
+    uint64 point indices x broadcast against the terms S."""
+    return np.where(_parity(p.masks, points), -p.coefs, p.coefs)
+
+
 def eval_poly(p: SparsePolynomial, x: int) -> float:
     """Value at point index x (same bit encoding as truth tables)."""
     x = _check_index(x, p.n, "point index")
-    return _running_sum(np.where(_parity(p.masks, np.uint64(x)), -p.coefs, p.coefs))
+    return _running_sum(_signed_coefs(p, np.uint64(x)))
 
 
 def eval_on_cube(p: SparsePolynomial) -> np.ndarray:
@@ -206,7 +212,7 @@ def restrict_poly(p: SparsePolynomial, rho: "Restriction") -> SparsePolynomial:
     if rho.n != p.n:
         raise InputError(f"restriction is on {rho.n} variables, polynomial on {p.n}")
     free = rho.free_indices()
-    signed = np.where(_parity(p.masks, np.uint64(rho.fixed_base_index())), -p.coefs, p.coefs)
+    signed = _signed_coefs(p, np.uint64(rho.fixed_base_index()))
     compressed = np.zeros_like(p.masks)
     for j, i in enumerate(free.tolist()):
         compressed |= (p.masks >> i & 1) << j

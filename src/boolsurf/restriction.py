@@ -6,6 +6,19 @@ it close to a constant; the routines here measure that collapse exactly
 (on small tables) and by Monte Carlo (through the polynomial), and
 verify the tail/coupling inequalities that convert "close to constant"
 into sensitivity statements.
+
+Monte Carlo trials build no Restriction objects.  restriction_failure_prob
+draws a chunk's patterns as one (trials, n) array and groups the trials by
+their free count f.  For each batch of a group it computes every row's
+signed coefficients and free-bit-compressed term masks as (rows, terms)
+arrays, adds them into a (rows, 2^f) stack of dense restricted
+polynomials with one bincount, transforms the stack with one
+walsh_hadamard call and reads each row's closeness to a constant from
+its +1 count.  Every dense and transformed value is the float that the
+single-trial path Restriction -> restrict_poly -> eval_on_cube gives, so
+every trial's outcome is that path's too.
+A batch holds at most _CELL_BUDGET = 2^16 cells in either array; a row
+whose 2^f alone exceeds it runs as a batch of one, through the same code.
 """
 
 from __future__ import annotations
@@ -13,17 +26,27 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import nan
 
 import numpy as np
 
 from .core import (EXACT_CAP, TruthTable, _check_n, all_functions, minus_mask,
-                   sensitivities, spread_bits, to_signs)
+                   sensitivities, spread_bits, to_signs, walsh_hadamard)
 from .errors import InputError, VerificationError
-from .ptf import SparsePolynomial, eval_on_cube, restrict_poly
+# eval_on_cube is the single-trial evaluation the batched engine reproduces;
+# benchmarks/tracing.py wraps it in this namespace too.
+from .ptf import SparsePolynomial, _signed_coefs, eval_on_cube
 from .seeding import mc_values, substream
 
 RATE_GUIDELINE = 1.0 / 16.0
+# Cells one batch of restriction trials may hold in a (rows, terms) or a
+# (rows, 2^f) array.  2^16 float64 cells are 512 KiB, the transform's cache
+# block: a batch and its temporaries stay in a 2 MiB L2 cache.  At 2^20 the
+# stacked transform streams from memory and a high-free-count workload
+# (rands:d=3,n=40,terms=60 at rate 1/4) got slower and larger than trial by
+# trial.
+_CELL_BUDGET = 1 << 16
 
 
 class Restriction:
@@ -85,7 +108,7 @@ class Restriction:
 def sample_restriction(n: int, rate: float, seed: int = 0) -> Restriction:
     """Leave each coordinate free independently with probability `rate`,
     otherwise fix it to a uniform sign."""
-    return _sample_patterns(n, rate, substream(seed, 0), 1)[0]
+    return Restriction(_sample_patterns(n, rate, substream(seed, 0), 1)[0])
 
 
 def _open_unit(name: str, value: float) -> float:
@@ -95,14 +118,16 @@ def _open_unit(name: str, value: float) -> float:
     return value
 
 
-def _sample_patterns(n: int, rate: float, rng, count: int) -> list[Restriction]:
+def _sample_patterns(n: int, rate: float, rng, count: int) -> np.ndarray:
+    """(count, n) int8 restriction patterns, one per row: each entry 0
+    (free) with probability `rate`, otherwise a uniform sign."""
     n = int(n)
     if n < 1:
         raise InputError("restrictions need n >= 1")
     rate = _open_unit("free-rate", rate)
     free = rng.random((count, n)) < rate
     signs = (1 - 2 * rng.integers(0, 2, size=(count, n), dtype=np.int8)).astype(np.int8)
-    return [Restriction(pattern) for pattern in np.where(free, 0, signs).astype(np.int8)]
+    return np.where(free, 0, signs).astype(np.int8)
 
 
 def restrict_table(f: TruthTable, rho: Restriction) -> TruthTable:
@@ -120,11 +145,59 @@ def closeness_to_constant(f: TruthTable) -> tuple[float, int]:
     Returns (delta, sign) with delta = min_a Pr[f != a]; ties between the
     two constants resolve to +1.  Always delta <= 1/2.
     """
-    plus = int((f.values == 1).sum())
-    minus = (1 << f.n) - plus
-    if minus <= plus:
-        return minus / (1 << f.n), 1
-    return plus / (1 << f.n), -1
+    delta, sign = _closeness(int((f.values == 1).sum()), 1 << f.n)
+    return float(delta), int(sign)
+
+
+def _closeness(plus, size):
+    """(min_a Pr[f != a], a) from the number `plus` of +1 values among
+    `size` signs; elementwise on arrays, ties resolve to +1."""
+    minus = size - plus
+    return np.minimum(plus, minus) / size, np.where(minus <= plus, 1, -1)
+
+
+def _plus_counts(p: SparsePolynomial, patterns: np.ndarray, f: int) -> np.ndarray:
+    """Number of +1 signs of p restricted by each row of `patterns`, all
+    of which leave exactly f coordinates free.
+
+    Row by row this is sign_table(restrict_poly(p, Restriction(row))):
+    the same signed coefficients and free-bit-compressed term masks, and
+    a bincount that adds each row's terms in term order, as restrict_poly
+    does, so every dense value and every transformed value is the same
+    float.
+    """
+    rows = len(patterns)
+    powers = np.uint64(1) << np.arange(p.n, dtype=np.uint64)
+    base = (patterns == -1).astype(np.uint64) @ powers  # each row's -1 mask
+    signed = _signed_coefs(p, base[:, None])  # (rows, terms)
+    # cell row * 2^f + compressed mask, whose bit j is the term's bit at the
+    # row's j-th free coordinate; as int64 a term's bit 63 reads as its sign,
+    # and an arithmetic shift then & 1 still picks out single bits
+    masks = p.masks.view(np.int64)
+    free = np.nonzero(patterns == 0)[1].reshape(rows, f)
+    cells = np.zeros((rows, len(masks)), dtype=np.int64)
+    cells += (np.arange(rows, dtype=np.int64) << f)[:, None]
+    for j in range(f):
+        cells |= (masks >> free[:, j, None] & 1) << j
+    stack = np.bincount(cells.ravel(), weights=signed.ravel(),
+                        minlength=rows << f).reshape(rows, 1 << f)
+    return np.count_nonzero(to_signs(walsh_hadamard(stack)) == 1, axis=-1)
+
+
+def _trial_values(p: SparsePolynomial, rate: float, delta: float, max_free: int,
+                  rng, size: int) -> np.ndarray:
+    """One chunk of restriction_failure_prob: per trial 1.0 far from
+    constant, 0.0 close, NaN rejected (more than max_free free)."""
+    patterns = _sample_patterns(p.n, rate, rng, size)
+    counts = np.count_nonzero(patterns == 0, axis=1)
+    values = np.full(size, nan)
+    for f in np.unique(counts[counts <= max_free]).tolist():
+        group = np.flatnonzero(counts == f)
+        step = max(1, _CELL_BUDGET // max(len(p.masks), 1 << f))
+        for start in range(0, len(group), step):
+            rows = group[start:start + step]
+            values[rows] = _closeness(_plus_counts(p, patterns[rows], f), 1 << f)[0] > delta
+    return values
 
 
 @dataclass(frozen=True)
@@ -145,7 +218,9 @@ def restriction_failure_prob(p: SparsePolynomial, rate: float, delta: float,
     farther than `delta` from every constant.
 
     Samples restrictions with free-rate `rate`, restricts the polynomial,
-    signs it over the free cube, and tests delta-closeness exactly.
+    signs it over the free cube, and tests delta-closeness exactly.  The
+    trials run in batches (see the module docstring) whose values equal
+    the single-trial path's.
     Samples with more than `max_free` free coordinates are rejected and
     reported through `rejection_rate` (the estimate conditions on
     acceptance).  Rates or deltas above 1/16 are allowed but draw a
@@ -156,16 +231,7 @@ def restriction_failure_prob(p: SparsePolynomial, rate: float, delta: float,
     if not 1 <= max_free <= EXACT_CAP:
         raise InputError(f"max_free must lie in 1..{EXACT_CAP}")
 
-    def draw(rng, size):
-        # per trial: 1.0 far from constant, 0.0 close, NaN rejected
-        values = np.full(size, nan)
-        for t, rho in enumerate(_sample_patterns(p.n, rate, rng, size)):
-            if rho.free_count <= max_free:
-                signs = to_signs(eval_on_cube(restrict_poly(p, rho)))
-                plus = int(np.count_nonzero(signs == 1))
-                values[t] = min(plus, signs.size - plus) / signs.size > delta
-        return values
-
+    draw = partial(_trial_values, p, rate, delta, max_free)
     values = mc_values(trials, seed, workers, draw)  # checks trials, workers and rate
     if rate > RATE_GUIDELINE or delta > RATE_GUIDELINE:
         warnings.warn(

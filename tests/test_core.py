@@ -290,6 +290,18 @@ def test_walsh_hadamard_int8_input(n):
     assert np.array_equal(vec, given)
 
 
+@pytest.mark.parametrize("shape", [(1,), (37,), (2, 3)])
+@pytest.mark.parametrize("n", range(13))
+def test_walsh_hadamard_stack_matches_radix2_loop_row_by_row(n, shape):
+    stack = np.random.default_rng(2000 + n).standard_normal(shape + (1 << n,))
+    given = stack.copy()
+    out = walsh_hadamard(stack)
+    assert out.shape == stack.shape and out.dtype == np.float64
+    for row, want in zip(out.reshape(-1, 1 << n), stack.reshape(-1, 1 << n)):
+        assert np.array_equal(row, reference_walsh_hadamard(want))
+    assert np.array_equal(stack, given)
+
+
 def test_walsh_hadamard_validation():
     with pytest.raises(InputError):
         walsh_hadamard(np.ones(3))

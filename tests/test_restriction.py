@@ -4,15 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boolsurf.core import TruthTable
+from boolsurf.core import TruthTable, to_signs
 from boolsurf.errors import CapacityError, InputError
-from boolsurf.ptf import SparsePolynomial, generate, restrict_poly, sign_table
-from boolsurf.restriction import (Restriction, closeness_to_constant,
-                                  restrict_table, restriction_failure_prob,
-                                  sample_restriction,
+from boolsurf.ptf import (SparsePolynomial, eval_on_cube, generate, restrict_poly,
+                          sign_table)
+from boolsurf.restriction import (_CELL_BUDGET, Restriction, _sample_patterns,
+                                  _trial_values,
+                                  closeness_to_constant, restrict_table,
+                                  restriction_failure_prob, sample_restriction,
                                   sensitive_fraction_bound_exhaustive,
                                   tail_coupling_check)
-from boolsurf.seeding import substream
+from boolsurf.seeding import chunk_sizes, mc_values, substream
 
 
 # ---------------------------------------------------------------- patterns
@@ -85,10 +87,9 @@ def test_sample_restriction_rate_validation():
 
 
 def test_sample_free_count_binomial_mean():
-    from boolsurf.restriction import _sample_patterns
     n, rate, count = 10, 0.3, 100_000
     rng = substream(7, 0)
-    frees = [rho.free_count for rho in _sample_patterns(n, rate, rng, count)]
+    frees = np.count_nonzero(_sample_patterns(n, rate, rng, count) == 0, axis=1)
     mean = float(np.mean(frees))
     sigma = math.sqrt(n * rate * (1.0 - rate) / count)
     assert abs(mean - n * rate) <= 4.0 * sigma
@@ -220,6 +221,74 @@ def test_failure_prob_majority16_rate_sweep_nonincreasing():
                                            trials=20_000, seed=2)
         estimates.append(out.estimate)
     assert estimates[0] >= estimates[1] >= estimates[2]
+
+
+def reference_trial_values(p, rate, delta, trials, seed, workers, max_free):
+    """Per-trial values through the public single-trial path, chunk by chunk."""
+    values = []
+    for index, size in enumerate(chunk_sizes(trials, min(workers, trials))):
+        for pattern in _sample_patterns(p.n, rate, substream(seed, index), size):
+            rho = Restriction(pattern)
+            if rho.free_count > max_free:
+                values.append(math.nan)
+                continue
+            table = TruthTable(rho.free_count, to_signs(eval_on_cube(restrict_poly(p, rho))))
+            values.append(float(closeness_to_constant(table)[0] > delta))
+    return np.array(values)
+
+
+# x1x2, x1x3 and x1x2x3 all land on x1 once x2 and x3 are fixed, and with
+# x2 = +1, x3 = -1 the two degree-2 terms cancel to an exact zero
+COLLIDING = SparsePolynomial(4, {0b0001: 0.25, 0b0011: 1.0, 0b0101: 1.0, 0b0111: -0.5,
+                                 0b1000: 0.75, 0b1110: 1.5, 0: -0.125})
+# coordinate 64 (bit 63 of the -1 mask) in three terms
+WIDE = SparsePolynomial(64, {**generate("random-sparse", 64, degree=2, nterms=40, seed=4).terms,
+                             1 << 63: 0.7, 1 << 63 | 1 << 5: -1.1, 1 << 63 | 1: 0.4})
+
+EQUIVALENCE_CASES = {
+    # name: (polynomial, rate, delta, trials, max_free)
+    "maj:16": (generate("majority", 16), 0.25, 0.0625, 600, 24),
+    "rand:d=2,n=14": (generate("random", 14, degree=2, seed=3), 0.0625, 0.0625, 600, 24),
+    "colliding": (COLLIDING, 0.5, 0.01, 400, 24),
+    "n=64,bit63": (WIDE, 0.125, 0.0625, 300, 24),
+    "max_free": (generate("majority", 12), 0.5, 0.01, 400, 4),
+    "f=0": (generate("random", 10, degree=2, seed=1), 0.015625, 0.0625, 600, 24),
+    # 1471 terms: a group of more than _CELL_BUDGET // 1471 rows splits into batches
+    "batches": (generate("random", 14, degree=4, seed=2), 0.25, 0.0625, 600, 24),
+    # 2^f above _CELL_BUDGET: those trials run as batches of one
+    "oversize": (generate("majority", 20), 0.9, 0.0625, 8, 24),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_batched_trials_equal_single_trial_path(case, workers):
+    p, rate, delta, trials, max_free = EQUIVALENCE_CASES[case]
+    draw = lambda rng, size: _trial_values(p, rate, delta, max_free, rng, size)  # noqa: E731
+    got = mc_values(trials, 5, workers, draw)
+    want = reference_trial_values(p, rate, delta, trials, 5, workers, max_free)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert set(np.unique(want[~np.isnan(want)]).tolist()) <= {0.0, 1.0}
+    patterns = np.concatenate([_sample_patterns(p.n, rate, substream(5, i), size) for i, size
+                               in enumerate(chunk_sizes(trials, min(workers, trials)))])
+    free = np.count_nonzero(patterns == 0, axis=1)
+    accepted = free <= max_free
+    if case == "max_free":
+        assert np.isnan(got).any() and not np.isnan(got).all()
+    else:
+        assert accepted.all()
+    if case == "f=0":
+        assert (free == 0).mean() > 0.5
+    if case == "n=64,bit63":
+        assert ((patterns[:, 63] == -1) & accepted).sum() > 100
+    if case == "batches":
+        sizes = np.bincount(free) * len(p.masks)
+        assert sizes.max() > _CELL_BUDGET
+    if case == "oversize":
+        assert (1 << free.max()) > _CELL_BUDGET
+    if case == "colliding":
+        cancel = (patterns[:, 0] == 0) & (patterns[:, 1] == 1) & (patterns[:, 2] == -1)
+        assert cancel.any() and (want == 1.0).any() and (want == 0.0).any()
 
 
 def test_failure_prob_validation():
