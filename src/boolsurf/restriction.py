@@ -35,7 +35,7 @@ from .core import (EXACT_CAP, TruthTable, _check_n, all_functions, minus_mask,
                    sensitivities, spread_bits, to_signs, walsh_hadamard)
 from .errors import InputError, VerificationError
 # eval_on_cube is the single-trial evaluation the batched engine reproduces;
-# benchmarks/tracing.py wraps it in this namespace too.
+# the benchmark harness's tracer test reads it from this namespace.
 from .ptf import SparsePolynomial, _signed_coefs, eval_on_cube
 from .seeding import mc_values, substream
 
