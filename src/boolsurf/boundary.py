@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TruthTable, all_functions, popcount_table, sensitivities
+from .core import (TruthTable, _moment_weights, all_functions, popcount_table,
+                   sensitivities)
 from .errors import InputError
 
 
@@ -59,7 +60,7 @@ def _edge_biased_share(profile, select) -> float:
     proportional to s(x); for a nonconstant function the chance that s is
     in a set M is sum_{m in M} m * counts[m] / sum_m m * counts[m].
     """
-    levels = np.arange(profile.n + 1, dtype=np.float64)
+    levels = _moment_weights(profile.n, 1.0)
     mass = levels * profile.counts
     return float(mass[select(levels)].sum() / mass.sum())
 
@@ -130,13 +131,10 @@ def edge_threshold_check_exhaustive(n: int) -> ExhaustiveEdgeReport:
 def level_sign_counts(f: TruthTable) -> list[tuple[int, int, int]]:
     """Per Hamming level of the index (number of -1 coordinates):
     (level, count of +1 outputs, count of -1 outputs)."""
-    weights = popcount_table(f.n)
-    rows = []
-    for level in range(f.n + 1):
-        at_level = f.values[weights == level]
-        plus = int((at_level == 1).sum())
-        rows.append((level, plus, int(at_level.size - plus)))
-    return rows
+    # bucket 2 * level + (value == 1): one pass gives every level's -1, +1 pair
+    buckets = 2 * popcount_table(f.n) + (f.values == 1)
+    pairs = np.bincount(buckets, minlength=2 * f.n + 2).reshape(-1, 2).tolist()
+    return [(level, plus, minus) for level, (minus, plus) in enumerate(pairs)]
 
 
 def chain_tail_bound_holds(f: TruthTable, t: float) -> tuple[bool, float, float]:

@@ -412,11 +412,11 @@ def _cmd_boundary(args) -> int:
     if not report.is_constant:
         check = boundary_mod.edge_threshold_check(table)
         payload["threshold_check"] = {"passed": check.passed, "margin": check.margin}
-    payload["level_sign_counts"] = [list(row) for row in boundary_mod.level_sign_counts(table)]
+    levels = [list(row) for row in boundary_mod.level_sign_counts(table)]
+    payload["level_sign_counts"] = levels
     emit(render_json(payload), args.out)
     if args.levels_csv:
-        rows = [list(row) for row in boundary_mod.level_sign_counts(table)]
-        emit(render_csv(["level", "plus", "minus"], rows), args.levels_csv)
+        emit(render_csv(["level", "plus", "minus"], levels), args.levels_csv)
     return 0
 
 

@@ -72,6 +72,11 @@ def to_signs(values) -> np.ndarray:
     return np.where(np.asarray(values) >= 0, np.int8(1), np.int8(-1))
 
 
+def _parity(masks, points) -> np.ndarray:
+    """|S & x| mod 2, for subset masks S and point indices x broadcast together."""
+    return np.bitwise_count(masks & points) & 1
+
+
 def spread_bits(sub, positions) -> np.ndarray:
     """int64 indices with bit j of each sub-cube index `sub` moved to bit
     positions[..., j]; the shape is that of `sub` and positions[..., 0]
@@ -88,6 +93,12 @@ def spread_bits(sub, positions) -> np.ndarray:
 # the low stages and strips of columns for the high ones: with their
 # temporaries they stay inside a 2 MiB L2 cache.
 _BLOCK_BITS = 16
+# Cells one batch of stacked work (restriction trials, block-bound index
+# temporaries) may hold in any of its arrays: the transform's block, so a
+# batch and its temporaries stay in cache too.  At 2^20 the stacked
+# transform streams from memory, and restriction trials on
+# rands:d=3,n=40,terms=60 at rate 1/4 ran slower than one at a time.
+_CELL_BUDGET = 1 << _BLOCK_BITS
 # Below 2^10 entries the transposed copy of a row costs more than it saves.
 _SPLIT_BITS = 10
 
@@ -141,7 +152,7 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
       row of 2^16, so they run a row at a time while it sits in cache;
       the lower half of them runs on a transposed copy of the row, so
       each butterfly spans contiguous runs of 2^8 entries in a full row
-      rather than 1, 4, 16, ... (tables under 2^10 entries skip the copy);
+      rather than 1, 4, 16, ...;
     - the high stages only pair entries in the same column of the
       (rows, 2^16) matrix, so they run one strip of columns, again 2^16
       entries, at a time;
@@ -155,25 +166,23 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
     order in which rows, strips and blocks are visited changes no bit;
     only the stage order matters, and it is kept.
 
-    A stack of shape (..., 2^n) with more than one row is transformed
-    along its last axis: the rows are copied once into the columns of a
-    (2^n, rows) array, whose stages then run over every row together, so
-    each row equals its own transform bit for bit.  The result has the
-    stack's shape.
+    A stack of shape (..., 2^n) with more than one row, and a single
+    table of under 2^10 entries (a stack of one row, where the transposed
+    copy costs more than it saves), is transformed along its last axis:
+    the rows are copied once into the columns of a (2^n, rows) array,
+    whose stages then run over every row together, so each row equals
+    its own transform bit for bit.  The result has the input's shape.
     """
     vec = np.asarray(vec)
     size = vec.shape[-1]
     if size == 0 or size & (size - 1):
         raise InputError(f"length must be a power of two, got {size}")
     n = size.bit_length() - 1
-    if vec.size != size:
+    if vec.size != size or n < _SPLIT_BITS:
         stack = np.array(vec.reshape(-1, size).T, dtype=np.float64, order="C")
         _butterflies(stack, n)
         return np.ascontiguousarray(stack.T).reshape(vec.shape)
     out = np.array(vec, dtype=np.float64, copy=True)
-    if n < _SPLIT_BITS:
-        _butterflies(out.reshape(size, 1), n)
-        return out
     low = min(n, _BLOCK_BITS)
     half = low >> 1
     rows = out.reshape(-1, 1 << low)
@@ -281,8 +290,7 @@ class TruthTable:
         """Product of the coordinates in `mask` (a bitmask; 0 gives constant +1)."""
         n = _check_n(n)
         mask = _check_index(mask, n, "subset mask")
-        odd = popcount_table(n)[np.arange(1 << n) & mask] & 1
-        return cls(n, np.where(odd.astype(bool), -1, 1).astype(np.int8))
+        return cls(n, np.where(_parity(np.arange(1 << n), mask), -1, 1).astype(np.int8))
 
     @classmethod
     def majority(cls, n: int) -> "TruthTable":
@@ -417,7 +425,7 @@ def bsa_via_tails(f: TruthTable) -> float:
     profile = f.profile()
     counts = profile.counts
     tail = np.cumsum(counts[::-1])[::-1]  # tail[m] = #points with s >= m
-    roots = np.sqrt(np.arange(profile.n + 1, dtype=np.float64))
+    roots = _moment_weights(profile.n, 0.5)
     steps = roots[1:] - roots[:-1]
     return float(steps @ tail[1:]) / profile.points
 

@@ -28,7 +28,7 @@ identities:
   sizes: every block count is then constant and the blocks are alike;
 - gap_bound = sqrt(n - k) - B when k = 0, where both equal
   sqrt(n) - sum_l sqrt(m_l) / sqrt(b), and gap_bound = 0 when b = 1;
-- the Jensen enclosure collapses to one point when Var(Y) = 0.
+- the Jensen enclosure collapses to one point when Var(X) = 0.
 
 Nothing passes within a slack.
 """
@@ -44,7 +44,8 @@ from operator import mul
 
 import numpy as np
 
-from .core import TruthTable, bsa, sensitivities, spread_bits
+from .core import (_CELL_BUDGET, TruthTable, _moment_weights, bsa, sensitivities,
+                   spread_bits)
 from .errors import DegenerateInputError, InputError, VerificationError
 from .interval import Interval, refine, sqrt_sum, working_bits
 from .seeding import Estimate, mc_values, mean_and_stderr
@@ -89,9 +90,7 @@ class HypergeometricParams:
             raise InputError("draws must lie in 1..population")
 
     def support(self) -> range:
-        low = max(0, self.draws - (self.population - self.successes))
-        high = min(self.draws, self.successes)
-        return range(low, high + 1)
+        return _hg_support(self.population, self.successes, self.draws)
 
     def mean(self) -> Fraction:
         return Fraction(self.draws * self.successes, self.population)
@@ -103,27 +102,43 @@ class HypergeometricParams:
         return Fraction(m * k * (n - k) * (n - m), n * n * (n - 1))
 
 
+def _hg_support(population: int, successes: int, draws: int) -> range:
+    """The ones counts a uniform m-subset of n positions with k ones can
+    hold: max(0, m - (n - k)) .. min(m, k)."""
+    n, k, m = population, successes, draws
+    return range(max(0, m - (n - k)), min(m, k) + 1)
+
+
+# Bounded: the weights of a large population are huge integers.
+@lru_cache(maxsize=64)
+def _hg_table(population: int, successes: int, draws: int) -> tuple[range, tuple[int, ...], int]:
+    """(support, weights, C(n, m)): P[X = s] is the integer weight
+    C(k, s) C(n - k, m - s) at s over C(n, m)."""
+    n, k, m = population, successes, draws
+    support = _hg_support(n, k, m)
+    return support, tuple(comb(k, s) * comb(n - k, m - s) for s in support), comb(n, m)
+
+
 def hg_pmf(params: HypergeometricParams, s: int) -> Fraction:
     """Exact point mass P[X = s]."""
+    support, weights, total = _hg_table(params.population, params.successes, params.draws)
     s = int(s)
-    if s not in params.support():
+    if s not in support:
         return Fraction(0)
-    n, k, m = params.population, params.successes, params.draws
-    return Fraction(comb(k, s) * comb(n - k, m - s), comb(n, m))
+    return Fraction(weights[s - support.start], total)
 
 
 @lru_cache(maxsize=None)
 def _mean_sqrt(population: int, successes: int, draws: int, bits: int) -> Interval:
     """E[sqrt(X)]: integer PMF weights times integer root enclosures,
     summed before one outward division by C(n, m)."""
-    n, k, m = population, successes, draws
+    support, weights, total = _hg_table(population, successes, draws)
     lo = hi = 0
-    for s in range(max(1, m - (n - k)), min(m, k) + 1):
-        weight = comb(k, s) * comb(n - k, m - s)
+    for s, weight in zip(support, weights):
         root = Interval.sqrt(s, bits)  # cached: every sweep reuses the same few s
         lo += weight * root.lo
         hi += weight * root.hi
-    return Interval(lo, hi, bits) / comb(n, m)
+    return Interval(lo, hi, bits) / total
 
 
 def mean_sqrt_hg(params: HypergeometricParams, precision: int = DEFAULT_PRECISION) -> Interval:
@@ -300,7 +315,7 @@ def sandwich_check(spec: BlockPartitionSpec,
 
 @dataclass(frozen=True)
 class JensenBounds:
-    """Two-sided enclosure of E[sqrt(Y)] for Y = scale * X + shift >= 0."""
+    """Two-sided enclosure of E[sqrt(X)] for X >= 0."""
 
     lower: Interval
     upper: Interval
@@ -315,16 +330,16 @@ def _over_common_denominator(numbers) -> tuple[list[int], int]:
     return [n * (common // d) for n, d in pairs], common
 
 
-def jensen_bounds(values, probs, precision: int = DEFAULT_PRECISION,
-                  scale=1, shift=0) -> JensenBounds:
-    """Enclose E[sqrt(Y)], Y = scale * X + shift, between
-    sqrt(E[Y]) - scale^2 Var(X) / (2 E[Y]^{3/2}) and sqrt(E[Y]).
+def jensen_bounds(values, probs, precision: int = DEFAULT_PRECISION) -> JensenBounds:
+    """Enclose E[sqrt(X)] between sqrt(E[X]) - Var(X) / (2 E[X]^{3/2})
+    and sqrt(E[X]).
 
     The distribution of X is given by parallel `values` / `probs`
     sequences (Fractions and floats welcome; both are read exactly).
-    Y must be nonnegative with positive mean.  The exact mean of
-    sqrt(Y) is computed alongside, and the enclosure is certified by
-    strict separation before returning.
+    X must be nonnegative with positive mean; for an affine image
+    a X + c, pass the values a x + c.  The exact mean of sqrt(X) is
+    computed alongside, and the enclosure is certified by strict
+    separation before returning.
     """
     precision = _check_precision(precision)
     values = list(values)
@@ -338,35 +353,33 @@ def jensen_bounds(values, probs, precision: int = DEFAULT_PRECISION,
     if abs(total - weight_den) * 10**9 > weight_den:
         raise InputError("probabilities must sum to 1")
     # P[X = x_i] = weights[i] / total: dividing by the total absorbs
-    # float-level normalisation drift.  Y_i = ys[i] / y_den exactly.
-    (sc, sh, *xs), x_den = _over_common_denominator([scale, shift, *values])
-    ys = [sc * x + sh * x_den for x in xs]
-    y_den = x_den * x_den
-    if min(ys) < 0:
-        raise InputError("scale * X + shift must be nonnegative")
-    # E[Y] = first / den and Var(Y) = spread / den^2
-    den = total * y_den
-    first = sum(map(mul, weights, ys))
+    # float-level normalisation drift.  x_i = xs[i] / x_den exactly.
+    xs, x_den = _over_common_denominator(values)
+    if min(xs) < 0:
+        raise InputError("values must be nonnegative")
+    # E[X] = first / den and Var(X) = spread / den^2
+    den = total * x_den
+    first = sum(map(mul, weights, xs))
     if first <= 0:
-        raise DegenerateInputError("E[scale * X + shift] must be positive")
-    spread = total * sum(map(mul, weights, map(mul, ys, ys))) - first * first
+        raise DegenerateInputError("E[X] must be positive")
+    spread = total * sum(map(mul, weights, map(mul, xs, xs))) - first * first
 
     def enclose(bits):
         root = Interval.exact(first * den, bits).root()
-        upper = root / den  # sqrt(E[Y])
+        upper = root / den  # sqrt(E[X])
         if spread == 0:
             return JensenBounds(upper, upper, upper), upper.settled
-        # sqrt(E[Y]) - Var(Y) / (2 E[Y]^{3/2}) = (2 first^2 - spread) / (2 first root),
-        # exactly 0 when E[Y^2] = 3 E[Y]^2
+        # sqrt(E[X]) - Var(X) / (2 E[X]^{3/2}) = (2 first^2 - spread) / (2 first root),
+        # exactly 0 when E[X^2] = 3 E[X]^2
         lower = Interval.exact(2 * first * first - spread, bits) / (root * (2 * first))
-        mean_sqrt = sqrt_sum(zip(weights, (y * y_den for y in ys)), bits) / den
+        mean_sqrt = sqrt_sum(zip(weights, (x * x_den for x in xs)), bits) / den
         bounds = JensenBounds(lower, upper, mean_sqrt)
         return bounds, lower < mean_sqrt < upper and _settled(lower, upper, mean_sqrt)
 
     bounds = refine(enclose, working_bits(precision))
     if spread and not bounds.lower < bounds.mean_sqrt < bounds.upper:
         raise VerificationError(
-            f"E[sqrt(Y)] = {float(bounds.mean_sqrt)!r} is not certified inside "
+            f"E[sqrt(X)] = {float(bounds.mean_sqrt)!r} is not certified inside "
             f"[{float(bounds.lower)!r}, {float(bounds.upper)!r}]")
     return bounds
 
@@ -430,9 +443,8 @@ def bsa_block_bound(f: TruthTable, blocks: int, trials: int, seed: int = 0,
     sizes = near_equal_sizes(n, blocks)
     offsets = np.cumsum((0,) + sizes[:-1])
     root_b = np.sqrt(float(blocks))
-    roots = np.sqrt(np.arange(n + 1, dtype=np.float64))
-    m_max = max(sizes)
-    segment = max(1, 2_000_000 // ((1 << m_max) * m_max))  # bound the index temps
+    roots = _moment_weights(n, 0.5)
+    segment = max(1, _CELL_BUDGET >> max(sizes))  # rows per (rows, 2^m) index array
 
     def draw(rng, size):
         perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (size, 1)), axis=1)

@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .core import (TruthTable, _check_index, _check_n, all_points_signs, to_signs,
-                   walsh_hadamard)
+from .core import (TruthTable, _check_index, _check_n, _moment_weights, _parity,
+                   all_points_signs, to_signs, walsh_hadamard)
 from .errors import CapacityError, DegenerateInputError, InputError, ParseError
 from .seeding import Estimate, mc_values, mean_and_stderr, substream
 
@@ -164,11 +164,6 @@ def variables_mask(variables, n: int) -> int:
 def _running_sum(values: np.ndarray) -> float:
     """Left-to-right float sum; np.sum adds pairwise, which can move the last bits."""
     return float(np.cumsum(values)[-1]) if values.size else 0.0
-
-
-def _parity(masks: np.ndarray, points) -> np.ndarray:
-    """|S & x| mod 2, for terms S and points x broadcast together."""
-    return np.bitwise_count(masks & points) & 1
 
 
 def _signed_coefs(p: SparsePolynomial, points) -> np.ndarray:
@@ -321,7 +316,7 @@ def generate(kind: str, n: int, *, subset: int | None = None, degree: int | None
     if kind in ("majority", "maj"):
         return SparsePolynomial._from_arrays(n, singletons, np.ones(n))
     if kind in ("harmonic", "harm"):
-        return SparsePolynomial._from_arrays(n, singletons, 1.0 / np.sqrt(np.arange(1.0, n + 1.0)))
+        return SparsePolynomial._from_arrays(n, singletons, 1.0 / _moment_weights(n, 0.5)[1:])
     if kind in ("parity", "par"):
         if subset is None:
             raise InputError("parity needs a subset mask")

@@ -17,8 +17,9 @@ walsh_hadamard call and reads each row's closeness to a constant from
 its +1 count.  Every dense and transformed value is the float that the
 single-trial path Restriction -> restrict_poly -> eval_on_cube gives, so
 every trial's outcome is that path's too.
-A batch holds at most _CELL_BUDGET = 2^16 cells in either array; a row
-whose 2^f alone exceeds it runs as a batch of one, through the same code.
+A batch holds at most core._CELL_BUDGET = 2^16 cells in either array, the
+one budget every batched computation shares; a row whose 2^f alone
+exceeds it runs as a batch of one, through the same code.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from math import nan
 
 import numpy as np
 
-from .core import (EXACT_CAP, TruthTable, _check_n, all_functions, minus_mask,
-                   sensitivities, spread_bits, to_signs, walsh_hadamard)
+from .core import (_CELL_BUDGET, EXACT_CAP, TruthTable, _check_n, all_functions,
+                   minus_mask, sensitivities, spread_bits, to_signs, walsh_hadamard)
 from .errors import InputError, VerificationError
 # eval_on_cube is the single-trial evaluation the batched engine reproduces;
 # the benchmark harness's tracer test reads it from this namespace.
@@ -40,13 +41,6 @@ from .ptf import SparsePolynomial, _signed_coefs, eval_on_cube
 from .seeding import mc_values, substream
 
 RATE_GUIDELINE = 1.0 / 16.0
-# Cells one batch of restriction trials may hold in a (rows, terms) or a
-# (rows, 2^f) array.  2^16 float64 cells are 512 KiB, the transform's cache
-# block: a batch and its temporaries stay in a 2 MiB L2 cache.  At 2^20 the
-# stacked transform streams from memory and a high-free-count workload
-# (rands:d=3,n=40,terms=60 at rate 1/4) got slower and larger than trial by
-# trial.
-_CELL_BUDGET = 1 << 16
 
 
 class Restriction:

@@ -11,14 +11,11 @@ in that same order, so every estimate is a pure function of
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
-
-WORKERS_ENV = "BOOLSURF_WORKERS"
 
 
 class Estimate(NamedTuple):
@@ -38,14 +35,8 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Explicit worker count, or the BOOLSURF_WORKERS variable, or 1."""
-    if workers is None:
-        text = os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(text)
-        except ValueError:
-            raise InputError(f"{WORKERS_ENV} must be an integer, got {text!r}")
-    workers = int(workers)
+    """The explicit worker count, or 1 when it is None."""
+    workers = 1 if workers is None else int(workers)
     if workers < 1:
         raise InputError("worker count must be >= 1")
     return workers

@@ -7,7 +7,7 @@ from boolsurf.boundary import (boundary_report, chain_tail_bound_holds,
                                edge_biased_cdf, edge_threshold_check,
                                edge_threshold_check_exhaustive,
                                level_sign_counts)
-from boolsurf.core import TruthTable, bsa, total_influence
+from boolsurf.core import TruthTable, bsa, popcount_table, total_influence
 from boolsurf.errors import CapacityError, InputError
 
 
@@ -151,3 +151,23 @@ def test_level_sign_counts_majority5():
 def test_level_sign_counts_dictator():
     rows = level_sign_counts(TruthTable.dictator(2))
     assert rows == [(0, 1, 0), (1, 1, 1), (2, 0, 1)]
+
+
+def _level_sign_counts_by_level(f):
+    """Reference: one masked pass per level."""
+    weights = popcount_table(f.n)
+    rows = []
+    for level in range(f.n + 1):
+        at_level = f.values[weights == level]
+        plus = int((at_level == 1).sum())
+        rows.append((level, plus, int(at_level.size - plus)))
+    return rows
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_level_sign_counts_matches_per_level_loop(n):
+    for seed in range(3):
+        f = TruthTable.random(n, seed=seed)
+        rows = level_sign_counts(f)
+        assert rows == _level_sign_counts_by_level(f)
+        assert all(type(v) is int for row in rows for v in row)

@@ -180,37 +180,32 @@ def test_cli_bad_flag_exits_nonzero(capsys):
 
 
 # each row exits with its documented code: 2 for malformed input, 3 over a cap
-@pytest.mark.parametrize("argv, env, exit_code", [
-    (["partition", "--sizes", "3-x-2"], {}, 2),
-    (["partition", "--sizes", "3-0-2"], {}, 2),
-    (["analyze", "maj:5", "--out", "{missing}/x.json"], {}, 2),
-    (["sweep", "--kind", "alpha", "--n", "3", "--seeds", "0", "--trials", "10"],
-     {"BOOLSURF_WORKERS": "abc"}, 2),
-    (["tail", "maj:5", "--m", "1..x"], {}, 2),
-    (["restrict", "maj:5", "--trials", "0"], {}, 2),
-    (["restrict", "maj:5", "--rate", "2"], {}, 2),
-    (["restrict", "maj:5", "--trials", "10", "--workers", "0"], {}, 2),
-    (["partition", "--n", "1..100000"], {}, 3),
-    (["partition", "--n", "1..2000000000"], {}, 3),
-    (["analyze", "rand:d=2,n=5,seed=-4"], {}, 2),
-    (["analyze", "rands:d=2,n=5,terms=3,seed=-4"], {}, 2),
-    (["restrict", "maj:5", "--trials", "10", "--seed", "-1"], {}, 2),
-    (["sweep", "--kind", "alpha", "--n", "3", "--trials", "10", "--seeds", "-1"], {}, 2),
-    (["sweep", "--kind", "ns", "--n", "3", "--delta", "0.5"], {}, 2),
-    (["analyze", '{{"n": 1e400, "terms": []}}'], {}, 2),
-    (["analyze", '{{"n": 2, "terms": [{{"vars": ["a"], "coef": 1.0}}]}}'], {}, 2),
-    (["analyze", '{{"n": 2, "terms": [{{"vars": [1e400], "coef": 1.0}}]}}'], {}, 2),
-    (["analyze", '{{"n": 2, "terms": [{{"vars": [1], "coef": 1' + "0" * 400 + '}}]}}'], {}, 2),
-], ids=["sizes-not-integer", "sizes-zero-block", "out-dir-missing", "workers-env-not-integer",
-        "tail-bad-range", "restrict-zero-trials", "restrict-rate-above-1",
-        "restrict-zero-workers", "partition-sweep-over-cap", "partition-range-unbounded",
-        "rand-negative-seed", "rands-negative-seed", "restrict-negative-seed",
-        "sweep-alpha-negative-seed", "sweep-ns-delta-half", "json-n-infinite",
-        "json-variable-not-integer", "json-variable-infinite", "json-coef-too-large"])
-def test_malformed_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv, env,
-                                               exit_code):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+@pytest.mark.parametrize("argv, exit_code", [
+    (["partition", "--sizes", "3-x-2"], 2),
+    (["partition", "--sizes", "3-0-2"], 2),
+    (["analyze", "maj:5", "--out", "{missing}/x.json"], 2),
+    (["tail", "maj:5", "--m", "1..x"], 2),
+    (["restrict", "maj:5", "--trials", "0"], 2),
+    (["restrict", "maj:5", "--rate", "2"], 2),
+    (["restrict", "maj:5", "--trials", "10", "--workers", "0"], 2),
+    (["partition", "--n", "1..100000"], 3),
+    (["partition", "--n", "1..2000000000"], 3),
+    (["analyze", "rand:d=2,n=5,seed=-4"], 2),
+    (["analyze", "rands:d=2,n=5,terms=3,seed=-4"], 2),
+    (["restrict", "maj:5", "--trials", "10", "--seed", "-1"], 2),
+    (["sweep", "--kind", "alpha", "--n", "3", "--trials", "10", "--seeds", "-1"], 2),
+    (["sweep", "--kind", "ns", "--n", "3", "--delta", "0.5"], 2),
+    (["analyze", '{{"n": 1e400, "terms": []}}'], 2),
+    (["analyze", '{{"n": 2, "terms": [{{"vars": ["a"], "coef": 1.0}}]}}'], 2),
+    (["analyze", '{{"n": 2, "terms": [{{"vars": [1e400], "coef": 1.0}}]}}'], 2),
+    (["analyze", '{{"n": 2, "terms": [{{"vars": [1], "coef": 1' + "0" * 400 + '}}]}}'], 2),
+], ids=["sizes-not-integer", "sizes-zero-block", "out-dir-missing", "tail-bad-range",
+        "restrict-zero-trials", "restrict-rate-above-1", "restrict-zero-workers",
+        "partition-sweep-over-cap", "partition-range-unbounded", "rand-negative-seed",
+        "rands-negative-seed", "restrict-negative-seed", "sweep-alpha-negative-seed",
+        "sweep-ns-delta-half", "json-n-infinite", "json-variable-not-integer",
+        "json-variable-infinite", "json-coef-too-large"])
+def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, exit_code):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
     # a warning would print before the error line; make one fail the test outright
     with warnings.catch_warnings():
@@ -618,6 +613,20 @@ def test_sweep_unknown_family(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--kind", "bsa", "--family", "zig",
                          "--n", "3")
     assert code == 2
+
+
+# the worker count comes from --workers alone: an environment variable
+# of the old name must not move the chunking, and with it the bytes
+@pytest.mark.parametrize("argv", [
+    ["restrict", "maj:8", "--rate", "0.05", "--trials", "2000", "--seed", "3"],
+    ["sweep", "--kind", "alpha", "--n", "6", "--seeds", "0,1", "--trials", "1000"],
+], ids=["restrict", "sweep-alpha"])
+def test_workers_environment_variable_is_ignored(capsys, monkeypatch, argv):
+    monkeypatch.delenv("BOOLSURF_WORKERS", raising=False)
+    _, plain, _ = run_cli(capsys, *argv)
+    monkeypatch.setenv("BOOLSURF_WORKERS", "3")
+    _, with_env, _ = run_cli(capsys, *argv)
+    assert with_env == plain
 
 
 def test_sweep_deterministic_bytes(capsys):

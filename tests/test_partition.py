@@ -273,8 +273,8 @@ def test_jensen_hypergeometric_golden():
 
 
 def test_jensen_affine_scaling():
-    out = jensen_bounds([0, 1], [Fraction(1, 2), Fraction(1, 2)],
-                        precision=30, scale=2, shift=1)
+    # Y = 2 X + 1 for X uniform on {0, 1}: pass Y's values
+    out = jensen_bounds([1, 3], [Fraction(1, 2), Fraction(1, 2)], precision=30)
     assert close(out.upper, root(2))
     # Var(X) = 1/4, E[Y] = 2: penalty = 4 * (1/4) / (2 * 2^1.5) = sqrt(2) / 8
     assert close(out.lower, root(2) - root(2) / 8, Fraction(1, 10**20))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from boolsurf.errors import InputError
-from boolsurf.seeding import (WORKERS_ENV, chunk_sizes, mc_values,
-                              mean_and_stderr, resolve_workers, substream)
+from boolsurf.seeding import (chunk_sizes, mc_values, mean_and_stderr,
+                              resolve_workers, substream)
 
 
 def test_substream_reproducible_and_independent():
@@ -27,13 +27,9 @@ def test_chunk_sizes():
         chunk_sizes(5, 0)
 
 
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
+def test_resolve_workers_default_is_one():
     assert resolve_workers(None) == 1
     assert resolve_workers(4) == 4
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    assert resolve_workers(None) == 3
-    assert resolve_workers(2) == 2  # explicit argument wins
     with pytest.raises(InputError):
         resolve_workers(0)
 
