@@ -384,6 +384,39 @@ def jensen_bounds(values, probs, precision: int = DEFAULT_PRECISION) -> JensenBo
     return bounds
 
 
+def _urn_counts(rng, size: int, ones: int, sizes: tuple[int, ...]):
+    """Yield each block's count of ones, one length-`size` array per
+    block, for `size` uniform shuffles of `ones` ones among sum(sizes)
+    positions.
+
+    Knuth's selection sampling (TAOCP Vol. 2, 3.4.2, Algorithm S), one
+    urn per trial: position t of n holds a 1 exactly when a uniform
+    integer in [0, n - t) falls below the ones still left, so each row is
+    an exactly uniform placement of the ones, drawn without the
+    hypergeometric formula.  The last block takes the ones that are left.
+    """
+    n = sum(sizes)
+    left = np.full(size, ones, dtype=np.int64)
+    start = 0
+    for m in sizes[:-1]:
+        before = left.copy()
+        for t in range(start, start + m):
+            left -= rng.integers(0, n - t, size) < left
+        start += m
+        yield before - left
+    yield left
+
+
+def _urn_values(rng, size: int, ones: int, sizes: tuple[int, ...]) -> np.ndarray:
+    """One chunk of mc_partition_average: per trial, the block average
+    (1 / sqrt(b)) sum_l sqrt(ones in block l) of one urn shuffle."""
+    roots = _moment_weights(sum(sizes), 0.5)
+    total = np.zeros(size, dtype=np.float64)
+    for count in _urn_counts(rng, size, ones, sizes):
+        total += roots[count]
+    return total / np.sqrt(float(len(sizes)))
+
+
 def mc_partition_average(y, sizes, trials: int, seed: int = 0,
                          workers: int | None = None):
     """Shuffle-based estimate of the partition average of a fixed 0/1
@@ -394,16 +427,9 @@ def mc_partition_average(y, sizes, trials: int, seed: int = 0,
     sizes = tuple(int(s) for s in sizes)
     if not sizes or any(s < 1 for s in sizes) or sum(sizes) != len(y):
         raise InputError("block sizes must be positive and sum to the population size")
-    b = len(sizes)
-    offsets = np.cumsum((0,) + sizes[:-1])
-    root_b = np.sqrt(float(b))
-
-    def draw(rng, size):
-        shuffled = rng.permuted(np.tile(y, (size, 1)), axis=1)
-        blocks = np.add.reduceat(shuffled, offsets, axis=1)
-        return np.sqrt(blocks).sum(axis=1) / root_b
-
-    values = mc_values(trials, seed, workers, draw)
+    draw = partial(_urn_values, ones=int(y.sum()), sizes=sizes)
+    # _urn_values holds at most five int64/float64 arrays of one entry per trial
+    values = mc_values(trials, seed, workers, draw, 5 * 8)
     return Estimate(*mean_and_stderr(values))
 
 
@@ -461,7 +487,9 @@ def bsa_block_bound(f: TruthTable, blocks: int, trials: int, seed: int = 0,
                 total[rows] += roots[sens].mean(axis=1)
         return total / root_b
 
-    values = mc_values(trials, seed, workers, draw)
+    # the tiled and the permuted (trials, n) int64 arrays, the completions
+    # and the totals; the sub-table indices are bounded per segment
+    values = mc_values(trials, seed, workers, draw, 8 * (2 * n + blocks + 2))
     est, err = mean_and_stderr(values)
     lhs = bsa(f)
     margin = est + blocks + 4.0 * err - lhs

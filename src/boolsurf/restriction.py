@@ -221,12 +221,17 @@ def restriction_failure_prob(p: SparsePolynomial, rate: float, delta: float,
     warning, issued once every input has passed its checks, since the
     collapse guarantees degrade quickly there.
     """
+    rate = _open_unit("free-rate", rate)
     delta = _open_unit("delta", delta)
     if not 1 <= max_free <= EXACT_CAP:
         raise InputError(f"max_free must lie in 1..{EXACT_CAP}")
 
     draw = partial(_trial_values, p, rate, delta, max_free)
-    values = mc_values(trials, seed, workers, draw)  # checks trials, workers and rate
+    # the (trials, n) float64 draw and its mask while patterns are sampled,
+    # then the int8 patterns plus per-trial counts, group indices and values;
+    # the batches are bounded by the cell budget
+    trial_bytes = 9 * p.n + 32
+    values = mc_values(trials, seed, workers, draw, trial_bytes)  # checks trials, workers, seed
     if rate > RATE_GUIDELINE or delta > RATE_GUIDELINE:
         warnings.warn(
             f"rate={rate} delta={delta}: values above {RATE_GUIDELINE} are outside the "

@@ -15,7 +15,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapacityError, InputError
+
+# Bytes one Monte Carlo call may hold at once.  A larger request exits
+# with a capacity error before drawing, instead of paging on a host
+# without that much memory or being killed on one that overcommits.
+MC_BYTES_CAP = 1 << 31
 
 
 class Estimate(NamedTuple):
@@ -50,19 +55,29 @@ def chunk_sizes(total: int, parts: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
-def mc_values(total: int, seed: int, workers: int | None, draw) -> np.ndarray:
+def mc_values(total: int, seed: int, workers: int | None, draw,
+              trial_bytes: int = 8) -> np.ndarray:
     """Concatenated per-trial values from chunked substreams.
 
-    ``draw(rng, size)`` must return a 1-D float array of length `size`.
-    Chunk i draws from substream i.  With more workers than trials only
-    the first `total` chunks are nonempty, so only those are walked; the
-    empty ones would consume nothing.
+    ``draw(rng, size)`` must return a 1-D float array of length `size`
+    and hold at most `trial_bytes` bytes per trial while it runs (by
+    default only the float64 values it returns).  Chunk i draws from
+    substream i.  With more workers than trials only the first `total`
+    chunks are nonempty, so only those are walked; the empty ones would
+    consume nothing.  A request whose largest chunk plus the kept values
+    would need more than MC_BYTES_CAP raises CapacityError before any
+    chunk is drawn.
     """
     if total < 1:
         raise InputError("need trials >= 1")
     workers = resolve_workers(workers)
+    substream(seed)  # a bad seed is reported before an oversized request
+    sizes = chunk_sizes(total, min(workers, total))
+    # every value is kept, then copied once more by the concatenation
+    if sizes[0] * trial_bytes + 16 * total > MC_BYTES_CAP:
+        raise CapacityError("out of memory")
     parts = []
-    for index, size in enumerate(chunk_sizes(total, min(workers, total))):
+    for index, size in enumerate(sizes):
         parts.append(np.asarray(draw(substream(seed, index), size), dtype=np.float64))
     return np.concatenate(parts)
 

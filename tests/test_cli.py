@@ -249,6 +249,23 @@ def test_out_of_memory_exits_3_with_one_line(argv):
     assert done.stderr == f"boolsurf {argv[0]}: out of memory\n"
 
 
+# the byte cap refuses the request before any chunk is drawn, and a bad
+# seed or rate is still reported as such when the request is also too large
+@pytest.mark.parametrize("extra, code, message", [
+    ([], 3, "out of memory"),
+    (["--seed", "-1"], 2, "seed must be >= 0, got -1"),
+    (["--rate", "2"], 2, "free-rate must lie strictly in (0, 1), got 2.0"),
+], ids=["too-large", "and-negative-seed", "and-rate-above-1"])
+def test_trial_count_over_the_byte_cap_exits_before_drawing(capsys, monkeypatch, extra, code,
+                                                            message):
+    def no_draw(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr("boolsurf.restriction._trial_values", no_draw)
+    argv = ["restrict", "maj:5", "--trials", "100000000000", *extra]
+    assert run_cli(capsys, *argv) == (code, "", f"boolsurf restrict: {message}\n")
+
+
 # ---------------------------------------------------------------- analyze
 
 

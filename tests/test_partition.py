@@ -9,10 +9,11 @@ from boolsurf.core import TruthTable
 from boolsurf.errors import (DegenerateInputError, InputError,
                              VerificationError)
 from boolsurf.partition import (BlockPartitionSpec, HypergeometricParams,
-                                block_average_B, bsa_block_bound, gap_bound,
-                                hg_pmf, jensen_bounds, mc_partition_average,
-                                mean_sqrt_hg, near_equal_sizes, near_equal_sweep,
-                                sandwich_check)
+                                _urn_counts, _urn_values, block_average_B,
+                                bsa_block_bound, gap_bound, hg_pmf, jensen_bounds,
+                                mc_partition_average, mean_sqrt_hg, near_equal_sizes,
+                                near_equal_sweep, sandwich_check)
+from boolsurf.seeding import substream
 
 # Exact references: sqrt(s) to within 1e-60 as a Fraction, and the ends
 # of an enclosure as Fractions.  `close` holds when both ends of the
@@ -327,6 +328,48 @@ def test_mc_partition_average_degenerate_populations():
     est = mc_partition_average(np.zeros(6, dtype=int), (3, 3), trials=50, seed=0)
     assert est.estimate == 0.0
     assert est.stderr == 0.0
+
+
+URN_TRIALS = 40_000
+# every n <= 8 with one block, near-equal halves and thirds, singletons
+# and a skewed split; each case runs every count of ones
+URN_CASES = sorted({(n, sizes)
+                    for n in range(1, 9)
+                    for sizes in [(n,), near_equal_sizes(n, min(2, n)),
+                                  near_equal_sizes(n, min(3, n)), (1,) * n,
+                                  (n - 2, 1, 1) if n > 2 else (n,)]})
+
+
+def _exact_block_counts(sizes, m) -> dict[int, Fraction]:
+    """Law of the block counts of a uniform m-subset over all C(n, m),
+    each count vector keyed as its digits in base n + 1."""
+    n = sum(sizes)
+    digit = [(n + 1) ** l for l, size in enumerate(sizes) for _ in range(size)]
+    law = {}
+    for subset in itertools.combinations(range(n), m):
+        key = sum(digit[i] for i in subset)
+        law[key] = law.get(key, 0) + Fraction(1, math.comb(n, m))
+    return law
+
+
+@pytest.mark.parametrize("n, sizes", URN_CASES,
+                         ids=["-".join(map(str, sizes)) for _, sizes in URN_CASES])
+def test_urn_block_counts_match_enumeration(n, sizes):
+    for m in range(n + 1):
+        seed = 1000 * n + 10 * len(sizes) + m
+        counts = np.stack(list(_urn_counts(substream(seed), URN_TRIALS, m, sizes)), axis=1)
+        keys = counts @ (n + 1) ** np.arange(len(sizes))
+        sampled = np.bincount(keys, minlength=(n + 1) ** len(sizes))
+        law = _exact_block_counts(sizes, m)
+        assert set(np.flatnonzero(sampled).tolist()) <= set(law)
+        for key, p in law.items():
+            p = float(p)
+            err = math.sqrt(p * (1.0 - p) / URN_TRIALS)
+            assert abs(sampled[key] / URN_TRIALS - p) <= 4.0 * err, (m, key)
+        # the values are the block average of exactly these counts
+        want = np.sqrt(counts).sum(axis=1) / math.sqrt(len(sizes))
+        assert np.allclose(_urn_values(substream(seed), URN_TRIALS, m, sizes), want,
+                           rtol=1e-15, atol=0.0)
 
 
 def test_mc_partition_average_matches_exact():

@@ -36,6 +36,10 @@ PINNED = [
      ["sweep", "--kind", "alpha", "--exact", "--n", "8", "--seeds", "0,1",
       "--workers", "2"],
      "d0e30f1d5c1a7342d0bbb5878216a367156e37a4480294c7e01cefb13c7abcba"),
+    ("sweep-alpha-exact-n10",  # alpha_exact over 16 row blocks
+     ["sweep", "--kind", "alpha", "--exact", "--n", "10", "--seeds", "0,1",
+      "--workers", "2"],
+     "cd8019a6e2ee392e38fc592153e656014ee668326a33df8508dcad8cf23114d7"),
     ("analyze-maj",
      ["analyze", "maj:12"],
      "2080c7bfdeaf6de59e95125dde9494ac8dc64afcb8d90585f0baffcfc85000d7"),

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from boolsurf.core import TruthTable, index_to_point, sensitivity, total_influence
+from boolsurf.core import (TruthTable, all_points_signs, index_to_point, sensitivity,
+                           total_influence)
 from boolsurf.errors import (BoolsurfError, CapacityError, DegenerateInputError, InputError,
                              ParseError)
 from boolsurf.ptf import (ALPHA_EXACT_CAP, SparsePolynomial, alpha_estimate,
@@ -319,6 +320,44 @@ def test_alpha_exact_capacity_and_validation():
                                            (9, 11, 0.7185232508795675)])
 def test_golden_alpha_exact(n, seed, want):
     assert alpha_exact(generate("random", n, degree=2, seed=seed)) == want
+
+
+def reference_alpha_exact(p):
+    """The unblocked formula alpha_exact ran before its row blocks: the
+    whole (points A, points B) array of derivative values at once."""
+    signs = all_points_signs(p.n)
+    points = np.arange(1 << p.n, dtype=np.uint64)
+    chi = np.where(np.bitwise_count(p.masks & points[:, None]) & 1, -1.0, 1.0)
+    var_count = (p.masks[:, None] >> np.arange(p.n, dtype=np.uint64) & 1).astype(np.float64)
+    pv = chi @ p.coefs
+    weighted = chi * p.coefs[None, :]
+    dv = (weighted @ var_count) @ signs.T
+    zero = pv[:, None] == 0.0
+    ratio = np.minimum(1.0, (dv / np.where(zero, 1.0, pv[:, None])) ** 2)
+    np.copyto(ratio, 1.0, where=zero)
+    return float(ratio.mean())
+
+
+def alpha_cases(n):
+    rng = np.random.default_rng(n)
+    seed = lambda: int(rng.integers(1 << 31))  # noqa: E731
+    sparse_terms = min(24, sum(math.comb(n, k) for k in range(min(n, 3) + 1)))
+    return ([generate("majority", n), generate("harmonic", n)]  # even majority hits p = 0
+            + [generate("random", n, degree=min(n, d), seed=seed()) for d in (1, 2, 3)]
+            + [generate("random-sparse", n, degree=min(n, 3), nterms=sparse_terms,
+                        seed=seed())])
+
+
+@pytest.mark.parametrize("n", range(1, ALPHA_EXACT_CAP + 1))
+def test_alpha_exact_blocks_match_the_unblocked_formula(n):
+    for p in alpha_cases(n):
+        got, want = alpha_exact(p), reference_alpha_exact(p)
+        # the block sums fold into the whole array's sum exactly; from n = 10
+        # a block's BLAS product may round in another order than the whole one
+        if n <= 9:
+            assert got == want
+        else:
+            assert abs(got - want) <= 4 * np.spacing(want)
 
 
 def test_alpha_estimate_concentrates_on_exact():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from boolsurf.errors import InputError
-from boolsurf.seeding import (chunk_sizes, mc_values, mean_and_stderr,
+from boolsurf.errors import CapacityError, InputError
+from boolsurf.seeding import (MC_BYTES_CAP, chunk_sizes, mc_values, mean_and_stderr,
                               resolve_workers, substream)
 
 
@@ -57,6 +57,29 @@ def test_mc_values_empty_chunks_are_skipped():
     out = mc_values(2, 0, 5, draw)
     assert out.size == 2
     assert calls == [1, 1]
+
+
+def test_mc_values_refuses_over_the_byte_cap_before_drawing():
+    calls = []
+
+    def draw(rng, size):
+        calls.append(size)
+        return rng.random(size)
+
+    # 8 bytes of working set plus 16 for the kept values: just over the cap
+    trials = MC_BYTES_CAP // 24 + 1
+    with pytest.raises(CapacityError, match="out of memory"):
+        mc_values(trials, 0, 1, draw, 8)
+    with pytest.raises(CapacityError):
+        mc_values(10, 0, 1, draw, MC_BYTES_CAP)
+    assert calls == []
+    # the largest chunk is what counts: more workers, smaller chunks
+    with pytest.raises(CapacityError):
+        mc_values(4, 0, 2, draw, MC_BYTES_CAP // 2)
+    assert mc_values(4, 0, 4, draw, MC_BYTES_CAP // 2).size == 4
+    # below the cap the stream is the uncapped one
+    assert (mc_values(50, 3, 2, draw, 1 << 20)
+            == np.concatenate([substream(3, 0).random(25), substream(3, 1).random(25)])).all()
 
 
 def test_mean_and_stderr():
