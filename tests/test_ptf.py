@@ -339,13 +339,12 @@ def reference_alpha_exact(p):
 
 
 def alpha_cases(n):
-    rng = np.random.default_rng(n)
-    seed = lambda: int(rng.integers(1 << 31))  # noqa: E731
+    seeds = np.random.default_rng(n).integers(1 << 31, size=4).tolist()
     sparse_terms = min(24, sum(math.comb(n, k) for k in range(min(n, 3) + 1)))
     return ([generate("majority", n), generate("harmonic", n)]  # even majority hits p = 0
-            + [generate("random", n, degree=min(n, d), seed=seed()) for d in (1, 2, 3)]
+            + [generate("random", n, degree=min(n, d), seed=seeds[d]) for d in (1, 2, 3)]
             + [generate("random-sparse", n, degree=min(n, 3), nterms=sparse_terms,
-                        seed=seed())])
+                        seed=seeds[0])])
 
 
 @pytest.mark.parametrize("n", range(1, ALPHA_EXACT_CAP + 1))
