@@ -12,7 +12,7 @@ from .boundary import (BoundaryReport, EdgeThresholdCheck, boundary_report,
                        edge_threshold_check_exhaustive, level_sign_counts)
 from .core import (EXACT_CAP, EXHAUSTIVE_CAP, FourierSpectrum, Influence,
                    SensitivityProfile, TruthTable, all_functions, all_points_signs,
-                   bsa, bsa_via_tails, fractional_moment, index_to_point, minus_mask,
+                   bsa, bsa_via_tails, fractional_moment, gather_bits, index_to_point, minus_mask,
                    noise_sensitivity, noise_sensitivity_semigroup, point_to_index,
                    popcount_table, sensitivities, sensitivity, spread_bits,
                    to_signs, total_influence, walsh_hadamard)

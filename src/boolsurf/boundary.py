@@ -47,22 +47,29 @@ def boundary_report(f: TruthTable) -> BoundaryReport:
     vertex_fraction = profile.count_ge(1) / profile.points
     if influence == 0.0:
         return BoundaryReport(f.n, 0.0, 0.0, 0.0, 0.0, None, None, True)
-    threshold = influence * influence / (4.0 * area * area)
-    tail = _edge_biased_share(profile, lambda levels: levels >= threshold)
+    threshold = _threshold(influence, area)
+    tail = float(_edge_biased_share(profile.counts, lambda levels: levels >= threshold))
     return BoundaryReport(f.n, influence, area, var, vertex_fraction,
                           threshold, tail, False)
 
 
-def _edge_biased_share(profile, select) -> float:
-    """Edge-biased probability that s lies in the levels `select(levels)` picks.
+def _threshold(influence, area):
+    """The level Inf^2 / (4 BSA^2), elementwise."""
+    return influence * influence / (4.0 * area * area)
+
+
+def _edge_biased_share(counts, select):
+    """Edge-biased probability that s lies in the levels `select(levels)`
+    picks, for sensitivity histograms along the last axis of `counts`.
 
     A boundary edge is sampled by picking a point with probability
     proportional to s(x); for a nonconstant function the chance that s is
-    in a set M is sum_{m in M} m * counts[m] / sum_m m * counts[m].
+    in a set M is sum_{m in M} m * counts[m] / sum_m m * counts[m], each
+    sum an integer below 2^53 and so exact in float64.
     """
-    levels = _moment_weights(profile.n, 1.0)
-    mass = levels * profile.counts
-    return float(mass[select(levels)].sum() / mass.sum())
+    levels = _moment_weights(counts.shape[-1] - 1, 1.0)
+    mass = levels * counts
+    return (mass * select(levels)).sum(axis=-1) / mass.sum(axis=-1)
 
 
 def edge_biased_cdf(f: TruthTable, t: float) -> float:
@@ -70,7 +77,7 @@ def edge_biased_cdf(f: TruthTable, t: float) -> float:
     profile = f.profile()
     if profile.moment(1.0) == 0.0:
         raise InputError("edge-biased sampling is undefined for constant functions")
-    return _edge_biased_share(profile, lambda levels: levels <= t)
+    return float(_edge_biased_share(profile.counts, lambda levels: levels <= t))
 
 
 @dataclass(frozen=True)
@@ -107,25 +114,19 @@ class ExhaustiveEdgeReport:
 def edge_threshold_check_exhaustive(n: int) -> ExhaustiveEdgeReport:
     """Run the threshold audit on all 2^(2^n) - 2 nonconstant functions.
 
-    Vectorised: one (functions x points) sensitivity matrix instead of
-    per-function tables.
+    Vectorised: one row of sensitivity counts per function, read by the
+    same threshold and edge-biased share as boundary_report.
     """
     n = int(n)
-    sens64 = sensitivities(all_functions(n))[0].astype(np.int64)
-    nfuncs = sens64.shape[0]
-    edge_sum = sens64.sum(axis=1)  # 2^n * Inf, integer
-    nonconstant = edge_sum > 0
-    sqrt_sum = np.sqrt(sens64).sum(axis=1)  # 2^n * BSA
-    # threshold in integer-comparable form: s >= edge_sum^2 / (4 sqrt_sum^2)
-    thresholds = np.zeros(nfuncs)
-    thresholds[nonconstant] = (edge_sum[nonconstant] / sqrt_sum[nonconstant]) ** 2 / 4.0
-    above = sens64 >= thresholds[:, None]
-    heavy = (sens64 * above).sum(axis=1)
-    margins = np.full(nfuncs, np.inf)
-    margins[nonconstant] = heavy[nonconstant] / edge_sum[nonconstant] - 0.5
-    failures = int((margins[nonconstant] < 0.0).sum())
-    return ExhaustiveEdgeReport(n, int(nonconstant.sum()), failures,
-                                float(margins[nonconstant].min()))
+    sens = sensitivities(all_functions(n))[0]
+    nfuncs, points = sens.shape
+    cells = (np.arange(nfuncs) * (n + 1))[:, None] + sens  # function * (n + 1) + s
+    counts = np.bincount(cells.ravel(), minlength=nfuncs * (n + 1)).reshape(nfuncs, n + 1)
+    counts = counts[counts[:, 0] < points]  # nonconstant
+    thresholds = _threshold(counts @ _moment_weights(n, 1.0) / points,
+                            counts @ _moment_weights(n, 0.5) / points)
+    margins = _edge_biased_share(counts, lambda levels: levels >= thresholds[:, None]) - 0.5
+    return ExhaustiveEdgeReport(n, len(counts), int((margins < 0.0).sum()), float(margins.min()))
 
 
 def level_sign_counts(f: TruthTable) -> list[tuple[int, int, int]]:

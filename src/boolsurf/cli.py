@@ -6,8 +6,8 @@ produces byte-identical output.  JSON floats use Python's shortest
 round-trip form; CSV floats carry 17 significant digits with a '.'
 decimal point, no locale.
 
-Exit codes: 0 success, 2 malformed input, 3 capacity exceeded or out of memory,
-4 verification failure.
+Exit codes: 0 success, 2 malformed input or an unwritable output, 3 capacity
+exceeded or out of memory, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -146,6 +147,15 @@ def format_table_text(table: TruthTable) -> str:
     return f"n={table.n}\n{row}\n"
 
 
+def _polynomial_spec(text: str, content: str, where: str = "") -> FunctionSpec:
+    """Spec `text` for the polynomial JSON `content`; `where` names it in errors."""
+    try:
+        data = json.loads(content)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad polynomial JSON{where}: {exc.msg}", position=exc.pos)
+    return FunctionSpec(text, "polynomial", polynomial=SparsePolynomial.from_json_dict(data))
+
+
 def parse_function_spec(text: str) -> FunctionSpec:
     """Resolve a spec string: generator shorthand, inline polynomial JSON,
     or @path to a polynomial-JSON or truth-table file."""
@@ -153,12 +163,7 @@ def parse_function_spec(text: str) -> FunctionSpec:
     if not text:
         raise ParseError("empty function spec", position=0)
     if text.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad polynomial JSON: {exc.msg}", position=exc.pos)
-        return FunctionSpec(text, "polynomial",
-                            polynomial=SparsePolynomial.from_json_dict(data))
+        return _polynomial_spec(text, text)
     if text.startswith("@"):
         path = text[1:]
         try:
@@ -170,13 +175,7 @@ def parse_function_spec(text: str) -> FunctionSpec:
         if stripped.startswith("n="):
             return FunctionSpec(text, "table", table=parse_table_text(content))
         if stripped.startswith("{"):
-            try:
-                data = json.loads(content)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad polynomial JSON in {path}: {exc.msg}",
-                                 position=exc.pos)
-            return FunctionSpec(text, "polynomial",
-                                polynomial=SparsePolynomial.from_json_dict(data))
+            return _polynomial_spec(text, content, f" in {path}")
         raise ParseError(f"{path} is neither a table file nor polynomial JSON")
     return _parse_generator(text)
 
@@ -599,12 +598,21 @@ def main(argv=None) -> int:
     default_format = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"{prefix}: warning: {message}\n"
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # a closed reader shows up here, not at interpreter exit
+        return code
     except BoolsurfError as exc:
         print(f"{prefix}: {exc}", file=sys.stderr)
         return exit_code_for(exc)
     except MemoryError:  # a request too large for this host is over capacity, too
         print(f"{prefix}: out of memory", file=sys.stderr)
         return 3
+    except BrokenPipeError as exc:  # stdout is unwritable, like an unwritable --out
+        # the interpreter flushes stdout again at exit: let that write go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"{prefix}: cannot write stdout: {exc}", file=sys.stderr)
+        return 2
     finally:
         warnings.formatwarning = default_format

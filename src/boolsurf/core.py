@@ -3,7 +3,8 @@
 A function f: {-1,+1}^n -> {-1,+1} is stored as its full table of 2^n
 signs.  Bit i of the table index is 0 where coordinate i equals +1 and 1
 where it equals -1, so ``x ^ (1 << i)`` is the neighbour of ``x`` across
-coordinate i.
+coordinate i.  Only this module writes the encoding out: ``_unpack_bits``,
+``_pack_bits``, ``spread_bits``/``gather_bits``, ``_chi``, ``to_signs``, ``minus_mask``.
 
 The pointwise sensitivity s(x) counts coordinates whose flip changes f
 at x.  Everything downstream is a moment of the sensitivity histogram:
@@ -68,13 +69,24 @@ def _check_index(value: int, n: int, what: str) -> int:
 
 
 def to_signs(values) -> np.ndarray:
-    """int8 +1/-1 by the sign of each value; sign(0) = +1."""
-    return np.where(np.asarray(values) >= 0, np.int8(1), np.int8(-1))
+    """int8 +1/-1 by the sign of each value; sign(0) = +1 and sign(NaN) = -1."""
+    # arithmetic on the 0/1 compare: np.where with int8 scalars is ~5x slower
+    return 2 * (np.asarray(values) >= 0).view(np.int8) - 1
 
 
-def _parity(masks, points) -> np.ndarray:
-    """|S & x| mod 2, for subset masks S and point indices x broadcast together."""
-    return np.bitwise_count(masks & points) & 1
+def _chi(masks, points) -> np.ndarray:
+    """int8 chi_S(x) = (-1)^|S & x|, subset masks S and point indices x broadcast together."""
+    return 1 - 2 * (np.bitwise_count(masks & points) & 1).view(np.int8)
+
+
+def _unpack_bits(idx, n: int) -> np.ndarray:
+    """int8 0/1 columns: out[..., i] is bit i of idx[...], for i < n."""
+    return (idx[..., None] >> np.arange(n, dtype=idx.dtype) & 1).astype(np.int8)
+
+
+def _pack_bits(bits) -> np.ndarray:
+    """uint64 indices from 0/1 rows: bit i of out[...] is bits[..., i]."""
+    return bits.astype(np.uint64) @ (np.uint64(1) << np.arange(bits.shape[-1], dtype=np.uint64))
 
 
 def spread_bits(sub, positions) -> np.ndarray:
@@ -86,6 +98,17 @@ def spread_bits(sub, positions) -> np.ndarray:
     out = np.zeros(np.broadcast_shapes(sub.shape, positions.shape[:-1]), dtype=np.int64)
     for j in range(positions.shape[-1]):
         out |= (sub >> j & 1) << positions[..., j]
+    return out
+
+
+def gather_bits(idx, positions) -> np.ndarray:
+    """The inverse of spread_bits: uint64 sub-cube indices whose bit j is bit
+    positions[..., j] of `idx`, shaped like idx and positions[..., 0] broadcast."""
+    idx = np.asarray(idx, dtype=np.uint64)
+    positions = np.asarray(positions, dtype=np.uint64)
+    out = np.zeros(np.broadcast_shapes(idx.shape, positions.shape[:-1]), dtype=np.uint64)
+    for j in range(positions.shape[-1]):
+        out |= (idx >> positions[..., j] & 1) << j
     return out
 
 
@@ -290,7 +313,7 @@ class TruthTable:
         """Product of the coordinates in `mask` (a bitmask; 0 gives constant +1)."""
         n = _check_n(n)
         mask = _check_index(mask, n, "subset mask")
-        return cls(n, np.where(_parity(np.arange(1 << n), mask), -1, 1).astype(np.int8))
+        return cls(n, _chi(np.arange(1 << n), mask))
 
     @classmethod
     def majority(cls, n: int) -> "TruthTable":
@@ -360,8 +383,7 @@ def all_functions(n: int) -> np.ndarray:
         raise CapacityError(
             f"n={n} means 2^{1 << n} functions; the cap is n <= {EXHAUSTIVE_CAP}")
     size = 1 << n
-    codes = np.arange(1 << size, dtype=np.uint32)
-    return ((codes[:, None] >> np.arange(size, dtype=np.uint32)[None, :]) & 1).astype(np.int8)
+    return _unpack_bits(np.arange(1 << size, dtype=np.uint32), size)
 
 
 class FourierSpectrum:
@@ -476,9 +498,7 @@ def noise_sensitivity_semigroup(f: TruthTable, delta: float) -> float:
 def index_to_point(n: int, x: int) -> np.ndarray:
     """Coordinate signs of point index x (bit set means -1)."""
     n = _check_n(n)
-    x = _check_index(x, n, "point index")
-    bits = (x >> np.arange(n)) & 1
-    return (1 - 2 * bits).astype(np.int8)
+    return 1 - 2 * _unpack_bits(np.int64(_check_index(x, n, "point index")), n)
 
 
 def point_to_index(signs) -> int:
@@ -498,6 +518,4 @@ def minus_mask(signs) -> int:
 def all_points_signs(n: int) -> np.ndarray:
     """Matrix of coordinate signs, shape (2^n, n): row x is the point for index x."""
     n = _check_n(n)
-    idx = np.arange(1 << n, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n)[None, :]) & 1
-    return (1 - 2 * bits).astype(np.float64)
+    return (1 - 2 * _unpack_bits(np.arange(1 << n), n)).astype(np.float64)

@@ -480,7 +480,7 @@ def bsa_block_bound(f: TruthTable, blocks: int, trials: int, seed: int = 0,
             rows = slice(start, min(start + segment, size))
             for l, m_l in enumerate(sizes):
                 positions = perms[rows, offsets[l]:offsets[l] + m_l]  # (seg, m_l)
-                block_mask = np.bitwise_or.reduce(np.int64(1) << positions, axis=1)
+                block_mask = spread_bits((1 << m_l) - 1, positions)
                 base = outside[rows, l] & ~block_mask
                 idx = base[:, None] + spread_bits(np.arange(1 << m_l), positions[:, None, :])
                 sens, _ = sensitivities(f.values[idx])

@@ -22,8 +22,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .core import (_CELL_BUDGET, TruthTable, _check_index, _check_n, _moment_weights,
-                   _parity, all_points_signs, to_signs, walsh_hadamard)
+from .core import (_CELL_BUDGET, TruthTable, _check_index, _check_n, _chi, _moment_weights,
+                   _pack_bits, _unpack_bits, all_points_signs, gather_bits, to_signs,
+                   walsh_hadamard)
 from .errors import CapacityError, DegenerateInputError, InputError, ParseError
 from .seeding import Estimate, mc_values, mean_and_stderr, substream
 
@@ -128,8 +129,8 @@ class SparsePolynomial:
         return cls(n, acc)
 
     def to_json_dict(self) -> dict:
-        terms = [{"vars": [i + 1 for i in range(self.n) if mask >> i & 1], "coef": coef}
-                 for mask, coef in zip(self.masks.tolist(), self.coefs.tolist())]
+        terms = [{"vars": (np.flatnonzero(bits) + 1).tolist(), "coef": coef}
+                 for bits, coef in zip(_unpack_bits(self.masks, self.n), self.coefs.tolist())]
         return {"n": self.n, "terms": terms}
 
 
@@ -166,16 +167,10 @@ def _running_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
-def _signed_coefs(p: SparsePolynomial, points) -> np.ndarray:
-    """Each coefficient times its character chi_S(x) = (-1)^|S & x|, for
-    uint64 point indices x broadcast against the terms S."""
-    return np.where(_parity(p.masks, points), -p.coefs, p.coefs)
-
-
 def eval_poly(p: SparsePolynomial, x: int) -> float:
     """Value at point index x (same bit encoding as truth tables)."""
     x = _check_index(x, p.n, "point index")
-    return _running_sum(_signed_coefs(p, np.uint64(x)))
+    return _running_sum(_characters(p, np.uint64(x)) * p.coefs)
 
 
 def eval_on_cube(p: SparsePolynomial) -> np.ndarray:
@@ -206,14 +201,10 @@ def restrict_poly(p: SparsePolynomial, rho: "Restriction") -> SparsePolynomial:
     """
     if rho.n != p.n:
         raise InputError(f"restriction is on {rho.n} variables, polynomial on {p.n}")
-    free = rho.free_indices()
-    signed = _signed_coefs(p, np.uint64(rho.fixed_base_index()))
-    compressed = np.zeros_like(p.masks)
-    for j, i in enumerate(free.tolist()):
-        compressed |= (p.masks >> i & 1) << j
-    masks, slot = np.unique(compressed, return_inverse=True)
+    signed = _characters(p, np.uint64(rho.fixed_base_index())) * p.coefs
+    masks, slot = np.unique(gather_bits(p.masks, rho.free_indices()), return_inverse=True)
     coefs = np.bincount(slot, weights=signed, minlength=len(masks))
-    return SparsePolynomial._from_arrays(len(free), masks, coefs)
+    return SparsePolynomial._from_arrays(rho.free_count, masks, coefs)
 
 
 class PolyStats(NamedTuple):
@@ -235,17 +226,16 @@ def poly_stats(p: SparsePolynomial) -> PolyStats:
         raise DegenerateInputError("statistics of the zero polynomial are undefined")
     sq = p.coefs * p.coefs
     variance = _running_sum(sq[p.masks != 0])
-    influences = np.array([_running_sum(sq[p.masks >> i & 1 == 1]) for i in range(p.n)],
+    influences = np.array([_running_sum(sq[bits == 1]) for bits in _unpack_bits(p.masks, p.n).T],
                           dtype=np.float64)
     tau = float(influences.max() / variance) if variance > 0.0 and p.n else 0.0
     return PolyStats(variance, influences, tau)
 
 
-def _characters(p: SparsePolynomial, points: np.ndarray) -> np.ndarray:
-    """chi_S(x) = (-1)^|S & x| as float64, rows x in `points`, columns the terms S."""
-    # +-1 as int8 first: np.where on the 0/1 parities takes about ten times as long
-    signs = 1 - 2 * _parity(p.masks, points[:, None]).view(np.int8)
-    return signs.astype(np.float64)
+def _characters(p: SparsePolynomial, points) -> np.ndarray:
+    """float64 chi_S(x), uint64 point indices x broadcast against the terms S;
+    times p.coefs, each term's signed coefficient (+-1.0 * c is exact)."""
+    return _chi(p.masks, points).astype(np.float64)
 
 
 def _gradient_ratio(pv: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -274,14 +264,13 @@ def alpha_estimate(p: SparsePolynomial, trials: int, seed: int = 0,
     if p.is_zero:
         raise DegenerateInputError("alpha of the zero polynomial is undefined")
     sizes = np.bitwise_count(p.masks).astype(np.int16)
-    powers = np.uint64(1) << np.arange(p.n, dtype=np.uint64)  # 0/1 rows @ powers = point index
 
     def draw(rng, size):
-        a = rng.integers(0, 2, size=(size, p.n), dtype=np.int8).astype(np.uint64) @ powers
-        b = rng.integers(0, 2, size=(size, p.n), dtype=np.int8).astype(np.uint64) @ powers
+        a = _pack_bits(rng.integers(0, 2, size=(size, p.n), dtype=np.int8))
+        b = _pack_bits(rng.integers(0, 2, size=(size, p.n), dtype=np.int8))
         # sum of B's signs over each term's variables: |S| - 2 |S & {B = -1}|
         sb = (sizes - 2 * np.bitwise_count(p.masks & b[:, None])).astype(np.float64)
-        chi = _characters(p, a)
+        chi = _characters(p, a[:, None])
         return _gradient_ratio(chi @ p.coefs, (chi * sb) @ p.coefs)
 
     # at the peak three (trials, terms) float64 arrays (sb, chi and their
@@ -301,7 +290,7 @@ def alpha_exact(p: SparsePolynomial) -> float:
     n = p.n
     points = 1 << n
     signs = all_points_signs(n)  # (points, n)
-    var_count = (p.masks[:, None] >> np.arange(n, dtype=np.uint64) & 1).astype(np.float64)
+    var_count = _unpack_bits(p.masks, n).astype(np.float64)
     # rows A per block: every block array holds at most _CELL_BUDGET cells
     rows = min(points, _CELL_BUDGET >> n)
     # B and its complement, column points - 1 - B, give derivatives of
@@ -312,7 +301,7 @@ def alpha_exact(p: SparsePolynomial) -> float:
     ratio = np.empty((rows, points))  # rows A, columns B
     sums = np.empty(points // rows)
     for i in range(len(sums)):
-        chi = _characters(p, np.arange(i * rows, (i + 1) * rows, dtype=np.uint64))
+        chi = _characters(p, np.arange(i * rows, (i + 1) * rows, dtype=np.uint64)[:, None])
         pv = chi @ p.coefs  # p(A)
         chi *= p.coefs
         np.matmul(chi @ var_count, signs[:half].T, out=dv)

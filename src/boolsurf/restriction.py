@@ -32,12 +32,12 @@ from math import nan
 
 import numpy as np
 
-from .core import (_CELL_BUDGET, EXACT_CAP, TruthTable, _check_n, all_functions,
-                   minus_mask, sensitivities, spread_bits, to_signs, walsh_hadamard)
+from .core import (_CELL_BUDGET, EXACT_CAP, TruthTable, _check_n, _pack_bits, all_functions,
+                   gather_bits, minus_mask, sensitivities, spread_bits, walsh_hadamard)
 from .errors import InputError, VerificationError
 # eval_on_cube is the single-trial evaluation the batched engine reproduces;
 # the benchmark harness's tracer test reads it from this namespace.
-from .ptf import SparsePolynomial, _signed_coefs, eval_on_cube
+from .ptf import SparsePolynomial, _characters, eval_on_cube
 from .seeding import mc_values, substream
 
 RATE_GUIDELINE = 1.0 / 16.0
@@ -120,8 +120,8 @@ def _sample_patterns(n: int, rate: float, rng, count: int) -> np.ndarray:
         raise InputError("restrictions need n >= 1")
     rate = _open_unit("free-rate", rate)
     free = rng.random((count, n)) < rate
-    signs = (1 - 2 * rng.integers(0, 2, size=(count, n), dtype=np.int8)).astype(np.int8)
-    return np.where(free, 0, signs).astype(np.int8)
+    signs = 1 - 2 * rng.integers(0, 2, size=(count, n), dtype=np.int8)
+    return np.where(free, 0, signs)
 
 
 def restrict_table(f: TruthTable, rho: Restriction) -> TruthTable:
@@ -161,21 +161,15 @@ def _plus_counts(p: SparsePolynomial, patterns: np.ndarray, f: int) -> np.ndarra
     float.
     """
     rows = len(patterns)
-    powers = np.uint64(1) << np.arange(p.n, dtype=np.uint64)
-    base = (patterns == -1).astype(np.uint64) @ powers  # each row's -1 mask
-    signed = _signed_coefs(p, base[:, None])  # (rows, terms)
-    # cell row * 2^f + compressed mask, whose bit j is the term's bit at the
-    # row's j-th free coordinate; as int64 a term's bit 63 reads as its sign,
-    # and an arithmetic shift then & 1 still picks out single bits
-    masks = p.masks.view(np.int64)
-    free = np.nonzero(patterns == 0)[1].reshape(rows, f)
-    cells = np.zeros((rows, len(masks)), dtype=np.int64)
+    base = _pack_bits(patterns == -1)  # each row's -1 mask
+    signed = _characters(p, base[:, None]) * p.coefs  # (rows, terms)
+    # cell row * 2^f + the term's mask bits at the row's free coordinates
+    free = np.nonzero(patterns == 0)[1].reshape(rows, 1, f)
+    cells = gather_bits(p.masks, free).view(np.int64)
     cells += (np.arange(rows, dtype=np.int64) << f)[:, None]
-    for j in range(f):
-        cells |= (masks >> free[:, j, None] & 1) << j
     stack = np.bincount(cells.ravel(), weights=signed.ravel(),
                         minlength=rows << f).reshape(rows, 1 << f)
-    return np.count_nonzero(to_signs(walsh_hadamard(stack)) == 1, axis=-1)
+    return np.count_nonzero(walsh_hadamard(stack) >= 0, axis=-1)  # sign(0) = +1
 
 
 def _trial_values(p: SparsePolynomial, rate: float, delta: float, max_free: int,

@@ -236,7 +236,7 @@ def _c6():
         spec = partition.BlockPartitionSpec(n, k, sizes)
         report = partition.sandwich_check(spec, partition.CERT_PRECISION)
         triples += 1
-        if not (report.pass_lower and report.pass_upper and report.pass_gap is not False):
+        if not report.all_passed:
             failures += 1
     return failures == 0, f"{triples} (n, k, b) triples at 30-digit precision, {failures} failures"
 

@@ -227,6 +227,23 @@ def test_warning_prints_as_one_line():
     assert done.stderr.startswith("boolsurf restrict: warning: rate=0.25 ")
 
 
+# buffered, stdout fails at the final flush; unbuffered, at the first print
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_reader_exits_2_with_one_line(unbuffered):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "boolsurf", "verify", "--only", "c12"], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == "boolsurf verify: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
 def _limit_address_space():
     import resource
     limit = 2 << 30

@@ -5,10 +5,10 @@ import pytest
 
 from boolsurf.core import (EXACT_CAP, FourierSpectrum, TruthTable,
                            all_functions, all_points_signs, bsa, bsa_via_tails,
-                           fractional_moment, index_to_point,
+                           fractional_moment, gather_bits, index_to_point,
                            noise_sensitivity, noise_sensitivity_semigroup,
                            point_to_index, sensitivities, sensitivity,
-                           spread_bits, total_influence, walsh_hadamard)
+                           spread_bits, to_signs, total_influence, walsh_hadamard)
 from boolsurf.errors import CapacityError, InputError
 
 
@@ -404,6 +404,70 @@ def test_spread_bits_batched_positions():
     assert out.shape == (7, 16)
     for row, free in zip(out, positions):
         assert np.array_equal(row, reference_spread(16, free))
+
+
+def reference_gather(idx, free):
+    """Per-bit loop on Python ints: bit j of each result is bit free[j] of the index."""
+    return np.array([sum((x >> int(i) & 1) << j for j, i in enumerate(free))
+                     for x in np.asarray(idx).tolist()], dtype=np.uint64)
+
+
+def _masks_with_bit_63():
+    masks = np.random.default_rng(9).integers(0, 1 << 64, size=40, dtype=np.uint64)
+    masks[:3] = [0, 1 << 63, (1 << 64) - 1]
+    return masks
+
+
+@pytest.mark.parametrize("free", [[], [0], [63], [5, 1, 7], [62, 0, 40, 63], list(range(64))])
+def test_gather_bits_matches_per_bit_loop(free):
+    masks = _masks_with_bit_63()
+    out = gather_bits(masks, np.array(free, dtype=np.int64))
+    assert out.dtype == np.uint64
+    assert np.array_equal(out, reference_gather(masks, free))
+
+
+def test_gather_bits_batched_positions():
+    rng = np.random.default_rng(6)
+    positions = np.stack([rng.permutation(64)[:5] for _ in range(7)])  # (rows, m)
+    masks = _masks_with_bit_63()
+    out = gather_bits(masks, positions[:, None, :])  # (rows, 1, m) positions
+    assert out.shape == (7, len(masks))
+    for row, free in zip(out, positions):
+        assert np.array_equal(row, reference_gather(masks, free))
+
+
+@pytest.mark.parametrize("free", [[], [3], [5, 1, 7], [2, 9, 4, 23, 11], [62, 0, 40], [63, 1]])
+def test_gather_bits_inverts_spread_bits(free):
+    sub = np.arange(1 << len(free))
+    positions = np.array(free, dtype=np.int64)
+    assert np.array_equal(gather_bits(spread_bits(sub, positions), positions), sub)
+
+
+# ---------------------------------------------------------------- signs
+
+
+def reference_to_signs(values):
+    """The np.where form of the sign rule, sign(0) = +1."""
+    return np.where(np.asarray(values) >= 0, np.int8(1), np.int8(-1))
+
+
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+@pytest.mark.parametrize("values", [
+    np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, _TINY, -_TINY, 1.0, -1.0]),
+    np.array([[_TINY, -_TINY], [np.nan, -0.0]]),
+    np.array([-0.0, np.finfo(np.float32).smallest_subnormal, -np.inf], dtype=np.float32),
+    np.array([0, -1, 1, 127, -128], dtype=np.int8),
+    np.array([0, -3, 1 << 62, -(1 << 63)], dtype=np.int64),
+    np.array([0, 1, 255], dtype=np.uint8),
+    [0, -1, 2],
+], ids=["float64", "float64-2d", "float32", "int8", "int64", "uint8", "list"])
+def test_to_signs_bytes_match_where(values):
+    out = to_signs(values)
+    ref = reference_to_signs(values)
+    assert out.dtype == np.int8 and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------- constructors
