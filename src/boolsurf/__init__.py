@@ -11,11 +11,12 @@ from .boundary import (BoundaryReport, EdgeThresholdCheck, boundary_report,
                        edge_biased_cdf, edge_threshold_check,
                        edge_threshold_check_exhaustive, level_sign_counts)
 from .core import (EXACT_CAP, EXHAUSTIVE_CAP, FourierSpectrum, Influence,
-                   SensitivityProfile, TruthTable, all_functions, all_points_signs,
-                   bsa, bsa_via_tails, fractional_moment, gather_bits, index_to_point, minus_mask,
-                   noise_sensitivity, noise_sensitivity_semigroup, point_to_index,
-                   popcount_table, sensitivities, sensitivity, spread_bits,
-                   to_signs, total_influence, walsh_hadamard)
+                   SensitivityProfile, TruthTable, all_function_words, all_functions,
+                   all_points_signs, bsa, bsa_via_tails, fractional_moment, gather_bits,
+                   index_to_point, minus_mask, noise_sensitivity, noise_sensitivity_semigroup,
+                   pack_signs, point_to_index, popcount_table, sensitivities, sensitivity,
+                   sensitivity_histogram, spread_bits, to_signs, total_influence,
+                   walsh_hadamard)
 from .errors import (BoolsurfError, CapacityError, DegenerateInputError,
                      InputError, ParseError, VerificationError)
 from .interval import Interval

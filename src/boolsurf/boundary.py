@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (TruthTable, _moment_weights, all_functions, popcount_table,
-                   sensitivities)
+from .core import (TruthTable, _moment_weights, all_function_words, popcount_table,
+                   sensitivity_histogram)
 from .errors import InputError
 
 
@@ -114,14 +114,18 @@ class ExhaustiveEdgeReport:
 def edge_threshold_check_exhaustive(n: int) -> ExhaustiveEdgeReport:
     """Run the threshold audit on all 2^(2^n) - 2 nonconstant functions.
 
-    Vectorised: one row of sensitivity counts per function, read by the
-    same threshold and edge-biased share as boundary_report.
+    Vectorised: one sensitivity histogram per function (its packed word),
+    read by the same threshold and edge-biased share as boundary_report.
+
+    At the sizes it accepts the audit cannot fail.  Pointwise s <= sqrt(n)
+    sqrt(s), so Inf <= sqrt(n) BSA and the threshold Inf^2 / (4 BSA^2) is
+    at most n / 4 <= 1; every point of edge-biased mass has s >= 1, so
+    every share is exactly 1 and min_margin is 0.5.
     """
+    words = all_function_words(n)
     n = int(n)
-    sens = sensitivities(all_functions(n))[0]
-    nfuncs, points = sens.shape
-    cells = (np.arange(nfuncs) * (n + 1))[:, None] + sens  # function * (n + 1) + s
-    counts = np.bincount(cells.ravel(), minlength=nfuncs * (n + 1)).reshape(nfuncs, n + 1)
+    points = 1 << n
+    counts, _ = sensitivity_histogram(words, n)
     counts = counts[counts[:, 0] < points]  # nonconstant
     thresholds = _threshold(counts @ _moment_weights(n, 1.0) / points,
                             counts @ _moment_weights(n, 0.5) / points)

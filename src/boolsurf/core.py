@@ -4,15 +4,18 @@ A function f: {-1,+1}^n -> {-1,+1} is stored as its full table of 2^n
 signs.  Bit i of the table index is 0 where coordinate i equals +1 and 1
 where it equals -1, so ``x ^ (1 << i)`` is the neighbour of ``x`` across
 coordinate i.  Only this module writes the encoding out: ``_unpack_bits``,
-``_pack_bits``, ``spread_bits``/``gather_bits``, ``_chi``, ``to_signs``, ``minus_mask``.
+``_pack_bits``, ``spread_bits``/``gather_bits``, ``_chi``, ``to_signs``, ``minus_mask``,
+``pack_signs``.
 
 The pointwise sensitivity s(x) counts coordinates whose flip changes f
 at x.  Everything downstream is a moment of the sensitivity histogram:
 average sensitivity (total influence) is E[s], Boolean surface area is
 E[sqrt(s)], and the general fractional moment is E[s^alpha].  One
-kernel, ``sensitivities``, scans a batch of tables in O(n 2^n) per table
-and returns s at every point plus the per-axis disagreeing-pair counts
-(the per-coordinate influences); every histogram and audit uses it.
+kernel, ``sensitivity_histogram``, counts it on tables packed to bits
+by ``pack_signs``, together with the per-axis disagreeing-pair counts
+(the per-coordinate influences); profiles and the exhaustive audits read
+it.  ``sensitivities`` gives s at every point, for the one caller that
+needs point order (the block-bound trials).
 Moments are dot products against cached weight tables, so quantities
 related by "same summation" claims (surface area vs the alpha = 1/2
 moment, influence vs the alpha = 1 moment) are bit-for-bit identical.
@@ -195,21 +198,35 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
     the rows are copied once into the columns of a (2^n, rows) array,
     whose stages then run over every row together, so each row equals
     its own transform bit for bit.  The result has the input's shape.
+
+    Two shortcuts give the same bytes:
+
+    - an int8 input (a sign table) on n <= EXACT_CAP runs in int32, which
+      is exact: every partial sum has |value| <= 255 * 2^23 < 2^31, and
+      float64 sums of such integers are exact too;
+    - in the low stages a row whose bits are all zero (+0 everywhere, as
+      in the sparse dense vector of a low-degree polynomial) is skipped,
+      since +0 + +0 and +0 - +0 are +0.  The test reads the bits, so rows
+      of -0.0 or NaN still run.
     """
     vec = np.asarray(vec)
     size = vec.shape[-1]
     if size == 0 or size & (size - 1):
         raise InputError(f"length must be a power of two, got {size}")
     n = size.bit_length() - 1
+    work = np.int32 if vec.dtype == np.int8 and n <= EXACT_CAP else np.float64
     if vec.size != size or n < _SPLIT_BITS:
-        stack = np.array(vec.reshape(-1, size).T, dtype=np.float64, order="C")
+        stack = np.array(vec.reshape(-1, size).T, dtype=work, order="C")
         _butterflies(stack, n)
-        return np.ascontiguousarray(stack.T).reshape(vec.shape)
-    out = np.array(vec, dtype=np.float64, copy=True)
+        return np.ascontiguousarray(stack.T, dtype=np.float64).reshape(vec.shape)
+    out = np.array(vec, dtype=work, copy=True)
     low = min(n, _BLOCK_BITS)
     half = low >> 1
     rows = out.reshape(-1, 1 << low)
-    for row in rows:
+    row_bits = rows.view(f"u{out.itemsize}")
+    for row, bits in zip(rows, row_bits):
+        if not bits.any():
+            continue
         square = row.reshape(-1, 1 << half)
         flipped = square.T.copy()
         _butterflies(flipped, half)
@@ -219,7 +236,7 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
         width = 1 << max(_BLOCK_BITS - (n - low), 0)
         for j in range(0, rows.shape[1], width):
             _butterflies(rows[:, j:j + width], n - low)
-    return out
+    return out.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -333,16 +350,133 @@ class TruthTable:
 
     def profile(self) -> SensitivityProfile:
         if self._profile is None:
-            sens, self._edges = sensitivities(self.values)
-            counts = np.bincount(sens, minlength=self.n + 1)
+            counts, self._edges = sensitivity_histogram(pack_signs(self.values), self.n)
             self._profile = SensitivityProfile(self.n, counts)
         return self._profile
 
     def spectrum(self) -> "FourierSpectrum":
         if self._spectrum is None:
-            coeffs = walsh_hadamard(self.values) / (1 << self.n)
+            coeffs = walsh_hadamard(self.values)
+            coeffs /= 1 << self.n
             self._spectrum = FourierSpectrum(self.n, coeffs)
         return self._spectrum
+
+
+def pack_signs(values) -> np.ndarray:
+    """Sign tables along the last axis of `values` (..., 2^n), packed to
+    uint64 words: bit x % 64 of word x // 64 is set where values[..., x] < 0.
+    A table of under 64 points takes one word, zero above its 2^n bits."""
+    packed = np.packbits(np.asarray(values) < 0, axis=-1, bitorder="little")
+    pad = -packed.shape[-1] % 8
+    if pad:
+        packed = np.concatenate(
+            (packed, np.zeros(packed.shape[:-1] + (pad,), dtype=np.uint8)), axis=-1)
+    return packed.view("<u8")
+
+
+# Bits of a word whose position has bit i clear, for the axes i < 6 that
+# pair bits inside one word.
+_IN_WORD_MASKS = tuple(np.uint64(m) for m in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+    0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF))
+# sensitivity_histogram counts strips of 2^14 words (2^20 points): its
+# dozen strip-sized arrays stay near the 2 MiB L2 cache.  Measured at
+# n = 24 on a 2-core Xeon: 2^13 and 2^14 words ran in 52-53 ms, 2^16 in 66.
+_STRIP_BITS = 14
+
+
+def sensitivity_histogram(words, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, edges) of the n-variable tables that pack_signs packed into
+    the rows of `words` (..., max(1, 2^n / 64)).
+
+    counts[..., v] is the number of points with s(x) = v and edges[..., i]
+    the number of pairs {x, x ^ (1 << i)} that disagree, both int64.
+
+    The kernel is broadword (Knuth, TAOCP 4A, 7.1.3): per axis i it forms
+    the word D whose bit x is set where x and its neighbour across i
+    disagree (a masked shift by 2^i for i < 6, an XOR of the paired words
+    above that) and adds D to every point's counter at once.  The
+    counters are bit-sliced: plane b holds bit b of each point's s, and
+    D ripples into the planes as a carry.  Then counts[v] is the popcount
+    of the AND of the planes, or of their complements, that spell v in
+    binary.  The table runs one strip of words at a time; an axis whose
+    pair lies in another strip reads that strip's words.
+    """
+    n = int(n)
+    words = np.asarray(words, dtype=np.uint64)
+    width = words.shape[-1]
+    if width != max(1, (1 << n) >> 6):
+        raise InputError(f"a table on {n} variables packs into {max(1, (1 << n) >> 6)} "
+                         f"words, got {width}")
+    flat = words.reshape(-1, width)
+    tables = flat.shape[0]
+    depth = n.bit_length()  # planes: s <= n has depth binary digits
+    strip = min(width, 1 << _STRIP_BITS)
+    in_strip = 6 + strip.bit_length() - 1  # axes whose pairs share a strip
+    counts = np.zeros((tables, n + 1), dtype=np.int64)
+    edges = np.zeros((tables, n), dtype=np.int64)
+    planes = np.empty((depth, tables, strip), dtype=np.uint64)
+    complements = np.empty_like(planes)
+    prefixes = np.empty_like(planes)
+    diff = np.empty((tables, strip), dtype=np.uint64)
+    spare = np.empty_like(diff)
+    ones = np.empty((tables, strip), dtype=np.uint8)
+    for start in range(0, width, strip):
+        block = flat[:, start:start + strip]
+        planes[...] = 0
+        for i in range(n):
+            if i < 6:
+                shift = np.uint64(1 << i)
+                np.right_shift(block, shift, out=diff)
+                np.bitwise_xor(diff, block, out=diff)
+                np.bitwise_and(diff, _IN_WORD_MASKS[i], out=diff)  # lower end of each pair
+                np.left_shift(diff, shift, out=spare)
+                np.bitwise_or(diff, spare, out=diff)
+            elif i < in_strip:
+                pairs = block.reshape(tables, -1, 2, 1 << (i - 6))
+                both = diff.reshape(pairs.shape)
+                np.bitwise_xor(pairs[:, :, 0], pairs[:, :, 1], out=both[:, :, 0])
+                both[:, :, 1] = both[:, :, 0]
+            else:
+                partner = start ^ (1 << (i - 6))
+                np.bitwise_xor(block, flat[:, partner:partner + strip], out=diff)
+            np.bitwise_count(diff, out=ones)
+            edges[:, i] += ones.sum(axis=-1, dtype=np.int64)
+            # add D: after axis i every counter is at most i + 1, so only
+            # the planes below its bit length can change
+            top = (i + 1).bit_length() - 1
+            carry, scratch = diff, spare
+            for plane in planes[:top]:
+                np.bitwise_and(plane, carry, out=scratch)
+                np.bitwise_xor(plane, carry, out=plane)
+                carry, scratch = scratch, carry
+            np.bitwise_xor(planes[top], carry, out=planes[top])
+        if depth:
+            np.invert(planes, out=complements)
+            _spell_levels(planes, complements, prefixes, depth - 1, 0, None, counts, ones)
+    # level 0 by subtraction: above a short table's 2^n bits every plane is 0
+    counts[:, 0] = (1 << n) - counts[:, 1:].sum(axis=-1)
+    edges //= 2  # each disagreeing pair was counted at both of its ends
+    lead = words.shape[:-1]
+    return counts.reshape(lead + (n + 1,)), edges.reshape(lead + (n,))
+
+
+def _spell_levels(planes, complements, prefixes, b, high, selected, counts, ones):
+    """Add to counts[:, v] the points whose counter is v, for every v <= n
+    whose digits above b spell `high`; `selected` marks the points whose
+    counter has those digits (None: no digit fixed yet)."""
+    n = counts.shape[1] - 1
+    for digit, bits in ((0, complements[b]), (1, planes[b])):
+        level = high | digit << b
+        if level > n:
+            return
+        if selected is not None:
+            bits = np.bitwise_and(selected, bits, out=prefixes[b])
+        if b:
+            _spell_levels(planes, complements, prefixes, b - 1, level, bits, counts, ones)
+        elif level:
+            np.bitwise_count(bits, out=ones)
+            counts[:, level] += ones.sum(axis=-1, dtype=np.int64)
 
 
 def sensitivities(values) -> tuple[np.ndarray, np.ndarray]:
@@ -353,6 +487,12 @@ def sensitivities(values) -> tuple[np.ndarray, np.ndarray]:
     {x, x ^ (1 << i)} that disagree, summed over every table.  The scan
     runs points-major (tables on the contiguous inner axis), which keeps
     batches of many small tables as fast as one large table.
+
+    Histograms come from sensitivity_histogram; this per-point scan serves
+    bsa_block_bound, whose float sums keep point order.  On batches like
+    its own (2,048 to 8,192 sub-tables of 8 to 32 points), packing,
+    bit-sliced counting and unpacking s ran 1.8x to 5.8x slower than this
+    byte scan on a 2-core Xeon.
     """
     values = np.asarray(values)
     size = values.shape[-1]
@@ -373,23 +513,29 @@ def sensitivities(values) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(sens.T).reshape(values.shape), edges
 
 
-def all_functions(n: int) -> np.ndarray:
-    """All 2^(2^n) functions on n >= 1 variables: row c of this 0/1 int8
-    matrix has bit x of c at column x."""
+def all_function_words(n: int) -> np.ndarray:
+    """All 2^(2^n) functions on n >= 1 variables as pack_signs packs them:
+    row c of this (2^(2^n), 1) uint64 array is the word c, so f(x) = -1
+    exactly where bit x of c is set."""
     n = int(n)
     if n < 1:
         raise InputError("need n >= 1")
     if n > EXHAUSTIVE_CAP:
         raise CapacityError(
             f"n={n} means 2^{1 << n} functions; the cap is n <= {EXHAUSTIVE_CAP}")
-    size = 1 << n
-    return _unpack_bits(np.arange(1 << size, dtype=np.uint32), size)
+    return np.arange(1 << (1 << n), dtype=np.uint64)[:, None]
+
+
+def all_functions(n: int) -> np.ndarray:
+    """The functions of all_function_words unpacked: row c of this 0/1 int8
+    matrix has bit x of c at column x."""
+    return _unpack_bits(all_function_words(n)[:, 0], 1 << int(n))
 
 
 class FourierSpectrum:
     """Walsh coefficients indexed by subset bitmask."""
 
-    __slots__ = ("n", "coefficients")
+    __slots__ = ("n", "coefficients", "_squares")
 
     def __init__(self, n: int, coefficients):
         n = _check_n(n)
@@ -400,6 +546,15 @@ class FourierSpectrum:
         arr.flags.writeable = False
         self.n = n
         self.coefficients = arr
+        self._squares = None
+
+    def squares(self) -> np.ndarray:
+        """Squared coefficients (the power spectrum), computed once, read-only."""
+        if self._squares is None:
+            squares = self.coefficients * self.coefficients
+            squares.flags.writeable = False
+            self._squares = squares
+        return self._squares
 
     def parseval_sum(self) -> float:
         """Sum of squared coefficients; equals E[f^2] = 1 for Boolean f."""
@@ -482,8 +637,22 @@ def noise_sensitivity(f: TruthTable, delta: float) -> float:
     rho = 1.0 - 2.0 * delta
     powers = rho ** np.arange(f.n + 1, dtype=np.float64)
     weights = np.concatenate(([0.0], delta * np.cumsum(powers[:-1])))
-    coeffs = f.spectrum().coefficients
-    return float(weights[popcount_table(f.n)] @ (coeffs * coeffs))
+    return float(_per_point(weights, f.n) @ f.spectrum().squares())
+
+
+# Rows of 2^12 float64 (32 KiB): a gather of whole rows copies memory where
+# a gather per entry reads the popcount table and the weights at every x.
+_ROW_BITS = 12
+
+
+def _per_point(weights, n: int) -> np.ndarray:
+    """weights[popcount(x)] for every x in [0, 2^n), gathered by whole rows:
+    row h of a small table holds weights[h + popcount(j)] over the low
+    _ROW_BITS bits j, and the high bits of x pick row popcount(x >> _ROW_BITS)."""
+    if n <= _ROW_BITS:
+        return weights[popcount_table(n)]
+    rows = weights[np.arange(n - _ROW_BITS + 1)[:, None] + popcount_table(_ROW_BITS)]
+    return rows[popcount_table(n - _ROW_BITS)].reshape(-1)
 
 
 def noise_sensitivity_semigroup(f: TruthTable, delta: float) -> float:

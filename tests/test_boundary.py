@@ -99,6 +99,14 @@ def test_exhaustive_threshold_check(n):
     assert rep.min_margin >= 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exhaustive_threshold_check_is_vacuous_up_to_four(n):
+    # the threshold is at most n / 4 <= 1, so every edge-biased share is 1
+    rep = edge_threshold_check_exhaustive(n)
+    assert rep.failures == 0
+    assert rep.min_margin == 0.5
+
+
 def test_exhaustive_threshold_caps():
     with pytest.raises(CapacityError):
         edge_threshold_check_exhaustive(5)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from boolsurf.core import (EXACT_CAP, FourierSpectrum, TruthTable,
-                           all_functions, all_points_signs, bsa, bsa_via_tails,
-                           fractional_moment, gather_bits, index_to_point,
-                           noise_sensitivity, noise_sensitivity_semigroup,
-                           point_to_index, sensitivities, sensitivity,
-                           spread_bits, to_signs, total_influence, walsh_hadamard)
+from boolsurf.core import (EXACT_CAP, FourierSpectrum, TruthTable, _per_point,
+                           all_function_words, all_functions, all_points_signs, bsa,
+                           bsa_via_tails, fractional_moment, gather_bits, index_to_point,
+                           noise_sensitivity, noise_sensitivity_semigroup, pack_signs,
+                           point_to_index, popcount_table, sensitivities, sensitivity,
+                           sensitivity_histogram, spread_bits, to_signs, total_influence,
+                           walsh_hadamard)
 from boolsurf.errors import CapacityError, InputError
 
 
@@ -146,6 +147,96 @@ def test_sensitivities_validation():
         sensitivities(np.ones(6))
     with pytest.raises(InputError):
         sensitivities(np.ones((3, 0)))
+
+
+def byte_scan_histogram(values, n):
+    """Per-table counts and the edges summed over tables, from the per-point scan."""
+    sens, edges = sensitivities(values.reshape(-1, 1 << n))
+    cells = (np.arange(len(sens)) * (n + 1))[:, None] + sens  # table * (n + 1) + s
+    counts = np.bincount(cells.ravel(), minlength=len(sens) * (n + 1))
+    return counts.reshape(len(sens), n + 1), edges
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_histogram_of_every_function_matches_brute_and_byte_scan(n):
+    size = 1 << n
+    words = all_function_words(n)
+    counts, edges = sensitivity_histogram(words, n)
+    assert counts.shape == (1 << size, n + 1) and edges.shape == (1 << size, n)
+    # brute force on the bits of each word: point x and x ^ 2^i disagree
+    bits = (words >> np.arange(size, dtype=np.uint64)) & np.uint64(1)
+    axes = [bits != bits[:, np.arange(size) ^ (1 << i)] for i in range(n)]
+    brute = np.sum(axes, axis=0)
+    assert np.array_equal(counts, [np.bincount(row, minlength=n + 1) for row in brute])
+    assert np.array_equal(2 * edges, np.stack([a.sum(axis=1) for a in axes], axis=1))
+    # the packed word of function c is c itself
+    values = 1 - 2 * all_functions(n)
+    assert np.array_equal(pack_signs(values), words)
+    scan_counts, scan_edges = byte_scan_histogram(values, n)
+    assert np.array_equal(counts, scan_counts)
+    assert np.array_equal(edges.sum(axis=0), scan_edges)
+
+
+def kernel_tables(n):
+    if n == 0:
+        return [TruthTable.constant(0, -1), TruthTable.random(0, seed=3)]
+    return [TruthTable.majority(n), TruthTable.parity(n, (1 << n) - 1),
+            TruthTable.parity(n, 0b101 & ((1 << n) - 1)),
+            TruthTable.random(n, seed=n), TruthTable.random(n, seed=100 + n)]
+
+
+# 6 is one full word, 7 two words; 12 and 17 pair words inside one strip
+@pytest.mark.parametrize("n", [0, 1, 5, 6, 7, 12, 17])
+def test_histogram_matches_byte_scan_and_oracle(n):
+    tables = kernel_tables(n)
+    for f in tables:
+        counts, edges = sensitivity_histogram(pack_signs(f.values), n)
+        sens, scan_edges = sensitivities(f.values)
+        assert counts.tolist() == np.bincount(sens, minlength=n + 1).tolist()
+        assert edges.tolist() == scan_edges.tolist()
+        if n <= 7:
+            assert counts.tolist() == brute_profile(f)
+    stack = np.stack([f.values for f in tables])
+    counts, edges = sensitivity_histogram(pack_signs(stack.reshape(-1, 1, 1 << n)), n)
+    assert counts.shape == (len(tables), 1, n + 1) and edges.shape == (len(tables), 1, n)
+    scan_counts, scan_edges = byte_scan_histogram(stack, n)
+    assert np.array_equal(counts[:, 0], scan_counts)
+    assert np.array_equal(edges[:, 0].sum(axis=0), scan_edges)
+
+
+@pytest.mark.parametrize("strip_bits", [0, 1, 3])
+@pytest.mark.parametrize("n", [7, 12])
+def test_histogram_pairs_words_across_strips(monkeypatch, n, strip_bits):
+    import boolsurf.core as core
+    monkeypatch.setattr(core, "_STRIP_BITS", strip_bits)
+    for f in kernel_tables(n):
+        counts, edges = sensitivity_histogram(pack_signs(f.values), n)
+        sens, scan_edges = sensitivities(f.values)
+        assert counts.tolist() == np.bincount(sens, minlength=n + 1).tolist()
+        assert edges.tolist() == scan_edges.tolist()
+
+
+def test_histogram_at_full_strip_width():
+    # 2^21 points are two strips of 2^14 words: axis 20 pairs the strips
+    f = TruthTable.random(21, seed=21)
+    sens, scan_edges = sensitivities(f.values)
+    assert f.profile().counts.tolist() == np.bincount(sens, minlength=22).tolist()
+    assert f._edges.tolist() == scan_edges.tolist()
+
+
+def test_histogram_validation():
+    with pytest.raises(InputError):
+        sensitivity_histogram(np.zeros(2, dtype=np.uint64), 6)
+    with pytest.raises(InputError):
+        sensitivity_histogram(np.zeros(1, dtype=np.uint64), 7)
+
+
+def test_pack_signs_layout():
+    values = np.ones(128, dtype=np.int8)
+    values[[0, 5, 63, 64, 127]] = -1
+    assert pack_signs(values).tolist() == [(1 << 63) | (1 << 5) | 1, (1 << 63) | 1]
+    assert pack_signs(np.array([1, -1, -1, 1])).tolist() == [0b0110]
+    assert pack_signs(np.ones((3, 2, 8))).shape == (3, 2, 1)
 
 
 def test_all_functions_rows_and_cap_reach_both_audits():
@@ -302,6 +393,35 @@ def test_walsh_hadamard_stack_matches_radix2_loop_row_by_row(n, shape):
     assert np.array_equal(stack, given)
 
 
+@pytest.mark.parametrize("n", range(10, 17))
+def test_walsh_hadamard_int8_runs_exactly(n):
+    vec = np.random.default_rng(300 + n).integers(-128, 128, size=1 << n, dtype=np.int8)
+    assert walsh_hadamard(vec).tobytes() == walsh_hadamard(vec.astype(np.float64)).tobytes()
+
+
+def test_walsh_hadamard_int8_extreme_fits_int32():
+    out = walsh_hadamard(np.full(1 << EXACT_CAP, -128, dtype=np.int8))
+    assert out.dtype == np.float64
+    assert out[0] == -2.0 ** 31
+    assert not out[1:].any()
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_walsh_hadamard_zero_row_skip_keeps_bytes(n):
+    rows = np.random.default_rng(400 + n).standard_normal((1 << (n - 16), 1 << 16))
+    if n > 16:
+        rows[1] = 0.0
+        rows[2] = -0.0
+        rows[3] = 0.0
+        rows[3, 77] = np.nan
+    vec = rows.reshape(-1)
+    assert walsh_hadamard(vec).tobytes() == reference_walsh_hadamard(vec).tobytes()
+    zeros = np.zeros(1 << n)
+    assert walsh_hadamard(zeros).tobytes() == zeros.tobytes()
+    minus = np.full(1 << n, -0.0)
+    assert walsh_hadamard(minus).tobytes() == reference_walsh_hadamard(minus).tobytes()
+
+
 def test_walsh_hadamard_validation():
     with pytest.raises(InputError):
         walsh_hadamard(np.ones(3))
@@ -365,6 +485,19 @@ def test_noise_sensitivity_routes_agree():
         for delta in (0.05, 0.1, 0.25):
             assert abs(noise_sensitivity(f, delta)
                        - noise_sensitivity_semigroup(f, delta)) < 1e-10
+
+
+@pytest.mark.parametrize("n", range(11, 15))
+def test_row_gathered_level_weights(n):
+    weights = np.random.default_rng(n).standard_normal(n + 1)
+    assert _per_point(weights, n).tobytes() == weights[popcount_table(n)].tobytes()
+
+
+def test_squared_coefficients_computed_once():
+    spec = TruthTable.random(6, seed=9).spectrum()
+    assert spec.squares() is spec.squares()
+    assert spec.squares().tobytes() == (spec.coefficients * spec.coefficients).tobytes()
+    assert not spec.squares().flags.writeable
 
 
 def test_noise_sensitivity_validation():

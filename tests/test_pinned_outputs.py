@@ -52,6 +52,23 @@ PINNED = [
     ("boundary-rand",
      ["boundary", "rand:d=2,n=12,seed=5", "--levels-csv", "{levels}"],
      "79ac1959627d783334eda77663ef2bf74d0a1c9023e16e1f1df9d20c7efb88a3"),
+    # past one 2^16 transform row and past 64 packed words: the multi-row
+    # transform (rands:d=3 leaves high rows all zero) and the cross-word axes
+    ("analyze-rands-n18",
+     ["analyze", "rands:d=3,n=18,terms=8,seed=2"],
+     "6e9c23fab9dc0a9d36820d5f37dc4e7b98f7aab0b76b9b17e03cbcd33adfcd6d"),
+    ("boundary-rands-n18",
+     ["boundary", "rands:d=3,n=18,terms=8,seed=2", "--levels-csv", "{levels}"],
+     "9b8c0a269462e55dac6371f0f3e0198679747d020aec52dc654adfb584145f8c"),
+    ("analyze-harm-n18",
+     ["analyze", "harm:18"],
+     "86394664f2bf5f082fea3c04139d290a98b46ab438013f7efeee36be46cf4590"),
+    ("boundary-harm-n18",
+     ["boundary", "harm:18", "--levels-csv", "{levels}"],
+     "5e21bff92416d219e6ffd788fb5797e749e0955dd6fcd70d6f50aa8a89aa8de9"),
+    ("tail-rand-n17",
+     ["tail", "rand:d=2,n=17,seed=4"],
+     "08b072aaf34f88c342bf66e260869235eb75be072e2ad4f77b1fc3ccf044cac1"),
 ]
 
 
