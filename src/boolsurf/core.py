@@ -358,7 +358,7 @@ class TruthTable:
         if self._spectrum is None:
             coeffs = walsh_hadamard(self.values)
             coeffs /= 1 << self.n
-            self._spectrum = FourierSpectrum(self.n, coeffs)
+            self._spectrum = FourierSpectrum._owning(self.n, coeffs)
         return self._spectrum
 
 
@@ -547,6 +547,17 @@ class FourierSpectrum:
         self.n = n
         self.coefficients = arr
         self._squares = None
+
+    @classmethod
+    def _owning(cls, n: int, coefficients: np.ndarray) -> "FourierSpectrum":
+        """The spectrum on a float64 array of 2^n coefficients that no caller
+        keeps, made read-only in place: a 2^24 copy costs 128 MiB."""
+        spectrum = cls.__new__(cls)
+        coefficients.flags.writeable = False
+        spectrum.n = n
+        spectrum.coefficients = coefficients
+        spectrum._squares = None
+        return spectrum
 
     def squares(self) -> np.ndarray:
         """Squared coefficients (the power spectrum), computed once, read-only."""

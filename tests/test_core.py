@@ -494,7 +494,10 @@ def test_row_gathered_level_weights(n):
 
 
 def test_squared_coefficients_computed_once():
-    spec = TruthTable.random(6, seed=9).spectrum()
+    f = TruthTable.random(6, seed=9)
+    spec = f.spectrum()
+    assert not spec.coefficients.flags.writeable
+    assert spec.coefficients.tobytes() == (walsh_hadamard(f.values) / 64).tobytes()
     assert spec.squares() is spec.squares()
     assert spec.squares().tobytes() == (spec.coefficients * spec.coefficients).tobytes()
     assert not spec.squares().flags.writeable
