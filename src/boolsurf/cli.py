@@ -36,6 +36,7 @@ from .ptf import (SparsePolynomial, alpha_estimate, alpha_exact, generate, sign_
 
 DEFAULT_MOMENTS = "0.25,0.5,0.75,1"
 DEFAULT_DELTAS = "0.05,0.1,0.25"
+DEFAULT_PARTITION_N = "1..12"
 # (n, k, sizes) triples one `partition --n` sweep may certify; c6 checks 75,640
 PARTITION_SWEEP_CAP = 10**6
 INT_LIST_CAP = 10**6  # integers one list option may expand to, counted before expanding
@@ -324,6 +325,7 @@ def _cmd_tail(args) -> int:
 
 _PARTITION_HEADER = ["n", "k", "sizes", "A", "B", "gap", "gap_bound",
                      "pass_lower", "pass_upper", "pass_gap"]
+_FLAG_CELL = {True: "1", False: "0", None: ""}
 
 
 @lru_cache(maxsize=None)
@@ -331,19 +333,28 @@ def _sizes_label(sizes: tuple[int, ...]) -> str:
     return "-".join(map(str, sizes))
 
 
-def _partition_row(report: partition_mod.SandwichReport) -> list:
+def _partition_row(report: partition_mod.SandwichReport) -> tuple:
     spec = report.spec
-    return [spec.n, spec.k, _sizes_label(spec.sizes),
+    return (spec.n, spec.k, _sizes_label(spec.sizes),
             float(report.sqrt_total), float(report.block_average), float(report.gap),
             None if report.gap_bound is None else float(report.gap_bound),
-            report.pass_lower, report.pass_upper, report.pass_gap]
+            report.pass_lower, report.pass_upper, report.pass_gap)
+
+
+def _partition_line(row: tuple) -> str:
+    """One CSV line of a partition row, each column formatted as its type
+    is known: the same bytes `render_csv` writes for the row."""
+    n, k, label, a, b, gap, bound, lower, upper, gap_ok = row
+    bound = "" if bound is None else format(bound, ".17g")
+    return (f"{n},{k},{label},{a:.17g},{b:.17g},{gap:.17g},{bound},"
+            f"{_FLAG_CELL[lower]},{_FLAG_CELL[upper]},{_FLAG_CELL[gap_ok]}\n")
 
 
 def _cmd_partition(args) -> int:
     precision = _check_precision_option(args.precision)
-    rows = []
-    failures = 0
     if args.sizes:
+        if args.n is not None:
+            raise InputError("--n sweeps near-equal splits; it cannot go with --sizes")
         try:
             sizes = tuple(int(s) for s in args.sizes.split("-") if s)
         except ValueError:
@@ -352,20 +363,29 @@ def _cmd_partition(args) -> int:
         ks = parse_int_list(args.k) if args.k else list(range(0, n + 1))
         cases = [(n, k, sizes) for k in ks]
     else:
-        ns = parse_int_list(args.n)
+        if args.k is not None:
+            raise InputError("--k selects zero counts for --sizes; give --sizes too")
+        n_text = DEFAULT_PARTITION_N if args.n is None else args.n
+        ns = parse_int_list(n_text)
         triples = sum(n * (n + 1) for n in ns if n > 0)
         if triples > PARTITION_SWEEP_CAP:
             raise CapacityError(
-                f"--n {args.n} sweeps {triples} (n, k, sizes) triples; "
+                f"--n {n_text} sweeps {triples} (n, k, sizes) triples; "
                 f"the cap is {PARTITION_SWEEP_CAP}")
         cases = partition_mod.near_equal_sweep(ns)
+    rows = []
+    failures = 0
     for n, k, sizes in cases:
         report = partition_mod.sandwich_check(
             partition_mod.BlockPartitionSpec(n, k, sizes), precision)
         if not report.all_passed:
             failures += 1
         rows.append(_partition_row(report))
-    _emit_table(args, "partition", None, _PARTITION_HEADER, rows)
+    if args.format == "json":
+        _emit_table(args, "partition", None, _PARTITION_HEADER, rows)
+    else:
+        emit("".join([",".join(_PARTITION_HEADER) + "\n", *map(_partition_line, rows)]),
+             args.out)
     if failures:
         print(f"partition: {failures} of {len(rows)} cases failed certification",
               file=sys.stderr)
@@ -494,6 +514,7 @@ def _cmd_sweep(args) -> int:
 
 # ------------------------------------------------------------ parser / main
 
+@lru_cache(maxsize=1)  # argparse keeps no state between parse_args calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boolsurf",
@@ -520,7 +541,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p, "csv")
 
     p = sub.add_parser("partition", help="certified block-partition sandwich sweep")
-    p.add_argument("--n", default="1..12", help="population sizes, e.g. 1..12")
+    p.add_argument("--n", help=f"population sizes to sweep (default {DEFAULT_PARTITION_N})")
     p.add_argument("--sizes", help="explicit dash-joined block sizes, e.g. 3-2-2")
     p.add_argument("--k", help="zero counts to sweep with --sizes (default 0..n)")
     p.add_argument("--precision", type=int, default=partition_mod.DEFAULT_PRECISION,

@@ -63,7 +63,10 @@ def _check_precision(precision: int) -> int:
 
 
 def _settled(*values) -> bool:
-    return all(v is None or v.settled for v in values)
+    for v in values:  # a plain loop: the sandwich asks this once per case
+        if v is not None and not v.settled:
+            return False
+    return True
 
 
 def _refined(compute, precision: int):
@@ -168,20 +171,19 @@ class BlockPartitionSpec:
             raise InputError(f"block sizes sum to {sum(sizes)}, expected n={self.n}")
 
     @property
-    def blocks(self) -> int:
-        return len(self.sizes)
-
-    @property
     def near_equal(self) -> bool:
         """True when sizes are a permutation of the floor/ceil split of n."""
-        m = self.n // self.blocks  # sizes in {m, m + 1} summing to n: r of them m + 1
-        return m <= min(self.sizes) and max(self.sizes) <= m + 1
+        return _near_equal(self.n, self.sizes)
 
-    @property
-    def average_is_total(self) -> bool:
-        """B = sqrt(n - k) identically: k = n, b = 1, or k = 0 with equal sizes."""
-        return (self.k == self.n or self.blocks == 1
-                or (self.k == 0 and min(self.sizes) == max(self.sizes)))
+
+def _near_equal(n: int, sizes: tuple[int, ...]) -> bool:
+    m = n // len(sizes)  # sizes in {m, m + 1} summing to n: r of them m + 1
+    return m <= min(sizes) and max(sizes) <= m + 1
+
+
+def _average_is_total(n: int, k: int, blocks: int, equal: bool) -> bool:
+    """B = sqrt(n - k) identically: k = n, b = 1, or k = 0 with equal sizes."""
+    return k == n or blocks == 1 or (k == 0 and equal)
 
 
 def near_equal_sizes(n: int, blocks: int) -> tuple[int, ...]:
@@ -203,35 +205,56 @@ def near_equal_sweep(ns):
                 yield n, k, sizes
 
 
+@dataclass(frozen=True, slots=True)
+class _Split:
+    """The k-free facts of a split of n into b blocks of sizes m_l."""
+
+    blocks: int
+    near_equal: bool
+    equal: bool  # every block has the same size
+    size_counts: tuple[tuple[int, int], ...]  # (distinct size, count) pairs
+    inv_root_b: Interval  # 1 / sqrt(b)
+    # the gap bound's tilt = 1 - sum_l sqrt(m_l) / sqrt(b n) and
+    # slope = sum_l (n - m_l) / sqrt(m_l) / (2 (n - 1) sqrt(b n));
+    # None for one block, whose gap bound is 0
+    tilt: Interval | None
+    slope: Interval | None
+
+
 @lru_cache(maxsize=None)
-def _split(n: int, sizes: tuple[int, ...], bits: int):
-    """The k-free parts of a split into b blocks of sizes m_l: the
-    (distinct size, count) pairs, 1 / sqrt(b), and the gap bound's
-    tilt = 1 - sum_l sqrt(m_l) / sqrt(b n) and
-    slope = sum_l (n - m_l) / sqrt(m_l) / (2 (n - 1) sqrt(b n))."""
+def _split(n: int, sizes: tuple[int, ...], bits: int) -> _Split:
     size_counts = tuple(Counter(sizes).items())
-    root_bn = Interval.sqrt(len(sizes) * n, bits)
-    sum_roots = sum_ratio = Interval.exact(0, bits)
-    for m, count in size_counts:
-        root = Interval.sqrt(m, bits)
-        sum_roots += count * root
-        sum_ratio += Interval.exact(count * (n - m), bits) / root
-    tilt = (root_bn - sum_roots) / root_bn
-    slope = sum_ratio / (2 * (n - 1) * root_bn)
-    return size_counts, 1 / Interval.sqrt(len(sizes), bits), tilt, slope
+    blocks = len(sizes)
+    tilt = slope = None
+    if blocks > 1:
+        root_bn = Interval.sqrt(blocks * n, bits)
+        sum_roots = sum_ratio = Interval.exact(0, bits)
+        for m, count in size_counts:
+            root = Interval.sqrt(m, bits)
+            sum_roots += count * root
+            sum_ratio += Interval.exact(count * (n - m), bits) / root
+        tilt = (root_bn - sum_roots) / root_bn
+        slope = sum_ratio / (2 * (n - 1) * root_bn)
+    return _Split(blocks, _near_equal(n, sizes), len(size_counts) == 1, size_counts,
+                  1 / Interval.sqrt(blocks, bits), tilt, slope)
+
+
+def _average(split: _Split, n: int, k: int, bits: int) -> Interval:
+    """B when it is not sqrt(n - k) identically."""
+    lo = hi = 0
+    for m, count in split.size_counts:
+        mean = _mean_sqrt(n, n - k, m, bits)
+        lo += count * mean.lo
+        hi += count * mean.hi
+    return Interval(lo, hi, bits) * split.inv_root_b
 
 
 def _block_average(spec: BlockPartitionSpec, bits: int) -> Interval:
     n, k = spec.n, spec.k
-    if spec.average_is_total:
+    split = _split(n, spec.sizes, bits)
+    if _average_is_total(n, k, split.blocks, split.equal):
         return Interval.sqrt(n - k, bits)
-    size_counts, inv_root_b, _, _ = _split(n, spec.sizes, bits)
-    lo = hi = 0
-    for m, count in size_counts:
-        mean = _mean_sqrt(n, n - k, m, bits)
-        lo += count * mean.lo
-        hi += count * mean.hi
-    return Interval(lo, hi, bits) * inv_root_b
+    return _average(split, n, k, bits)
 
 
 def block_average_B(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION) -> Interval:
@@ -239,19 +262,22 @@ def block_average_B(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION
     return _refined(partial(_block_average, spec), precision)
 
 
-def _gap_bound(spec: BlockPartitionSpec, bits: int) -> Interval | None:
+def _bound(split: _Split, n: int, k: int, bits: int) -> Interval | None:
     """sqrt(n - k) * (tilt + k * slope / (n - k)): the Jensen steps
     sqrt(n - k) * tilt and k * slope / sqrt(n - k)."""
-    n, k = spec.n, spec.k
     if k == n:
         return None
-    if spec.blocks == 1 or (k == 0 and spec.average_is_total):
+    if split.blocks == 1 or (k == 0 and split.equal):
         return Interval.exact(0, bits)
-    _, _, tilt, slope = _split(n, spec.sizes, bits)
+    tilt, slope = split.tilt, split.slope
     if k:  # tilt + slope * k / (n - k), rounded outward in one step
         tilt = Interval(tilt.lo + slope.lo * k // (n - k),
                         tilt.hi - (-slope.hi * k // (n - k)), bits)
     return Interval.sqrt(n - k, bits) * tilt
+
+
+def _gap_bound(spec: BlockPartitionSpec, bits: int) -> Interval | None:
+    return _bound(_split(spec.n, spec.sizes, bits), spec.n, spec.k, bits)
 
 
 def gap_bound(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION) -> Interval | None:
@@ -283,22 +309,24 @@ class SandwichReport:
 
 
 def _sandwich(spec: BlockPartitionSpec, precision: int, bits: int):
-    a_val = Interval.sqrt(spec.n - spec.k, bits)
-    if spec.average_is_total:
+    n, k = spec.n, spec.k
+    split = _split(n, spec.sizes, bits)
+    a_val = Interval.sqrt(n - k, bits)
+    if _average_is_total(n, k, split.blocks, split.equal):
         b_val, gap, pass_lower = a_val, Interval.exact(0, bits), True
     else:
-        b_val = _block_average(spec, bits)
+        b_val = _average(split, n, k, bits)
         gap = a_val - b_val
         pass_lower = b_val < a_val
-    bound = _gap_bound(spec, bits)
+    bound = _bound(split, n, k, bits)
     if bound is None:
         pass_gap = None
-    elif spec.k == 0 or spec.blocks == 1:
+    elif k == 0 or split.blocks == 1:
         pass_gap = True  # the bound is the gap itself, or both are 0
     else:
         pass_gap = gap < bound
-    near = spec.near_equal
-    pass_upper = gap < spec.blocks if near else None  # A <= B + b
+    near = split.near_equal
+    pass_upper = gap < split.blocks if near else None  # A <= B + b
     report = SandwichReport(spec, precision, a_val, b_val, gap, bound, near,
                             pass_lower, pass_upper, pass_gap)
     return report, report.all_passed and _settled(a_val, b_val, gap, bound)

@@ -290,11 +290,9 @@ def _c8():
     for n, successes, m in _c6_hypergeometric_cases():
         if successes == 0:
             continue  # identically zero variable: outside the enclosure's hypothesis
-        params = partition.HypergeometricParams(n, successes, m)
-        support = list(params.support())
-        probs = [partition.hg_pmf(params, s) for s in support]
-        try:
-            partition.jensen_bounds(support, probs)
+        support, weights, total = partition._hg_table(n, successes, m)
+        try:  # the point masses hg_pmf gives, built from the table's weights
+            partition.jensen_bounds(list(support), [Fraction(w, total) for w in weights])
         except VerificationError:
             failures += 1
         hg_checked += 1

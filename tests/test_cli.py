@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from boolsurf.cli import (exit_code_for, format_table_text, main,
+from boolsurf.cli import (_build_parser, exit_code_for, format_table_text, main,
                           parse_float_list, parse_function_spec,
                           parse_int_list, parse_table_text)
 from boolsurf.core import TruthTable
@@ -188,6 +188,8 @@ def test_cli_bad_flag_exits_nonzero(capsys):
     (["restrict", "maj:5", "--trials", "0"], 2),
     (["restrict", "maj:5", "--rate", "2"], 2),
     (["restrict", "maj:5", "--trials", "10", "--workers", "0"], 2),
+    (["partition", "--n", "2", "--k", "1"], 2),
+    (["partition", "--sizes", "2-1", "--n", "7"], 2),
     (["partition", "--n", "1..100000"], 3),
     (["partition", "--n", "1..2000000000"], 3),
     (["analyze", "rand:d=2,n=5,seed=-4"], 2),
@@ -201,7 +203,8 @@ def test_cli_bad_flag_exits_nonzero(capsys):
     (["analyze", '{{"n": 2, "terms": [{{"vars": [1], "coef": 1' + "0" * 400 + '}}]}}'], 2),
 ], ids=["sizes-not-integer", "sizes-zero-block", "out-dir-missing", "tail-bad-range",
         "restrict-zero-trials", "restrict-rate-above-1", "restrict-zero-workers",
-        "partition-sweep-over-cap", "partition-range-unbounded", "rand-negative-seed",
+        "partition-k-without-sizes", "partition-n-with-sizes", "partition-sweep-over-cap",
+        "partition-range-unbounded", "rand-negative-seed",
         "rands-negative-seed", "restrict-negative-seed", "sweep-alpha-negative-seed",
         "sweep-ns-delta-half", "json-n-infinite", "json-variable-not-integer",
         "json-variable-infinite", "json-coef-too-large"])
@@ -480,6 +483,29 @@ def test_partition_golden_floats(capsys, n, k, sizes, precision, a, b, gap, boun
     assert (row["n"], row["k"], row["sizes"]) == (n, k, sizes)
     assert (row["A"], row["B"], row["gap"], row["gap_bound"]) == (a, b, gap, bound)
     assert row["pass_lower"] and row["pass_gap"] and row["pass_upper"] is not False
+
+
+def test_parser_reuse_keeps_calls_apart(capsys):
+    # main parses with one parser per process; no call may see another's options
+    code, out, _ = run_cli(capsys, "partition", "--sizes", "3-2", "--k", "1")
+    assert code == 0 and len(out.splitlines()) == 2
+    code, out, _ = run_cli(capsys, "partition", "--sizes", "3-2")
+    assert code == 0
+    assert [line.split(",")[1] for line in out.splitlines()[1:]] == list("012345")
+    code, _, err = run_cli(capsys, "partition", "--sizes", "3-2", "--bogus")
+    assert code == 2 and "--bogus" in err
+    code, out, _ = run_cli(capsys, "partition", "--help")
+    assert code == 0 and out.startswith("usage: boolsurf partition")
+    code, out, _ = run_cli(capsys, "partition", "--n", "2")
+    assert code == 0 and len(out.splitlines()) == 1 + 2 * 3
+    assert _build_parser() is _build_parser()
+
+
+def test_partition_default_sweep_is_1_to_12(capsys):
+    code, out, _ = run_cli(capsys, "partition")
+    assert code == 0
+    assert out == run_cli(capsys, "partition", "--n", "1..12")[1]
+    assert len(out.splitlines()) == 1 + sum(n * (n + 1) for n in range(1, 13))
 
 
 def test_partition_precision_validation(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from boolsurf import partition
 from boolsurf.core import TruthTable
 from boolsurf.errors import (DegenerateInputError, InputError,
                              VerificationError)
@@ -445,6 +446,33 @@ def test_block_bound_validation():
 def test_gap_bound_none_only_when_all_zeros():
     assert gap_bound(BlockPartitionSpec(4, 4, (2, 2)), precision=20) is None
     assert gap_bound(BlockPartitionSpec(4, 3, (2, 2)), precision=20) is not None
+
+
+def test_sandwich_refines_an_unsettled_first_pass(monkeypatch):
+    # every sweep case settles at the default working bits, so start far
+    # below them: the first pass cannot settle and refine must rerun it
+    specs = [BlockPartitionSpec(n, k, sizes) for n, k, sizes in near_equal_sweep(range(1, 9))]
+    specs += [BlockPartitionSpec(12, 4, (5, 1, 6)), BlockPartitionSpec(20, 11, (1, 6, 13))]
+
+    def outcome(report):
+        return (float(report.sqrt_total), float(report.block_average), float(report.gap),
+                None if report.gap_bound is None else float(report.gap_bound),
+                report.pass_lower, report.pass_upper, report.pass_gap)
+
+    default = [outcome(sandwich_check(spec, precision=15)) for spec in specs]
+    passes = []
+    sandwich = partition._sandwich
+
+    def recorded(spec, precision, bits):
+        passes.append(bits)
+        return sandwich(spec, precision, bits)
+
+    monkeypatch.setattr(partition, "working_bits", lambda digits: 20)
+    monkeypatch.setattr(partition, "_sandwich", recorded)
+    low = [outcome(sandwich_check(spec, precision=15)) for spec in specs]
+    assert passes.count(20) == len(specs)
+    assert len(passes) > len(specs) and max(passes) > 20  # refinements ran
+    assert low == default
 
 
 def test_sandwich_precision_validation():

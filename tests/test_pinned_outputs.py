@@ -22,6 +22,13 @@ PINNED = [
     ("partition-1..30-50",
      ["partition", "--n", "1..30", "--precision", "50"],
      "3b4ed42f5556336d3c3bead9ab17b6c0329a46d8c20fc40d53c2027fa21eed4f"),
+    # the benchmark's largest near-equal sweeps
+    ("partition-41,44,50-50",
+     ["partition", "--n", "41,44,50", "--precision", "50"],
+     "34bfd5855d0ed918f6dc0f819f81afbd19e368042118be652ad7b211fafec989"),
+    ("partition-50-30",
+     ["partition", "--n", "50", "--precision", "30"],
+     "96e6b4ed8bf4528a96b17528855aaf4aafb37ef2e3b6a9996757ce1430ec8504"),
     ("partition-sizes-7-5-3",
      ["partition", "--sizes", "7-5-3", "--precision", "30"],
      "71d9d3167294dd9a36ba3ccbc3993573e8e8ce78dc3bc21ce0340230512c933b"),
