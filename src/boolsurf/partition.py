@@ -44,8 +44,8 @@ from operator import mul
 
 import numpy as np
 
-from .core import (_CELL_BUDGET, TruthTable, _moment_weights, bsa, sensitivities,
-                   spread_bits)
+from .core import (_CELL_BUDGET, TruthTable, _check_n, _moment_weights, _subset_sums, bsa,
+                   popcount_table, sensitivities)
 from .errors import DegenerateInputError, InputError, VerificationError
 from .interval import Interval, refine, sqrt_sum, working_bits
 from .seeding import Estimate, mc_values, mean_and_stderr
@@ -159,21 +159,29 @@ class BlockPartitionSpec:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(map(int, self.sizes))
-        object.__setattr__(self, "sizes", sizes)
         if self.n < 1:
             raise InputError("need n >= 1")
         if not 0 <= self.k <= self.n:
             raise InputError(f"k must lie in 0..{self.n}, got {self.k}")
-        if not sizes or min(sizes) < 1:
-            raise InputError("block sizes must be positive")
-        if sum(sizes) != self.n:
-            raise InputError(f"block sizes sum to {sum(sizes)}, expected n={self.n}")
+        object.__setattr__(self, "sizes", _block_sizes(self.sizes, self.n))
 
     @property
     def near_equal(self) -> bool:
         """True when sizes are a permutation of the floor/ceil split of n."""
         return _near_equal(self.n, self.sizes)
+
+
+def _block_sizes(sizes, n: int) -> tuple[int, ...]:
+    """`sizes` as ints: each one integral and positive, summing to n."""
+    given = tuple(sizes)
+    sizes = tuple(map(int, given))
+    if sizes != given:
+        raise InputError(f"block sizes must be integers, got {given}")
+    if not sizes or min(sizes) < 1:
+        raise InputError("block sizes must be positive")
+    if sum(sizes) != n:
+        raise InputError(f"block sizes sum to {sum(sizes)}, expected n={n}")
+    return sizes
 
 
 def _near_equal(n: int, sizes: tuple[int, ...]) -> bool:
@@ -412,52 +420,41 @@ def jensen_bounds(values, probs, precision: int = DEFAULT_PRECISION) -> JensenBo
     return bounds
 
 
-def _urn_counts(rng, size: int, ones: int, sizes: tuple[int, ...]):
-    """Yield each block's count of ones, one length-`size` array per
-    block, for `size` uniform shuffles of `ones` ones among sum(sizes)
-    positions.
-
-    Knuth's selection sampling (TAOCP Vol. 2, 3.4.2, Algorithm S), one
-    urn per trial: position t of n holds a 1 exactly when a uniform
-    integer in [0, n - t) falls below the ones still left, so each row is
-    an exactly uniform placement of the ones, drawn without the
-    hypergeometric formula.  The last block takes the ones that are left.
-    """
+def _shuffle_table(ones: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Every placement of `ones` ones among n = sum(sizes) positions, as the
+    ascending n-bit words with that popcount (bit t is position t, block l
+    the next sizes[l] bits), and each one's block average
+    (1 / sqrt(b)) sum_l sqrt(ones in block l), summed in block order.
+    A uniform shuffle is one uniform pick of a word (TAOCP 4A, 7.2.1.3)."""
     n = sum(sizes)
-    left = np.full(size, ones, dtype=np.int64)
+    words = np.flatnonzero(popcount_table(n) == ones)
+    roots = _moment_weights(n, 0.5)
+    total = np.zeros(len(words), dtype=np.float64)
     start = 0
-    for m in sizes[:-1]:
-        before = left.copy()
-        for t in range(start, start + m):
-            left -= rng.integers(0, n - t, size) < left
+    for m in sizes:
+        total += roots[np.bitwise_count(words & (((1 << m) - 1) << start))]
         start += m
-        yield before - left
-    yield left
+    return words, total / np.sqrt(float(len(sizes)))
 
 
-def _urn_values(rng, size: int, ones: int, sizes: tuple[int, ...]) -> np.ndarray:
-    """One chunk of mc_partition_average: per trial, the block average
-    (1 / sqrt(b)) sum_l sqrt(ones in block l) of one urn shuffle."""
-    roots = _moment_weights(sum(sizes), 0.5)
-    total = np.zeros(size, dtype=np.float64)
-    for count in _urn_counts(rng, size, ones, sizes):
-        total += roots[count]
-    return total / np.sqrt(float(len(sizes)))
+def _picks(rng, size: int, table: np.ndarray) -> np.ndarray:
+    """`size` exactly uniform picks from `table`, one index each."""
+    return table[rng.integers(0, len(table), size)]
 
 
 def mc_partition_average(y, sizes, trials: int, seed: int = 0,
                          workers: int | None = None):
     """Shuffle-based estimate of the partition average of a fixed 0/1
-    sequence, for cross-checking the exact hypergeometric route."""
+    sequence of at most EXACT_CAP positions, for cross-checking the exact
+    hypergeometric route."""
     y = np.asarray(y, dtype=np.int64)
     if y.ndim != 1 or not np.isin(y, (0, 1)).all():
         raise InputError("population must be a 1-D 0/1 sequence")
-    sizes = tuple(int(s) for s in sizes)
-    if not sizes or any(s < 1 for s in sizes) or sum(sizes) != len(y):
-        raise InputError("block sizes must be positive and sum to the population size")
-    draw = partial(_urn_values, ones=int(y.sum()), sizes=sizes)
-    # _urn_values holds at most five int64/float64 arrays of one entry per trial
-    values = mc_values(trials, seed, workers, draw, 5 * 8)
+    _check_n(len(y))
+    _, table = _shuffle_table(int(y.sum()), _block_sizes(sizes, len(y)))
+    # a trial holds an int64 index and its value; the table, fixed per call,
+    # is C(n, ones) float64 values: 103 KB at n = 16, 21.6 MB at n = 24
+    values = mc_values(trials, seed, workers, partial(_picks, table=table), 8 + 8)
     return Estimate(*mean_and_stderr(values))
 
 
@@ -508,9 +505,8 @@ def bsa_block_bound(f: TruthTable, blocks: int, trials: int, seed: int = 0,
             rows = slice(start, min(start + segment, size))
             for l, m_l in enumerate(sizes):
                 positions = perms[rows, offsets[l]:offsets[l] + m_l]  # (seg, m_l)
-                block_mask = spread_bits((1 << m_l) - 1, positions)
-                base = outside[rows, l] & ~block_mask
-                idx = base[:, None] + spread_bits(np.arange(1 << m_l), positions[:, None, :])
+                sub = _subset_sums(positions)  # (seg, 2^m_l); the last column is the block
+                idx = (outside[rows, l] & ~sub[:, -1])[:, None] + sub
                 sens, _ = sensitivities(f.values[idx])
                 total[rows] += roots[sens].mean(axis=1)
         return total / root_b

@@ -7,10 +7,10 @@ import pytest
 
 from boolsurf import partition
 from boolsurf.core import TruthTable
-from boolsurf.errors import (DegenerateInputError, InputError,
+from boolsurf.errors import (CapacityError, DegenerateInputError, InputError,
                              VerificationError)
-from boolsurf.partition import (BlockPartitionSpec, HypergeometricParams,
-                                _urn_counts, _urn_values, block_average_B,
+from boolsurf.partition import (BlockPartitionSpec, HypergeometricParams, _picks,
+                                _shuffle_table, block_average_B,
                                 bsa_block_bound, gap_bound, hg_pmf, jensen_bounds,
                                 mc_partition_average, mean_sqrt_hg, near_equal_sizes,
                                 near_equal_sweep, sandwich_check)
@@ -134,6 +134,12 @@ def test_partition_spec_validation():
         BlockPartitionSpec(4, 0, (4, 0))
     with pytest.raises(InputError):
         BlockPartitionSpec(0, 0, ())
+
+
+def test_partition_spec_rejects_fractional_sizes():
+    with pytest.raises(InputError):
+        BlockPartitionSpec(3, 1, (2.5, 1.5))
+    assert BlockPartitionSpec(3, 1, (2.0, np.int64(1))).sizes == (2, 1)
 
 
 def test_near_equal_sizes():
@@ -353,12 +359,18 @@ def _exact_block_counts(sizes, m) -> dict[int, Fraction]:
     return law
 
 
-@pytest.mark.parametrize("n, sizes", URN_CASES,
-                         ids=["-".join(map(str, sizes)) for _, sizes in URN_CASES])
+URN_IDS = ["-".join(map(str, sizes)) for _, sizes in URN_CASES]
+
+
+@pytest.mark.parametrize("n, sizes", URN_CASES, ids=URN_IDS)
 def test_urn_block_counts_match_enumeration(n, sizes):
+    starts = np.cumsum((0,) + sizes[:-1])
     for m in range(n + 1):
         seed = 1000 * n + 10 * len(sizes) + m
-        counts = np.stack(list(_urn_counts(substream(seed), URN_TRIALS, m, sizes)), axis=1)
+        words, table = _shuffle_table(m, sizes)
+        # bit t of a drawn word is position t; block l holds the next sizes[l]
+        bits = _picks(substream(seed), URN_TRIALS, words)[:, None] >> np.arange(n) & 1
+        counts = np.add.reduceat(bits, starts, axis=1)
         keys = counts @ (n + 1) ** np.arange(len(sizes))
         sampled = np.bincount(keys, minlength=(n + 1) ** len(sizes))
         law = _exact_block_counts(sizes, m)
@@ -369,8 +381,36 @@ def test_urn_block_counts_match_enumeration(n, sizes):
             assert abs(sampled[key] / URN_TRIALS - p) <= 4.0 * err, (m, key)
         # the values are the block average of exactly these counts
         want = np.sqrt(counts).sum(axis=1) / math.sqrt(len(sizes))
-        assert np.allclose(_urn_values(substream(seed), URN_TRIALS, m, sizes), want,
+        assert np.allclose(_picks(substream(seed), URN_TRIALS, table), want,
                            rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n, sizes", URN_CASES, ids=URN_IDS)
+def test_shuffle_table_mean_is_the_block_average(n, sizes):
+    # the table lists every placement once, so its mean is B exactly
+    for m in range(n + 1):
+        _, table = _shuffle_table(m, sizes)
+        assert len(table) == math.comb(n, m)
+        exact = float(block_average_B(BlockPartitionSpec(n, n - m, sizes)))
+        assert abs(table.mean() - exact) <= 1e-12, m
+
+
+def test_mc_partition_average_draws_from_the_table():
+    y, sizes = [1, 0, 1, 1, 0, 1, 0], (3, 2, 2)
+    est = mc_partition_average(y, sizes, trials=1000, seed=12)
+    _, table = _shuffle_table(sum(y), sizes)
+    values = _picks(substream(12), 1000, table)
+    assert est.estimate == float(values.mean())
+
+
+def test_mc_partition_average_caps_the_population(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("built or drew past the cap")
+
+    monkeypatch.setattr(partition, "_shuffle_table", never)
+    monkeypatch.setattr(partition, "mc_values", never)
+    with pytest.raises(CapacityError):
+        mc_partition_average(np.ones(25, dtype=int), (13, 12), trials=10, seed=0)
 
 
 def test_mc_partition_average_matches_exact():
@@ -392,6 +432,11 @@ def test_mc_partition_average_validation():
         mc_partition_average([0, 1], (3,), trials=10, seed=0)
     with pytest.raises(InputError):
         mc_partition_average([0, 1], (2,), trials=0, seed=0)
+
+
+def test_mc_partition_average_rejects_fractional_sizes():
+    with pytest.raises(InputError):
+        mc_partition_average([1, 0, 1], (2.5, 1.5), trials=10, seed=0)
 
 
 # ---------------------------------------------------------------- block bound
