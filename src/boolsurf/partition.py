@@ -505,7 +505,7 @@ def bsa_block_bound(f: TruthTable, blocks: int, trials: int, seed: int = 0,
             rows = slice(start, min(start + segment, size))
             for l, m_l in enumerate(sizes):
                 positions = perms[rows, offsets[l]:offsets[l] + m_l]  # (seg, m_l)
-                sub = _subset_sums(positions)  # (seg, 2^m_l); the last column is the block
+                sub = _subset_sums(positions)  # (seg, 2^m_l); the last column is the block mask
                 idx = (outside[rows, l] & ~sub[:, -1])[:, None] + sub
                 sens, _ = sensitivities(f.values[idx])
                 total[rows] += roots[sens].mean(axis=1)
