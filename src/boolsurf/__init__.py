@@ -5,37 +5,49 @@ Exact truth-table analysis up to 24 variables, sparse multilinear
 polynomials and their threshold functions, random restrictions,
 hypergeometric block-partition bounds certified in integer interval
 arithmetic, and seeded Monte Carlo for everything too big to enumerate.
+
+The names below are the ones the CLI, the demos, the benchmark and the
+README use; every other public name is imported from its own module.
 """
 
-from .boundary import (BoundaryReport, EdgeThresholdCheck, boundary_report,
-                       edge_biased_cdf, edge_threshold_check,
-                       edge_threshold_check_exhaustive, level_sign_counts)
-from .core import (EXACT_CAP, EXHAUSTIVE_CAP, FourierSpectrum, Influence,
-                   SensitivityProfile, TruthTable, all_function_words, all_functions,
-                   all_points_signs, bsa, bsa_via_tails, fractional_moment, gather_bits,
-                   index_to_point, minus_mask, noise_sensitivity, noise_sensitivity_semigroup,
-                   pack_signs, point_to_index, popcount_table, sensitivities, sensitivity,
-                   sensitivity_histogram, spread_bits, to_signs, total_influence,
-                   walsh_hadamard)
-from .errors import (BoolsurfError, CapacityError, DegenerateInputError,
-                     InputError, ParseError, VerificationError)
-from .interval import Interval
-from .partition import (BlockBoundReport, BlockPartitionSpec,
-                        HypergeometricParams, JensenBounds, SandwichReport,
-                        block_average_B, bsa_block_bound, gap_bound, hg_pmf,
-                        jensen_bounds, mc_partition_average, mean_sqrt_hg,
-                        near_equal_sizes, near_equal_sweep, sandwich_check)
-from .ptf import (PolyStats, SparsePolynomial, alpha_estimate, alpha_exact,
-                  eval_on_cube, eval_poly, generate, poly_stats, restrict_poly,
-                  sign_table, variables_mask)
-from .restriction import (FailureProbEstimate, Restriction,
-                          SensitiveFractionReport, TailReport,
-                          closeness_to_constant, restrict_table,
-                          restriction_failure_prob, sample_restriction,
-                          sensitive_fraction_bound_exhaustive,
-                          tail_coupling_check)
-from .seeding import Estimate, chunk_sizes, resolve_workers, substream
+from . import boundary, core, errors, interval, partition, ptf, restriction, seeding
+from .boundary import (boundary_report, edge_threshold_check, edge_threshold_check_exhaustive,
+                       level_sign_counts)
+from .core import (EXACT_CAP, TruthTable, bsa, bsa_via_tails, fractional_moment,
+                   noise_sensitivity, noise_sensitivity_semigroup, total_influence)
+from .errors import (BoolsurfError, CapacityError, DegenerateInputError, InputError, ParseError,
+                     VerificationError)
+from .partition import (BlockPartitionSpec, HypergeometricParams, SandwichReport,
+                        block_average_B, bsa_block_bound, hg_pmf, jensen_bounds,
+                        mc_partition_average, mean_sqrt_hg, near_equal_sizes, near_equal_sweep,
+                        sandwich_check)
+from .ptf import (SparsePolynomial, alpha_estimate, alpha_exact, generate, poly_stats,
+                  restrict_poly, sign_table, variables_mask)
+from .restriction import (Restriction, closeness_to_constant, restrict_table,
+                          restriction_failure_prob, sample_restriction, tail_coupling_check)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # submodules
+    "boundary", "core", "errors", "interval", "partition", "ptf", "restriction", "seeding",
+    # boundary
+    "boundary_report", "edge_threshold_check", "edge_threshold_check_exhaustive",
+    "level_sign_counts",
+    # core
+    "EXACT_CAP", "TruthTable", "bsa", "bsa_via_tails", "fractional_moment",
+    "noise_sensitivity", "noise_sensitivity_semigroup", "total_influence",
+    # errors
+    "BoolsurfError", "CapacityError", "DegenerateInputError", "InputError", "ParseError",
+    "VerificationError",
+    # partition
+    "BlockPartitionSpec", "HypergeometricParams", "SandwichReport", "block_average_B",
+    "bsa_block_bound", "hg_pmf", "jensen_bounds", "mc_partition_average", "mean_sqrt_hg",
+    "near_equal_sizes", "near_equal_sweep", "sandwich_check",
+    # ptf
+    "SparsePolynomial", "alpha_estimate", "alpha_exact", "generate", "poly_stats",
+    "restrict_poly", "sign_table", "variables_mask",
+    # restriction
+    "Restriction", "closeness_to_constant", "restrict_table", "restriction_failure_prob",
+    "sample_restriction", "tail_coupling_check",
+]

@@ -72,14 +72,6 @@ def _edge_biased_share(counts, select):
     return (mass * select(levels)).sum(axis=-1) / mass.sum(axis=-1)
 
 
-def edge_biased_cdf(f: TruthTable, t: float) -> float:
-    """Edge-biased probability of sensitivity <= t (complement of the tail)."""
-    profile = f.profile()
-    if profile.moment(1.0) == 0.0:
-        raise InputError("edge-biased sampling is undefined for constant functions")
-    return float(_edge_biased_share(profile.counts, lambda levels: levels <= t))
-
-
 @dataclass(frozen=True)
 class EdgeThresholdCheck:
     """Result of the half-mass-at-threshold audit for one function."""
@@ -141,13 +133,3 @@ def level_sign_counts(f: TruthTable) -> list[tuple[int, int, int]]:
     pairs = np.bincount(buckets, minlength=2 * f.n + 2).reshape(-1, 2).tolist()
     return [(level, plus, minus) for level, (minus, plus) in enumerate(pairs)]
 
-
-def chain_tail_bound_holds(f: TruthTable, t: float) -> tuple[bool, float, float]:
-    """Check the low-sensitivity edge-mass bound
-    Pr_edge[s <= t] <= sqrt(t) * BSA / Inf; returns (ok, lhs, rhs)."""
-    if t < 0:
-        raise InputError("threshold t must be nonnegative")
-    lhs = edge_biased_cdf(f, t)  # raises for constant functions
-    report = boundary_report(f)
-    rhs = float(np.sqrt(t) * report.bsa / report.influence)
-    return lhs <= rhs + 1e-12, lhs, rhs

@@ -143,11 +143,6 @@ def parse_table_text(content: str) -> TruthTable:
     return TruthTable(n, np.where(values == ord("+"), 1, -1).astype(np.int8))
 
 
-def format_table_text(table: TruthTable) -> str:
-    row = "".join("+" if v == 1 else "-" for v in table.values)
-    return f"n={table.n}\n{row}\n"
-
-
 def _polynomial_spec(text: str, content: str, where: str = "") -> FunctionSpec:
     """Spec `text` for the polynomial JSON `content`; `where` names it in errors."""
     try:
@@ -352,11 +347,11 @@ def _partition_line(row: tuple) -> str:
 
 def _cmd_partition(args) -> int:
     precision = _check_precision_option(args.precision)
-    if args.sizes:
+    if args.sizes is not None:
         if args.n is not None:
             raise InputError("--n sweeps near-equal splits; it cannot go with --sizes")
         try:
-            sizes = tuple(int(s) for s in args.sizes.split("-") if s)
+            sizes = tuple(int(s) for s in args.sizes.split("-"))
         except ValueError:
             raise ParseError(f"--sizes needs dash-joined integers, got {args.sizes!r}")
         n = sum(sizes)

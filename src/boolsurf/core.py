@@ -4,7 +4,7 @@ A function f: {-1,+1}^n -> {-1,+1} is stored as its full table of 2^n
 signs.  Bit i of the table index is 0 where coordinate i equals +1 and 1
 where it equals -1, so ``x ^ (1 << i)`` is the neighbour of ``x`` across
 coordinate i.  Only this module writes the encoding out: ``_unpack_bits``,
-``_pack_bits``, ``spread_bits``/``_subset_sums``/``gather_bits``, ``_chi``,
+``_pack_bits``, ``_subset_sums``/``gather_bits``, ``_chi``,
 ``to_signs``, ``minus_mask``, ``pack_signs``.
 
 The pointwise sensitivity s(x) counts coordinates whose flip changes f
@@ -93,8 +93,10 @@ def _pack_bits(bits) -> np.ndarray:
 
 
 def _subset_sums(positions) -> np.ndarray:
-    """int64 out[..., sub] = spread_bits(sub, positions) for every sub in [0, 2^m),
-    by doubling (TAOCP 4A, 7.1.3): 2^m cell writes, not m 2^m."""
+    """int64 full indices of every sub-cube index sub in [0, 2^m), for
+    positions of shape (..., m): bit j of sub moves to bit positions[..., j]
+    of out[..., sub].  Built by doubling (TAOCP 4A, 7.1.3): 2^m cell
+    writes, not m 2^m."""
     positions = np.asarray(positions, dtype=np.int64)
     out = np.zeros(positions.shape[:-1] + (1 << positions.shape[-1],), dtype=np.int64)
     for j in range(positions.shape[-1]):
@@ -103,20 +105,8 @@ def _subset_sums(positions) -> np.ndarray:
     return out
 
 
-def spread_bits(sub, positions) -> np.ndarray:
-    """int64 indices with bit j of each sub-cube index `sub` moved to bit
-    positions[..., j]; the shape is that of `sub` and positions[..., 0]
-    broadcast together."""
-    table = _subset_sums(positions)
-    picks = np.asarray(sub, dtype=np.int64) & (table.shape[-1] - 1)
-    ndim = max(picks.ndim, table.ndim - 1)  # take_along_axis broadcasts equal ranks
-    table = table.reshape((1,) * (ndim + 1 - table.ndim) + table.shape)
-    picks = picks.reshape((1,) * (ndim - picks.ndim) + picks.shape)
-    return np.take_along_axis(table, picks[..., None], axis=-1)[..., 0]
-
-
 def gather_bits(idx, positions) -> np.ndarray:
-    """The inverse of spread_bits: uint64 sub-cube indices whose bit j is bit
+    """The inverse of _subset_sums: uint64 sub-cube indices whose bit j is bit
     positions[..., j] of `idx`, shaped like idx and positions[..., 0] broadcast."""
     idx = np.asarray(idx, dtype=np.uint64)
     positions = np.asarray(positions, dtype=np.uint64)
@@ -369,7 +359,7 @@ class TruthTable:
         if self._spectrum is None:
             coeffs = walsh_hadamard(self.values)
             coeffs /= 1 << self.n
-            self._spectrum = FourierSpectrum._owning(self.n, coeffs)
+            self._spectrum = FourierSpectrum(self.n, coeffs)
         return self._spectrum
 
 
@@ -537,38 +527,18 @@ def all_function_words(n: int) -> np.ndarray:
     return np.arange(1 << (1 << n), dtype=np.uint64)[:, None]
 
 
-def all_functions(n: int) -> np.ndarray:
-    """The functions of all_function_words unpacked: row c of this 0/1 int8
-    matrix has bit x of c at column x."""
-    return _unpack_bits(all_function_words(n)[:, 0], 1 << int(n))
-
-
 class FourierSpectrum:
     """Walsh coefficients indexed by subset bitmask."""
 
     __slots__ = ("n", "coefficients", "_squares")
 
-    def __init__(self, n: int, coefficients):
-        n = _check_n(n)
-        arr = np.asarray(coefficients, dtype=np.float64)
-        if arr.shape != (1 << n,):
-            raise InputError(f"need exactly 2^{n} coefficients")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.n = n
-        self.coefficients = arr
-        self._squares = None
-
-    @classmethod
-    def _owning(cls, n: int, coefficients: np.ndarray) -> "FourierSpectrum":
+    def __init__(self, n: int, coefficients: np.ndarray):
         """The spectrum on a float64 array of 2^n coefficients that no caller
         keeps, made read-only in place: a 2^24 copy costs 128 MiB."""
-        spectrum = cls.__new__(cls)
         coefficients.flags.writeable = False
-        spectrum.n = n
-        spectrum.coefficients = coefficients
-        spectrum._squares = None
-        return spectrum
+        self.n = n
+        self.coefficients = coefficients
+        self._squares = None
 
     def squares(self) -> np.ndarray:
         """Squared coefficients (the power spectrum), computed once, read-only."""
@@ -578,28 +548,10 @@ class FourierSpectrum:
             self._squares = squares
         return self._squares
 
-    def parseval_sum(self) -> float:
-        """Sum of squared coefficients; equals E[f^2] = 1 for Boolean f."""
-        return float(self.coefficients @ self.coefficients)
-
-    def inverse_values(self) -> np.ndarray:
-        """Pointwise values of the represented function."""
-        return walsh_hadamard(self.coefficients)
-
-    def inverse_table(self) -> TruthTable:
-        """Round the inverse back to signs; exact for spectra of sign tables."""
-        return TruthTable(self.n, to_signs(self.inverse_values()))
-
 
 class Influence(NamedTuple):
     total: float
     per_coordinate: np.ndarray
-
-
-def sensitivity(f: TruthTable, x: int) -> int:
-    """Number of coordinate flips that change f at point index x."""
-    x = _check_index(x, f.n, "point index")
-    return int(sum(f.values[x] != f.values[x ^ (1 << i)] for i in range(f.n)))
 
 
 def bsa(f: TruthTable) -> float:
@@ -684,20 +636,6 @@ def noise_sensitivity_semigroup(f: TruthTable, delta: float) -> float:
     coeffs = f.spectrum().coefficients * rho ** popcount_table(f.n).astype(np.float64)
     smoothed = walsh_hadamard(coeffs)
     return float(np.abs(f.values - smoothed).mean() / 2.0)
-
-
-def index_to_point(n: int, x: int) -> np.ndarray:
-    """Coordinate signs of point index x (bit set means -1)."""
-    n = _check_n(n)
-    return 1 - 2 * _unpack_bits(np.int64(_check_index(x, n, "point index")), n)
-
-
-def point_to_index(signs) -> int:
-    """Inverse of index_to_point."""
-    arr = np.asarray(signs, dtype=np.int8)
-    if arr.ndim != 1 or not np.isin(arr, (-1, 1)).all():
-        raise InputError("point must be a 1-D sequence of +1/-1 signs")
-    return minus_mask(arr)
 
 
 def minus_mask(signs) -> int:

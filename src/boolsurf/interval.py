@@ -79,15 +79,9 @@ class Interval:
         lo, hi = self._ends(other)
         return Interval(self.lo - hi, self.hi - lo, self.bits)
 
-    def __rsub__(self, other) -> Interval:
-        return -self + other
-
     def __rtruediv__(self, other) -> Interval:
         """An int divided by an interval lying above 0."""
         return Interval.exact(other, self.bits) / self
-
-    def __neg__(self) -> Interval:
-        return Interval(-self.hi, -self.lo, self.bits)
 
     def __mul__(self, other) -> Interval:
         if isinstance(other, int):
@@ -121,29 +115,6 @@ class Interval:
 
     def __lt__(self, other) -> bool:
         return self.hi < self._ends(other)[0]
-
-    def __le__(self, other) -> bool:
-        """Proven x <= y: strict separation, or both the same point."""
-        lo, hi = self._ends(other)
-        return self.hi < lo or self.lo == self.hi == lo == hi
-
-    def __gt__(self, other) -> bool:
-        return self.lo > self._ends(other)[1]
-
-    def __ge__(self, other) -> bool:
-        lo, hi = self._ends(other)
-        return self.lo > hi or self.lo == self.hi == lo == hi
-
-    def __eq__(self, other) -> bool:
-        """Intervals: the same ends.  An int: the point interval at it."""
-        if isinstance(other, Interval):
-            return (self.lo, self.hi, self.bits) == (other.lo, other.hi, other.bits)
-        if isinstance(other, int):
-            return self.lo == self.hi == other << self.bits
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi, self.bits))
 
     # ---------------------------------------------------------- floats
 

@@ -95,15 +95,6 @@ class HypergeometricParams:
     def support(self) -> range:
         return _hg_support(self.population, self.successes, self.draws)
 
-    def mean(self) -> Fraction:
-        return Fraction(self.draws * self.successes, self.population)
-
-    def variance(self) -> Fraction:
-        n, k, m = self.population, self.successes, self.draws
-        if n == 1:
-            return Fraction(0)
-        return Fraction(m * k * (n - k) * (n - m), n * n * (n - 1))
-
 
 def _hg_support(population: int, successes: int, draws: int) -> range:
     """The ones counts a uniform m-subset of n positions with k ones can
@@ -165,11 +156,6 @@ class BlockPartitionSpec:
             raise InputError(f"k must lie in 0..{self.n}, got {self.k}")
         object.__setattr__(self, "sizes", _block_sizes(self.sizes, self.n))
 
-    @property
-    def near_equal(self) -> bool:
-        """True when sizes are a permutation of the floor/ceil split of n."""
-        return _near_equal(self.n, self.sizes)
-
 
 def _block_sizes(sizes, n: int) -> tuple[int, ...]:
     """`sizes` as ints: each one integral and positive, summing to n."""
@@ -185,6 +171,7 @@ def _block_sizes(sizes, n: int) -> tuple[int, ...]:
 
 
 def _near_equal(n: int, sizes: tuple[int, ...]) -> bool:
+    """True when sizes are a permutation of the floor/ceil split of n."""
     m = n // len(sizes)  # sizes in {m, m + 1} summing to n: r of them m + 1
     return m <= min(sizes) and max(sizes) <= m + 1
 

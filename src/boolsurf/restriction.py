@@ -85,16 +85,6 @@ class Restriction:
         """Point-index bits contributed by coordinates fixed to -1."""
         return self._base
 
-    def complete(self, y: int) -> int:
-        """Full point index with free coordinates taken from sub-index y."""
-        free = self._free
-        if not 0 <= y < 1 << len(free):
-            raise InputError(f"sub-index {y} out of range for {len(free)} free coordinates")
-        idx = self._base
-        for j, i in enumerate(free.tolist()):
-            idx |= ((y >> j) & 1) << i
-        return idx
-
     def __repr__(self):
         chars = {1: "+", -1: "-", 0: "*"}
         return f"Restriction({''.join(chars[int(v)] for v in self.pattern)!r})"

@@ -1,12 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
-from boolsurf.boundary import (boundary_report, chain_tail_bound_holds,
-                               edge_biased_cdf, edge_threshold_check,
-                               edge_threshold_check_exhaustive,
-                               level_sign_counts)
+from boolsurf.boundary import (_edge_biased_share, boundary_report, edge_threshold_check,
+                               edge_threshold_check_exhaustive, level_sign_counts)
 from boolsurf.core import TruthTable, bsa, popcount_table, total_influence
 from boolsurf.errors import CapacityError, InputError
 
@@ -61,14 +58,6 @@ def test_variance_identity_random():
         assert rep.var_sqrt_sens >= -1e-12
 
 
-def test_edge_biased_cdf():
-    f = TruthTable.majority(3)  # boundary mass: 6 points at s = 2
-    assert edge_biased_cdf(f, 1.0) == 0.0
-    assert edge_biased_cdf(f, 2.0) == 1.0
-    with pytest.raises(InputError):
-        edge_biased_cdf(TruthTable.constant(3), 1.0)
-
-
 def test_threshold_check_embedded_parity():
     chk = edge_threshold_check(TruthTable.parity(5, 0b00011))
     # Inf = 2, BSA = sqrt(2): threshold 0.5, all mass at s = 2
@@ -114,37 +103,16 @@ def test_exhaustive_threshold_caps():
         edge_threshold_check_exhaustive(0)
 
 
-def test_chain_tail_bound_majority9():
-    f = TruthTable.majority(9)
-    for t in (0.25, 0.5, 1.0, 2.0, 4.0, 9.0):
-        ok, lhs, rhs = chain_tail_bound_holds(f, t)
-        assert ok
-        assert 0.0 <= lhs <= 1.0
-    with pytest.raises(InputError):
-        chain_tail_bound_holds(f, -1.0)
-    with pytest.raises(InputError):
-        chain_tail_bound_holds(TruthTable.constant(2), 1.0)
-
-
-def test_chain_tail_bound_random_grid():
-    for seed in range(10):
-        f = TruthTable.random(seed % 8 + 1, seed=700 + seed)
-        if boundary_report(f).is_constant:
-            continue
-        for t in (0.25, 0.5, 1.0, 2.0, 4.0):
-            ok, _, _ = chain_tail_bound_holds(f, t)
-            assert ok
-
-
 def test_golden_edge_biased_mass_random10():
     f = TruthTable.random(10, seed=42)
     assert f.profile().counts.tolist() == [2, 16, 46, 131, 209, 256, 212, 97, 41, 12, 2]
     rep = boundary_report(f)
     assert rep.threshold == 1.2659461444461622
     assert rep.edge_biased_prob == 0.9968152866242038
+    # edge-biased probability of s <= t, from the share boundary_report reads
     for t, want in ((0.0, 0.0), (2.0, 0.021496815286624203),
                     (4.5, 0.26612261146496813), (10.0, 1.0)):
-        assert edge_biased_cdf(f, t) == want
+        assert _edge_biased_share(f.profile().counts, lambda levels: levels <= t) == want
 
 
 def test_level_sign_counts_majority5():

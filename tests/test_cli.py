@@ -8,12 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from boolsurf.cli import (_build_parser, exit_code_for, format_table_text, main,
-                          parse_float_list, parse_function_spec,
-                          parse_int_list, parse_table_text)
+from boolsurf.cli import (_build_parser, exit_code_for, main, parse_float_list,
+                          parse_function_spec, parse_int_list, parse_table_text)
 from boolsurf.core import TruthTable
 from boolsurf.errors import (CapacityError, InputError, ParseError,
                              VerificationError)
+
+
+def format_table_text(table: TruthTable) -> str:
+    """The truth-table file format: an n= line, then one +/- per point."""
+    row = "".join("+" if v == 1 else "-" for v in table.values)
+    return f"n={table.n}\n{row}\n"
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +188,10 @@ def test_cli_bad_flag_exits_nonzero(capsys):
 @pytest.mark.parametrize("argv, exit_code", [
     (["partition", "--sizes", "3-x-2"], 2),
     (["partition", "--sizes", "3-0-2"], 2),
+    (["partition", "--sizes=-3"], 2),
+    (["partition", "--sizes", "3-"], 2),
+    (["partition", "--sizes", "3--2"], 2),
+    (["partition", "--sizes="], 2),
     (["analyze", "maj:5", "--out", "{missing}/x.json"], 2),
     (["tail", "maj:5", "--m", "1..x"], 2),
     (["restrict", "maj:5", "--trials", "0"], 2),
@@ -201,7 +210,8 @@ def test_cli_bad_flag_exits_nonzero(capsys):
     (["analyze", '{{"n": 2, "terms": [{{"vars": ["a"], "coef": 1.0}}]}}'], 2),
     (["analyze", '{{"n": 2, "terms": [{{"vars": [1e400], "coef": 1.0}}]}}'], 2),
     (["analyze", '{{"n": 2, "terms": [{{"vars": [1], "coef": 1' + "0" * 400 + '}}]}}'], 2),
-], ids=["sizes-not-integer", "sizes-zero-block", "out-dir-missing", "tail-bad-range",
+], ids=["sizes-not-integer", "sizes-zero-block", "sizes-leading-dash", "sizes-trailing-dash",
+        "sizes-double-dash", "sizes-empty", "out-dir-missing", "tail-bad-range",
         "restrict-zero-trials", "restrict-rate-above-1", "restrict-zero-workers",
         "partition-k-without-sizes", "partition-n-with-sizes", "partition-sweep-over-cap",
         "partition-range-unbounded", "rand-negative-seed",

@@ -3,19 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from boolsurf.core import (EXACT_CAP, FourierSpectrum, TruthTable, _per_point,
-                           all_function_words, all_functions, all_points_signs, bsa,
-                           bsa_via_tails, fractional_moment, gather_bits, index_to_point,
-                           noise_sensitivity, noise_sensitivity_semigroup, pack_signs,
-                           point_to_index, popcount_table, sensitivities, sensitivity,
-                           sensitivity_histogram, spread_bits, to_signs, total_influence,
-                           walsh_hadamard)
+from boolsurf.core import (EXACT_CAP, TruthTable, _per_point, _subset_sums, all_function_words,
+                           all_points_signs, bsa, bsa_via_tails, fractional_moment, gather_bits,
+                           minus_mask, noise_sensitivity, noise_sensitivity_semigroup,
+                           pack_signs, popcount_table, sensitivities, sensitivity_histogram,
+                           to_signs, total_influence, walsh_hadamard)
 from boolsurf.errors import CapacityError, InputError
 
 
 def brute_sensitivity(values, n, x):
     """Independent reference: explicit flip loop, no vectorisation."""
     return sum(1 for i in range(n) if values[x] != values[x ^ (1 << i)])
+
+
+def reference_index_to_point(n, x):
+    """Coordinate signs of point index x, one bit at a time: bit i set means -1."""
+    return np.array([-1 if x >> i & 1 else 1 for i in range(n)], dtype=np.int8)
 
 
 def brute_profile(table):
@@ -54,11 +57,11 @@ def test_zero_variable_table_is_legal():
 def test_point_encoding_round_trip():
     n = 6
     for x in range(1 << n):
-        assert point_to_index(index_to_point(n, x)) == x
+        assert minus_mask(reference_index_to_point(n, x)) == x
     # bit i set <=> coordinate i is -1, and XOR flips exactly that coordinate
-    point = index_to_point(n, 0b101)
+    point = reference_index_to_point(n, 0b101)
     assert point.tolist() == [-1, 1, -1, 1, 1, 1]
-    flipped = index_to_point(n, 0b101 ^ (1 << 1))
+    flipped = reference_index_to_point(n, 0b101 ^ (1 << 1))
     assert flipped[1] == -point[1]
     assert (flipped[[0, 2, 3, 4, 5]] == point[[0, 2, 3, 4, 5]]).all()
 
@@ -66,7 +69,7 @@ def test_point_encoding_round_trip():
 def test_all_points_signs_matches_scalar_encoding():
     signs = all_points_signs(4)
     for x in range(16):
-        assert (signs[x] == index_to_point(4, x)).all()
+        assert (signs[x] == reference_index_to_point(4, x)).all()
 
 
 # ---------------------------------------------------------------- sensitivity
@@ -75,23 +78,16 @@ def test_all_points_signs_matches_scalar_encoding():
 def test_sensitivity_majority5_weight3_point():
     f = TruthTable.majority(5)
     x = 0b00011  # two coordinates at -1, three at +1
-    assert sensitivity(f, x) == 3
-    assert sensitivity(f, x) == brute_sensitivity(f.values, 5, x)
+    s, _ = sensitivities(f.values)
+    assert s[x] == 3
+    assert s[x] == brute_sensitivity(f.values, 5, x)
 
 
 def test_sensitivity_constant_and_embedded_parity():
-    c = TruthTable.constant(4)
-    assert all(sensitivity(c, x) == 0 for x in range(16))
-    chi = TruthTable.parity(5, 0b00011)
-    assert all(sensitivity(chi, x) == 2 for x in range(32))
-
-
-def test_sensitivity_index_range():
-    f = TruthTable.majority(3)
-    with pytest.raises(InputError):
-        sensitivity(f, 8)
-    with pytest.raises(InputError):
-        sensitivity(f, -1)
+    s, _ = sensitivities(TruthTable.constant(4).values)
+    assert (s == 0).all()
+    s, _ = sensitivities(TruthTable.parity(5, 0b00011).values)
+    assert (s == 2).all()
 
 
 def test_profile_majority5():
@@ -123,7 +119,7 @@ def test_batched_sensitivities_match_single_tables_and_oracle():
     for row, f in zip(sens.reshape(6, 32), tables):
         single, _ = sensitivities(f.values)
         assert row.tolist() == single.tolist()
-        assert row.tolist() == [sensitivity(f, x) for x in range(32)]
+        assert row.tolist() == [brute_sensitivity(f.values, 5, x) for x in range(32)]
 
 
 def test_sensitivities_are_c_contiguous():
@@ -170,7 +166,7 @@ def test_histogram_of_every_function_matches_brute_and_byte_scan(n):
     assert np.array_equal(counts, [np.bincount(row, minlength=n + 1) for row in brute])
     assert np.array_equal(2 * edges, np.stack([a.sum(axis=1) for a in axes], axis=1))
     # the packed word of function c is c itself
-    values = 1 - 2 * all_functions(n)
+    values = 1 - 2 * bits.astype(np.int8)
     assert np.array_equal(pack_signs(values), words)
     scan_counts, scan_edges = byte_scan_histogram(values, n)
     assert np.array_equal(counts, scan_counts)
@@ -242,10 +238,10 @@ def test_pack_signs_layout():
 def test_all_functions_rows_and_cap_reach_both_audits():
     from boolsurf.boundary import edge_threshold_check_exhaustive
     from boolsurf.restriction import sensitive_fraction_bound_exhaustive
-    bits = all_functions(2)
-    assert bits.shape == (16, 4) and bits[0b0110].tolist() == [0, 1, 1, 0]
+    words = all_function_words(2)
+    assert words.shape == (16, 1) and words[:, 0].tolist() == list(range(16))
     with pytest.raises(CapacityError):
-        all_functions(5)
+        all_function_words(5)
     with pytest.raises(CapacityError):
         edge_threshold_check_exhaustive(5)
     with pytest.raises(CapacityError):
@@ -450,15 +446,10 @@ def test_parseval_and_double_transform():
     for seed in range(10):
         f = TruthTable.random(seed % 8 + 1, seed=100 + seed)
         spec = f.spectrum()
-        assert abs(spec.parseval_sum() - 1.0) < 1e-10
+        assert abs(spec.coefficients @ spec.coefficients - 1.0) < 1e-10
         back = walsh_hadamard(walsh_hadamard(f.values)) / (1 << f.n)
         assert np.abs(back - f.values).max() < 1e-12
-        assert spec.inverse_table() == f
-
-
-def test_spectrum_validation():
-    with pytest.raises(InputError):
-        FourierSpectrum(2, [1.0, 0.0])
+        assert TruthTable(f.n, to_signs(walsh_hadamard(spec.coefficients))) == f
 
 
 # ---------------------------------------------------------------- noise
@@ -513,6 +504,10 @@ def test_noise_sensitivity_validation():
 # ---------------------------------------------------------------- sub-cube indices
 
 
+# _subset_sums spreads the bits of every sub-cube index at once: entry sub
+# of its last axis has bit j of sub at bit positions[..., j].
+
+
 def reference_spread(sub_count, free, base=0):
     """The per-bit loop restriction used to index a sub-table with: bit j of
     each sub-index goes to coordinate free[j], on top of `base`."""
@@ -526,8 +521,7 @@ def reference_spread(sub_count, free, base=0):
 @pytest.mark.parametrize("free", [[], [0], [3], [0, 1, 2], [5, 1, 7], [2, 9, 4, 23, 11],
                                   list(range(24)), [62, 0, 40]])
 def test_spread_bits_matches_per_bit_loop(free):
-    sub = np.arange(1 << len(free))
-    out = spread_bits(sub, np.array(free, dtype=np.int64))
+    out = _subset_sums(np.array(free, dtype=np.int64))
     assert out.dtype == np.int64
     assert np.array_equal(out, reference_spread(1 << len(free), free))
 
@@ -535,8 +529,7 @@ def test_spread_bits_matches_per_bit_loop(free):
 def test_spread_bits_batched_positions():
     rng = np.random.default_rng(5)
     positions = np.stack([rng.permutation(20)[:4] for _ in range(7)])  # (seg, m)
-    sub = np.arange(16)
-    out = spread_bits(sub, positions[:, None, :])  # (seg, 1, m) positions
+    out = _subset_sums(positions)  # (seg, m) positions
     assert out.shape == (7, 16)
     for row, free in zip(out, positions):
         assert np.array_equal(row, reference_spread(16, free))
@@ -576,7 +569,7 @@ def test_gather_bits_batched_positions():
 def test_gather_bits_inverts_spread_bits(free):
     sub = np.arange(1 << len(free))
     positions = np.array(free, dtype=np.int64)
-    assert np.array_equal(gather_bits(spread_bits(sub, positions), positions), sub)
+    assert np.array_equal(gather_bits(_subset_sums(positions), positions), sub)
 
 
 # ---------------------------------------------------------------- signs

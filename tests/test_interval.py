@@ -35,7 +35,7 @@ def test_isqrt_enclosure_contains_root_and_is_a_point_for_squares():
         assert x.lo ** 2 <= s << 2 * BITS <= x.hi ** 2
         assert x.hi - x.lo <= 1
         assert (x.lo == x.hi) == (math.isqrt(s) ** 2 == s)
-    assert Interval.sqrt(10**40, BITS) == 10**20
+    assert Interval.sqrt(10**40, BITS) == Interval.exact(10**20, BITS)
     with pytest.raises(ValueError):
         Interval.sqrt(-1, BITS)
 
@@ -44,7 +44,7 @@ def test_root_of_an_interval_encloses_both_roots():
     x = enclose(Fraction(2, 3)).root()
     lo, hi = ends(x)
     assert lo * lo <= Fraction(2, 3) <= hi * hi
-    assert Interval.exact(9, BITS).root() == 3
+    assert Interval.exact(9, BITS).root() == Interval.exact(3, BITS)
 
 
 def test_arithmetic_rounds_outward():
@@ -56,10 +56,9 @@ def test_arithmetic_rounds_outward():
         x, y = enclose(a), enclose(b)
         assert contains(x + y, a + b)
         assert contains(x - y, a - b)
-        assert contains(-x, -a)
         assert contains(x * y, a * b)
         assert contains(x * c, a * c) and contains(c * x, a * c)
-        assert contains(x + c, a + c) and contains(c - x, c - a)
+        assert contains(x + c, a + c) and contains(c + x, c + a) and contains(x - c, a - c)
         if c > 0:
             assert contains(x / c, a / c)
         if b > 0:
@@ -81,25 +80,26 @@ def test_division_needs_a_positive_divisor():
 
 def test_comparisons_hold_only_when_proven():
     root2, root3 = Interval.sqrt(2, BITS), Interval.sqrt(3, BITS)
-    assert root2 < root3 and root3 > root2
-    assert root2 <= root3 and root3 >= root2
-    assert not root2 < root2 and not root2 > root2
-    assert not root2 <= root2 and not root2 >= root2  # not a point: unproven
+    assert root2 < root3 and not root3 < root2
+    assert not root2 < root2  # overlapping enclosures prove nothing
     two = Interval.sqrt(4, BITS)
-    assert two <= 2 and two >= 2 and not two < 2
-    assert two == 2 and Interval.exact(0, BITS) == 0
-    assert root2 != 2 and root2 == Interval.sqrt(2, BITS)
+    assert two < 3 and not two < 2 and root2 < 2
+    # equality and hashing compare the ends and bits of two intervals
+    assert two == Interval.exact(2, BITS) and root2 == Interval.sqrt(2, BITS)
+    assert len({root2, Interval.sqrt(2, BITS), two}) == 2
+    assert root2 != Interval.sqrt(2, BITS + 1) and two != 2
 
 
 def test_root2_below_a_40_digit_truncation_is_not_certified():
     # t is sqrt(2) truncated to 40 digits, so t < sqrt(2) by under 1e-40.
-    # Accepting within the old 10^-30 slack would have passed sqrt(2) <= t.
+    # Accepting within the old 10^-30 slack would have passed sqrt(2) <= t;
+    # sqrt(2) is no point, so that claim needs strict separation, sqrt(2) < t.
     t = Fraction(math.isqrt(2 * 10**80), 10**40)
     assert 2 - t * t > 0
     assert ends(Interval.sqrt(2, BITS))[0] - t < Fraction(1, 10**30)
 
     def claim(bits):
-        return Interval.sqrt(2, bits) <= enclose(t, bits)
+        return Interval.sqrt(2, bits) < enclose(t, bits)
 
     assert not claim(BITS)
     assert not prove(claim, BITS)
@@ -135,4 +135,4 @@ def test_sqrt_sum_encloses_the_weighted_root_sum():
     roots = [w * Interval.sqrt(v, BITS) for w, v in terms]
     assert x == Interval(sum(r.lo for r in roots), sum(r.hi for r in roots), BITS)
     assert float(x) == pytest.approx(3 * math.sqrt(2) + 5 * math.sqrt(7) + 3, abs=1e-14)
-    assert sqrt_sum([(2, 4), (3, 9)], BITS) == 13
+    assert sqrt_sum([(2, 4), (3, 9)], BITS) == Interval.exact(13, BITS)

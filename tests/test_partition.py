@@ -90,8 +90,9 @@ def test_hg_moments_match_pmf():
         mean = sum(Fraction(s) * hg_pmf(params, s) for s in params.support())
         var = sum((Fraction(s) - mean) ** 2 * hg_pmf(params, s)
                   for s in params.support())
-        assert params.mean() == mean
-        assert params.variance() == var
+        # the closed forms k m / n and m k (n - k) (n - m) / (n^2 (n - 1))
+        assert mean == Fraction(m * k, n)
+        assert var == (Fraction(m * k * (n - k) * (n - m), n * n * (n - 1)) if n > 1 else 0)
 
 
 # ---------------------------------------------------------------- E sqrt
@@ -105,7 +106,7 @@ def test_mean_sqrt_golden_case():
 def test_mean_sqrt_degenerate_rows():
     got = mean_sqrt_hg(HypergeometricParams(6, 6, 4), precision=30)
     assert close(got, root(4))
-    assert mean_sqrt_hg(HypergeometricParams(6, 0, 4), precision=30) == 0
+    assert ends(mean_sqrt_hg(HypergeometricParams(6, 0, 4), precision=30)) == (0, 0)
 
 
 def test_mean_sqrt_matches_pmf_route():
@@ -163,8 +164,8 @@ def test_near_equal_sweep_order_and_count():
 
 
 def test_near_equal_property():
-    assert BlockPartitionSpec(7, 0, (2, 3, 2)).near_equal
-    assert not BlockPartitionSpec(6, 0, (4, 1, 1)).near_equal
+    assert sandwich_check(BlockPartitionSpec(7, 0, (2, 3, 2))).near_equal
+    assert not sandwich_check(BlockPartitionSpec(6, 0, (4, 1, 1))).near_equal
 
 
 def test_block_average_golden_case():
@@ -182,7 +183,7 @@ def test_block_average_no_zeros_equal_blocks_is_sqrt_n():
 
 def test_block_average_all_zeros_is_zero():
     spec = BlockPartitionSpec(6, 6, (3, 3))
-    assert block_average_B(spec, precision=30) == 0
+    assert ends(block_average_B(spec, precision=30)) == (0, 0)
 
 
 def brute_block_average(n, k, sizes):
@@ -234,7 +235,7 @@ def test_sandwich_all_zeros_has_no_gap_bound():
     report = sandwich_check(BlockPartitionSpec(5, 5, (3, 2)), precision=30)
     assert report.gap_bound is None
     assert report.pass_gap is None
-    assert report.block_average == 0
+    assert ends(report.block_average) == (0, 0)
     assert report.all_passed
 
 
@@ -287,12 +288,12 @@ def test_jensen_affine_scaling():
     # Var(X) = 1/4, E[Y] = 2: penalty = 4 * (1/4) / (2 * 2^1.5) = sqrt(2) / 8
     assert close(out.lower, root(2) - root(2) / 8, Fraction(1, 10**20))
     assert close(out.mean_sqrt, (1 + root(3)) / 2)
-    assert out.lower <= out.mean_sqrt <= out.upper
+    assert out.lower < out.mean_sqrt < out.upper
 
 
 def test_jensen_float_probabilities_accepted():
     out = jensen_bounds([0, 1, 2], [0.2, 0.5, 0.3], precision=15)
-    assert out.lower <= out.mean_sqrt <= out.upper
+    assert out.lower < out.mean_sqrt < out.upper
 
 
 def test_jensen_validation():

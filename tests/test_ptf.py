@@ -3,14 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from boolsurf.core import (TruthTable, all_points_signs, index_to_point, sensitivity,
-                           total_influence)
+from boolsurf.core import TruthTable, all_points_signs, total_influence
 from boolsurf.errors import (BoolsurfError, CapacityError, DegenerateInputError, InputError,
                              ParseError)
 from boolsurf.ptf import (ALPHA_EXACT_CAP, SparsePolynomial, alpha_estimate,
                           alpha_exact, eval_on_cube, eval_poly, generate,
                           poly_stats, restrict_poly, sign_table, variables_mask)
 from boolsurf.restriction import Restriction
+
+
+def complete(rho, y):
+    """Full point index of sub-index y under rho: bit j of y goes to the
+    j-th free coordinate, on top of the fixed -1 coordinates."""
+    idx = rho.fixed_base_index()
+    for j, i in enumerate(rho.free_indices().tolist()):
+        idx |= (y >> j & 1) << i
+    return idx
 
 
 def naive_eval(poly, x):
@@ -223,7 +231,7 @@ def test_restrict_then_eval_matches_completion():
         q = restrict_poly(p, rho)
         assert q.n == rho.free_count
         for y in range(1 << q.n):
-            want = eval_poly(p, rho.complete(y))
+            want = eval_poly(p, complete(rho, y))
             assert abs(eval_poly(q, y) - want) < 1e-11
 
 
@@ -447,9 +455,6 @@ def test_generate_validation():
 
 
 @pytest.mark.parametrize("call, cls, text", [
-    (lambda: sensitivity(TruthTable.majority(3), 8), InputError,
-     "point index 8 out of range for n=3"),
-    (lambda: index_to_point(3, -1), InputError, "point index -1 out of range for n=3"),
     (lambda: eval_poly(maj_poly(3), 8), InputError, "point index 8 out of range for n=3"),
     (lambda: TruthTable.parity(3, 8), InputError, "subset mask 8 out of range for n=3"),
     (lambda: generate("parity", 3, subset=8), InputError,
@@ -460,7 +465,7 @@ def test_generate_validation():
      "n=65 exceeds the storage cap of 64 variables"),
     (lambda: generate("majority", 65), CapacityError,
      "n=65 exceeds the storage cap of 64 variables"),
-], ids=["sensitivity", "index_to_point", "eval_poly", "TruthTable.parity",
+], ids=["eval_poly", "TruthTable.parity",
         "generate-parity", "SparsePolynomial-mask", "SparsePolynomial-negative-n",
         "SparsePolynomial-cap", "generate-cap"])
 def test_index_and_storage_checks_keep_class_and_text(call, cls, text):
