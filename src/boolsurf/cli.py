@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -40,6 +41,59 @@ DEFAULT_PARTITION_N = "1..12"
 # (n, k, sizes) triples one `partition --n` sweep may certify; c6 checks 75,640
 PARTITION_SWEEP_CAP = 10**6
 INT_LIST_CAP = 10**6  # integers one list option may expand to, counted before expanding
+
+
+# ------------------------------------------------------------ tokens and lists
+
+_INTEGER = re.compile(r"-?[0-9]+")
+_DECIMAL = re.compile(r"-?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?")
+
+
+def integer(text: str) -> int:
+    """The one integer token: ASCII digits after an optional '-'.  argparse
+    names this function in its messages ("invalid integer value")."""
+    try:
+        if _INTEGER.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ParseError(f"invalid integer value: {text!r}")
+
+
+def decimal(text: str) -> float:
+    """The one decimal token: `_DECIMAL`, and finite (1e400 is not)."""
+    if _DECIMAL.fullmatch(text) and math.isfinite(value := float(text)):
+        return value
+    raise ParseError(f"invalid decimal value: {text!r}")
+
+
+def _items(text: str, sep: str = ",") -> list[str]:
+    """The items of a `sep`-joined list, none of them empty."""
+    items = text.split(sep)
+    if "" in items:
+        raise ParseError(f"empty item in list {text!r}")
+    return items
+
+
+def parse_int_list(text: str) -> list[int]:
+    """Integers from 'a,b,c' with 'lo..hi' range chunks, e.g. '1..4,8'."""
+    out: list[int] = []
+    for chunk in _items(text):
+        lo, sep, hi = chunk.partition("..")
+        if not sep:
+            out.append(integer(chunk))
+            continue
+        start, stop = integer(lo), integer(hi)
+        if stop < start:
+            raise InputError(f"empty range {chunk!r}")
+        if len(out) + stop - start + 1 > INT_LIST_CAP:
+            raise CapacityError(f"{text!r} expands to more than {INT_LIST_CAP} integers")
+        out.extend(range(start, stop + 1))
+    return out
+
+
+def parse_float_list(text: str) -> list[float]:
+    return [decimal(item) for item in _items(text)]
 
 
 # ------------------------------------------------------------ function specs
@@ -69,16 +123,11 @@ class FunctionSpec:
 def _parse_kv_int(pairs: str, allowed: dict[str, bool], what: str) -> dict[str, int]:
     """Parse 'k=v,k=v' with integer values; `allowed` maps key -> required."""
     out: dict[str, int] = {}
-    for chunk in pairs.split(","):
-        if not chunk:
-            continue
+    for chunk in _items(pairs):
         key, sep, value = chunk.partition("=")
-        if not sep or key not in allowed:
+        if not sep or key not in allowed or key in out:  # a repeat would shadow the first
             raise ParseError(f"bad parameter {chunk!r} in {what} spec")
-        try:
-            out[key] = int(value)
-        except ValueError:
-            raise ParseError(f"parameter {key} in {what} spec needs an integer, got {value!r}")
+        out[key] = integer(value)
     missing = [k for k, required in allowed.items() if required and k not in out]
     if missing:
         raise ParseError(f"{what} spec is missing {', '.join(missing)}")
@@ -89,24 +138,14 @@ def _parse_generator(text: str) -> FunctionSpec:
     name, _, rest = text.partition(":")
     name = name.lower()
     if name in ("maj", "majority", "harm", "harmonic"):
-        try:
-            n = int(rest)
-        except ValueError:
-            raise ParseError(f"{name} spec needs a variable count, got {rest!r}",
-                             position=len(name) + 1)
         kind = "majority" if name.startswith("maj") else "harmonic"
-        return FunctionSpec(text, kind, polynomial=generate(kind, n))
+        return FunctionSpec(text, kind, polynomial=generate(kind, integer(rest)))
     if name in ("par", "parity"):
         head, sep, subset_text = rest.partition(":")
         if not sep:
             raise ParseError("parity spec is par:<n>:<v1,v2,...>", position=len(name) + 1)
-        try:
-            n = int(head)
-            variables = [int(v) for v in subset_text.split(",") if v]
-        except ValueError:
-            raise ParseError(f"parity spec needs integers, got {rest!r}",
-                             position=len(name) + 1)
-        mask = variables_mask(variables, n)
+        n = integer(head)
+        mask = variables_mask([integer(v) for v in _items(subset_text)], n)
         return FunctionSpec(text, "parity", polynomial=generate("parity", n, subset=mask))
     if name == "rand":
         params = _parse_kv_int(rest, {"d": True, "n": True, "seed": False}, "rand")
@@ -127,11 +166,7 @@ def parse_table_text(content: str) -> TruthTable:
     lines = [line.strip() for line in content.splitlines() if line.strip()]
     if len(lines) != 2 or not lines[0].startswith("n="):
         raise ParseError("table file needs two lines: 'n=<int>' then the sign row")
-    try:
-        n = int(lines[0][2:])
-    except ValueError:
-        raise ParseError(f"bad variable count {lines[0][2:]!r}", position=2)
-    n = _check_n(n)
+    n = _check_n(integer(lines[0][2:]))
     row = lines[1]
     if len(row) != 1 << n:
         raise ParseError(f"sign row has {len(row)} characters, expected {1 << n}")
@@ -174,50 +209,6 @@ def parse_function_spec(text: str) -> FunctionSpec:
             return _polynomial_spec(text, content, f" in {path}")
         raise ParseError(f"{path} is neither a table file nor polynomial JSON")
     return _parse_generator(text)
-
-
-# ------------------------------------------------------------ list parsing
-
-def parse_int_list(text: str) -> list[int]:
-    """Integers from 'a,b,c' with 'lo..hi' range chunks, e.g. '1..4,8'."""
-    out: list[int] = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        lo, sep, hi = chunk.partition("..")
-        try:
-            if sep:
-                start, stop = int(lo), int(hi)
-                if stop < start:
-                    raise InputError(f"empty range {chunk!r}")
-                if len(out) + stop - start + 1 > INT_LIST_CAP:
-                    raise CapacityError(
-                        f"{text!r} expands to more than {INT_LIST_CAP} integers")
-                out.extend(range(start, stop + 1))
-            else:
-                out.append(int(chunk))
-        except ValueError:
-            raise ParseError(f"bad integer chunk {chunk!r}")
-    if not out:
-        raise ParseError(f"no integers in {text!r}")
-    return out
-
-
-def parse_float_list(text: str) -> list[float]:
-    try:
-        out = [float(chunk) for chunk in text.split(",") if chunk.strip()]
-    except ValueError:
-        raise ParseError(f"bad float list {text!r}")
-    if not out:
-        raise ParseError(f"no floats in {text!r}")
-    return out
-
-
-def _check_precision_option(precision: int) -> int:
-    if not 10 <= precision <= 50:
-        raise InputError(f"precision must lie in 10..50 digits, got {precision}")
-    return precision
 
 
 # ------------------------------------------------------------ output plumbing
@@ -305,7 +296,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_tail(args) -> int:
     spec = parse_function_spec(args.spec)
     table, _ = spec.resolve_table()
-    levels = parse_int_list(args.m) if args.m else list(range(1, table.n + 1))
+    levels = list(range(1, table.n + 1)) if args.m is None else parse_int_list(args.m)
     header = ["m", "p_e", "coupling_lb", "bound_ratio", "floor",
               "p_e_exact", "coupling_lb_exact"]
     rows = []
@@ -346,23 +337,21 @@ def _partition_line(row: tuple) -> str:
 
 
 def _cmd_partition(args) -> int:
-    precision = _check_precision_option(args.precision)
     if args.sizes is not None:
         if args.n is not None:
             raise InputError("--n sweeps near-equal splits; it cannot go with --sizes")
-        try:
-            sizes = tuple(int(s) for s in args.sizes.split("-"))
-        except ValueError:
-            raise ParseError(f"--sizes needs dash-joined integers, got {args.sizes!r}")
+        sizes = tuple(map(integer, _items(args.sizes, "-")))
         n = sum(sizes)
-        ks = parse_int_list(args.k) if args.k else list(range(0, n + 1))
+        ks = list(range(0, n + 1)) if args.k is None else parse_int_list(args.k)
         cases = [(n, k, sizes) for k in ks]
     else:
         if args.k is not None:
             raise InputError("--k selects zero counts for --sizes; give --sizes too")
         n_text = DEFAULT_PARTITION_N if args.n is None else args.n
         ns = parse_int_list(n_text)
-        triples = sum(n * (n + 1) for n in ns if n > 0)
+        if min(ns) < 1:
+            raise InputError(f"--n needs population sizes >= 1, got {min(ns)}")
+        triples = sum(n * (n + 1) for n in ns)
         if triples > PARTITION_SWEEP_CAP:
             raise CapacityError(
                 f"--n {n_text} sweeps {triples} (n, k, sizes) triples; "
@@ -372,7 +361,7 @@ def _cmd_partition(args) -> int:
     failures = 0
     for n, k, sizes in cases:
         report = partition_mod.sandwich_check(
-            partition_mod.BlockPartitionSpec(n, k, sizes), precision)
+            partition_mod.BlockPartitionSpec(n, k, sizes), args.precision)
         if not report.all_passed:
             failures += 1
         rows.append(_partition_row(report))
@@ -399,7 +388,7 @@ def _cmd_restrict(args) -> int:
         for delta in deltas:
             r = restriction_mod.restriction_failure_prob(
                 poly, rate, delta, args.trials, seed=args.seed, workers=args.workers)
-            rows.append([float(rate), float(delta), r.trials,
+            rows.append([rate, delta, r.trials,
                          float(r.estimate), float(r.stderr), float(r.rejection_rate)])
     _emit_table(args, "restrict", spec.text, header, rows)
     return 0
@@ -440,7 +429,7 @@ def _cmd_verify(args) -> int:
             limit = f" (budget {budget:g}s)" if budget else ""
             print(f"{cid}: {title}{limit}")
         return 0
-    only = args.only.split(",") if args.only else None
+    only = None if args.only is None else _items(args.only)
     if only:
         unknown = set(only) - set(verify_mod.criteria_ids())
         if unknown:
@@ -468,12 +457,13 @@ def _family_table(family: str, n: int) -> TruthTable:
 
 
 def _cmd_sweep(args) -> int:
+    n_list = parse_int_list(args.n)  # every list is read before any table is built
     if args.kind == "bsa":
         header = ["family", "n", "bsa", "bsa_via_tails", "influence_total",
                   "vertex_boundary_fraction"]
         rows = []
-        for family in args.family.split(","):
-            for n in parse_int_list(args.n):
+        for family in _items(args.family):
+            for n in n_list:
                 table = _family_table(family, n)
                 profile = table.profile()
                 rows.append([family, n, profile.bsa(), bsa_via_tails(table),
@@ -483,20 +473,22 @@ def _cmd_sweep(args) -> int:
     if args.kind == "ns":
         header = ["family", "n", "delta", "t", "ns", "ns_over_sqrt_t"]
         rows = []
-        for family in args.family.split(","):
-            for n in parse_int_list(args.n):
+        deltas = parse_float_list(args.delta)
+        for family in _items(args.family):
+            for n in n_list:
                 table = _family_table(family, n)
-                for delta in parse_float_list(args.delta):
+                for delta in deltas:
                     ns = noise_sensitivity(table, delta)  # checks 0 < delta < 1/2
                     t = -math.log(1.0 - 2.0 * delta)
-                    rows.append([family, n, float(delta), t, ns, ns / math.sqrt(t)])
+                    rows.append([family, n, delta, t, ns, ns / math.sqrt(t)])
         _emit_table(args, "sweep", None, header, rows)
         return 0
     if args.kind == "alpha":
         header = ["n", "degree", "seed", "alpha", "stderr", "alpha_exact"]
         rows = []
-        for n in parse_int_list(args.n):
-            for seed in parse_int_list(args.seeds):
+        seeds = parse_int_list(args.seeds)
+        for n in n_list:
+            for seed in seeds:
                 poly = generate("random", n, degree=args.degree, seed=seed)
                 # first, so a capacity error comes before the Monte Carlo work
                 exact = alpha_exact(poly) if args.exact else None
@@ -509,9 +501,16 @@ def _cmd_sweep(args) -> int:
 
 # ------------------------------------------------------------ parser / main
 
+class _Parser(argparse.ArgumentParser):  # the subcommand parsers are of this class too
+    """Usage errors print one line, prefixed like every other error."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: {message}\n")
+
+
 @lru_cache(maxsize=1)  # argparse keeps no state between parse_args calls
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boolsurf",
         description="Sensitivity, surface area, and boundary geometry of Boolean "
                     "functions; exact at small n, seeded Monte Carlo beyond.")
@@ -539,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", help=f"population sizes to sweep (default {DEFAULT_PARTITION_N})")
     p.add_argument("--sizes", help="explicit dash-joined block sizes, e.g. 3-2-2")
     p.add_argument("--k", help="zero counts to sweep with --sizes (default 0..n)")
-    p.add_argument("--precision", type=int, default=partition_mod.DEFAULT_PRECISION,
+    p.add_argument("--precision", type=integer, default=partition_mod.DEFAULT_PRECISION,
                    help="decimal digits (10..50)")
     add_output(p, "csv")
 
@@ -549,9 +548,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="free-coordinate rates (comma list)")
     p.add_argument("--delta", default="0.0625",
                    help="closeness thresholds (comma list)")
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--trials", type=integer, default=10_000)
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--workers", type=integer, default=None)
     add_output(p, "csv")
 
     p = sub.add_parser("boundary", help="boundary geometry report and threshold check")
@@ -570,10 +569,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="3,5,7,9,11,13,15")
     p.add_argument("--delta", default="0.01,0.02,0.05,0.1",
                    help="ns sweep noise rates")
-    p.add_argument("--degree", type=int, default=2, help="alpha sweep degree")
+    p.add_argument("--degree", type=integer, default=2, help="alpha sweep degree")
     p.add_argument("--seeds", default="0..4", help="alpha sweep seeds")
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--trials", type=integer, default=10_000)
+    p.add_argument("--workers", type=integer, default=None)
     p.add_argument("--exact", action="store_true",
                    help="alpha sweep: also enumerate the exact average")
     add_output(p, "csv")
@@ -605,10 +604,13 @@ def exit_code_for(exc: BaseException) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
     except SystemExit as exc:  # argparse handles --help and bad flags
         return int(exc.code or 0)
     prefix = f"boolsurf {args.command}"
+    if extra:  # the top-level parser would report these without the command
+        print(f"{prefix}: unrecognized arguments: {' '.join(extra)}", file=sys.stderr)
+        return 2
     # warnings print as one line, not as a path plus a source line; the
     # filters still decide whether a warning shows at all
     default_format = warnings.formatwarning

@@ -57,8 +57,8 @@ ABS_NOISE = 1e-9  # float-conversion allowance when a Monte Carlo stderr is 0
 
 def _check_precision(precision: int) -> int:
     precision = int(precision)
-    if not 1 <= precision <= 100:
-        raise InputError(f"precision must lie in 1..100 decimal digits, got {precision}")
+    if not 10 <= precision <= 50:
+        raise InputError(f"precision must lie in 10..50 decimal digits, got {precision}")
     return precision
 
 

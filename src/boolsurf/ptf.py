@@ -108,17 +108,19 @@ class SparsePolynomial:
         if not isinstance(data, dict):
             raise InputError("polynomial JSON must be an object")
         try:
-            n = int(data["n"])
-            raw_terms = data["terms"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            n, raw_terms = data["n"], data["terms"]
+        except KeyError as exc:
             raise InputError(f"polynomial JSON needs integer 'n' and a 'terms' list: {exc}")
+        n = _exact_int(n, "'n'")
         if not isinstance(raw_terms, list):
             raise InputError("'terms' must be a list")
         acc: dict[int, float] = {}
         for pos, term in enumerate(raw_terms):
             try:
-                variables = list(term["vars"])
-                coef = float(term["coef"])
+                variables, coef = list(term["vars"]), term["coef"]
+                if isinstance(coef, (bool, str)):  # float() reads both
+                    raise TypeError(f"{coef!r} is not a number")
+                coef = float(coef)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"term {pos} needs 'vars' and numeric 'coef': {exc}")
             try:
@@ -143,16 +145,21 @@ def _check_storage_n(n: int) -> int:
     return n
 
 
+def _exact_int(value, what: str) -> int:
+    """`value` as an int when it equals one; bools and strings are not integers."""
+    try:
+        if not isinstance(value, (bool, str)) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"{what} {value!r} is not an integer")
+
+
 def variables_mask(variables, n: int) -> int:
     """Bitmask of 1-indexed variables, each an integer in 1..n and none repeated."""
     mask = 0
     for v in variables:
-        try:
-            index = int(v)
-        except (TypeError, ValueError, OverflowError):
-            index = None
-        if index is None or index != v:
-            raise InputError(f"variable {v!r} is not an integer")
+        index = _exact_int(v, "variable")
         if not 1 <= index <= n:
             raise InputError(f"variable {index} out of range 1..{n}")
         bit = 1 << (index - 1)

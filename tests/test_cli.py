@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -210,6 +211,36 @@ def test_cli_bad_flag_exits_nonzero(capsys):
     (["analyze", '{{"n": 2, "terms": [{{"vars": ["a"], "coef": 1.0}}]}}'], 2),
     (["analyze", '{{"n": 2, "terms": [{{"vars": [1e400], "coef": 1.0}}]}}'], 2),
     (["analyze", '{{"n": 2, "terms": [{{"vars": [1], "coef": 1' + "0" * 400 + '}}]}}'], 2),
+    (["restrict", "maj:5", "--trials", "1_0"], 2),
+    (["tail", "maj:3", "--m", "1,,2"], 2),
+    (["tail", "maj:3", "--m", " +1"], 2),
+    (["tail", "maj:3", "--m", ""], 2),
+    (["partition", "--sizes", "2-2", "--k", ""], 2),
+    (["analyze", "par:5:1,,2"], 2),
+    (["analyze", "par:5:"], 2),
+    (["analyze", "maj:+5"], 2),
+    (["analyze", "maj:\uff15"], 2),
+    (["analyze", "rand:d=+2,n=1_0"], 2),
+    (["analyze", "rand:d=2,n=5,n=6"], 2),
+    (["partition", "--sizes", "1_0", "--k", "0"], 2),
+    (["partition", "--sizes", "\uff12-\uff12"], 2),
+    (["analyze", "maj:5", "--deltas", ",0.1,"], 2),
+    (["analyze", "maj:5", "--deltas", "0.0_1"], 2),
+    (["analyze", "maj:5", "--moments", "nan"], 2),
+    (["analyze", "maj:5", "--moments", "1e400"], 2),
+    (["sweep", "--kind", "bsa", "--n", "3,,5"], 2),
+    (["verify", "--only", ""], 2),
+    (["partition", "--sizes", "2", "--precision", "1_0"], 2),
+    (["partition", "--n", "0"], 2),
+    (["partition", "--n", "-3"], 2),
+    (["partition", "--n", "0..2"], 2),
+    (["partition", "--sizes", "3-2", "--bogus"], 2),
+    (["analyze", '{{"n": 3.7, "terms": []}}'], 2),
+    (["analyze", '{{"n": "3", "terms": []}}'], 2),
+    (["analyze", '{{"n": true, "terms": []}}'], 2),
+    (["analyze", '{{"n": 2, "terms": [{{"vars": [true], "coef": 1.0}}]}}'], 2),
+    (["analyze", '{{"n": 2, "terms": [{{"vars": [1], "coef": "1e0"}}]}}'], 2),
+    (["analyze", '{{"n": 2, "terms": [{{"vars": [1], "coef": true}}]}}'], 2),
 ], ids=["sizes-not-integer", "sizes-zero-block", "sizes-leading-dash", "sizes-trailing-dash",
         "sizes-double-dash", "sizes-empty", "out-dir-missing", "tail-bad-range",
         "restrict-zero-trials", "restrict-rate-above-1", "restrict-zero-workers",
@@ -217,7 +248,16 @@ def test_cli_bad_flag_exits_nonzero(capsys):
         "partition-range-unbounded", "rand-negative-seed",
         "rands-negative-seed", "restrict-negative-seed", "sweep-alpha-negative-seed",
         "sweep-ns-delta-half", "json-n-infinite", "json-variable-not-integer",
-        "json-variable-infinite", "json-coef-too-large"])
+        "json-variable-infinite", "json-coef-too-large", "restrict-trials-underscore",
+        "tail-empty-item", "tail-signed-spaced", "tail-empty-list", "sizes-empty-k-list",
+        "parity-empty-item", "parity-no-variables", "maj-signed", "maj-fullwidth-digit",
+        "rand-signed-underscore", "rand-repeated-parameter", "sizes-underscore",
+        "sizes-fullwidth-digits", "deltas-empty-items", "deltas-underscore", "moments-nan",
+        "moments-overflow", "sweep-n-empty-item", "verify-only-empty",
+        "partition-precision-underscore", "partition-n-zero", "partition-n-negative",
+        "partition-n-range-from-zero", "unrecognized-argument",
+        "json-n-fractional", "json-n-string", "json-n-bool", "json-variable-bool",
+        "json-coef-string", "json-coef-bool"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, exit_code):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
     # a warning would print before the error line; make one fail the test outright
@@ -226,6 +266,33 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, exit_code
         code, _, err = run_cli(capsys, *argv)
     assert code == exit_code
     assert len(err.splitlines()) == 1 and err.startswith(f"boolsurf {argv[0]}: ")
+
+
+@pytest.mark.parametrize("header", ["n= 2", "n=+2", "n=0_2", "n=\uff12"],
+                         ids=["spaced", "signed", "underscore", "fullwidth-digit"])
+def test_malformed_table_header_exits_2_with_one_line(capsys, tmp_path, header):
+    path = tmp_path / "table.txt"
+    path.write_text(f"{header}\n++-+\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "tail", f"@{path}")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("boolsurf tail: ")
+
+
+def readme_cli_lines():
+    """The `boolsurf ...` lines of README's CLI quickstart block, comments cut."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI quickstart", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines()
+            if line.startswith("boolsurf ")]
+
+
+# verify is left out: tests/test_acceptance.py runs every criterion
+@pytest.mark.parametrize("line", [line for line in readme_cli_lines()
+                                  if line.split()[1] != "verify"])
+def test_readme_cli_quickstart_runs(capsys, monkeypatch, tmp_path, line):
+    monkeypatch.chdir(tmp_path)  # boundary writes its --levels-csv here
+    code, out, _ = run_cli(capsys, *shlex.split(line)[1:])
+    assert code == 0 and out
 
 
 def test_warning_prints_as_one_line():
