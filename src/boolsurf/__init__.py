@@ -17,10 +17,9 @@ from .core import (EXACT_CAP, TruthTable, bsa, bsa_via_tails, fractional_moment,
                    noise_sensitivity, noise_sensitivity_semigroup, total_influence)
 from .errors import (BoolsurfError, CapacityError, DegenerateInputError, InputError, ParseError,
                      VerificationError)
-from .partition import (BlockPartitionSpec, HypergeometricParams, SandwichReport,
-                        block_average_B, bsa_block_bound, hg_pmf, jensen_bounds,
-                        mc_partition_average, mean_sqrt_hg, near_equal_sizes, near_equal_sweep,
-                        sandwich_check)
+from .partition import (BlockPartitionSpec, HypergeometricParams, block_average_B,
+                        bsa_block_bound, hg_pmf, jensen_bounds, mc_partition_average,
+                        mean_sqrt_hg, near_equal_sizes, near_equal_sweep, sandwich_check)
 from .ptf import (SparsePolynomial, alpha_estimate, alpha_exact, generate, poly_stats,
                   restrict_poly, sign_table, variables_mask)
 from .restriction import (Restriction, closeness_to_constant, restrict_table,
@@ -41,9 +40,9 @@ __all__ = [
     "BoolsurfError", "CapacityError", "DegenerateInputError", "InputError", "ParseError",
     "VerificationError",
     # partition
-    "BlockPartitionSpec", "HypergeometricParams", "SandwichReport", "block_average_B",
-    "bsa_block_bound", "hg_pmf", "jensen_bounds", "mc_partition_average", "mean_sqrt_hg",
-    "near_equal_sizes", "near_equal_sweep", "sandwich_check",
+    "BlockPartitionSpec", "HypergeometricParams", "block_average_B", "bsa_block_bound",
+    "hg_pmf", "jensen_bounds", "mc_partition_average", "mean_sqrt_hg", "near_equal_sizes",
+    "near_equal_sweep", "sandwich_check",
     # ptf
     "SparsePolynomial", "alpha_estimate", "alpha_exact", "generate", "poly_stats",
     "restrict_poly", "sign_table", "variables_mask",

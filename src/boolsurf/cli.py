@@ -314,19 +314,6 @@ _PARTITION_HEADER = ["n", "k", "sizes", "A", "B", "gap", "gap_bound",
 _FLAG_CELL = {True: "1", False: "0", None: ""}
 
 
-@lru_cache(maxsize=None)
-def _sizes_label(sizes: tuple[int, ...]) -> str:
-    return "-".join(map(str, sizes))
-
-
-def _partition_row(report: partition_mod.SandwichReport) -> tuple:
-    spec = report.spec
-    return (spec.n, spec.k, _sizes_label(spec.sizes),
-            float(report.sqrt_total), float(report.block_average), float(report.gap),
-            None if report.gap_bound is None else float(report.gap_bound),
-            report.pass_lower, report.pass_upper, report.pass_gap)
-
-
 def _partition_line(row: tuple) -> str:
     """One CSV line of a partition row, each column formatted as its type
     is known: the same bytes `render_csv` writes for the row."""
@@ -342,29 +329,24 @@ def _cmd_partition(args) -> int:
             raise InputError("--n sweeps near-equal splits; it cannot go with --sizes")
         sizes = tuple(map(integer, _items(args.sizes, "-")))
         n = sum(sizes)
-        ks = list(range(0, n + 1)) if args.k is None else parse_int_list(args.k)
-        cases = [(n, k, sizes) for k in ks]
+        ks = range(0, n + 1) if args.k is None else parse_int_list(args.k)
+        groups = [(n, sizes, ks)]
     else:
         if args.k is not None:
             raise InputError("--k selects zero counts for --sizes; give --sizes too")
         n_text = DEFAULT_PARTITION_N if args.n is None else args.n
         ns = parse_int_list(n_text)
-        if min(ns) < 1:
-            raise InputError(f"--n needs population sizes >= 1, got {min(ns)}")
+        sweep = partition_mod.near_equal_sweep(ns)  # rejects n < 1
         triples = sum(n * (n + 1) for n in ns)
         if triples > PARTITION_SWEEP_CAP:
             raise CapacityError(
                 f"--n {n_text} sweeps {triples} (n, k, sizes) triples; "
                 f"the cap is {PARTITION_SWEEP_CAP}")
-        cases = partition_mod.near_equal_sweep(ns)
-    rows = []
-    failures = 0
-    for n, k, sizes in cases:
-        report = partition_mod.sandwich_check(
-            partition_mod.BlockPartitionSpec(n, k, sizes), args.precision)
-        if not report.all_passed:
-            failures += 1
-        rows.append(_partition_row(report))
+        groups = ((n, sizes, range(n + 1)) for n, sizes in sweep)
+    rows = [row for n, sizes, ks in groups
+            for row in partition_mod.sandwich_rows(n, sizes, ks, args.precision)]
+    failures = sum(1 for *_, lower, upper, gap_ok in rows
+                   if not partition_mod._all_passed(lower, upper, gap_ok))
     if args.format == "json":
         _emit_table(args, "partition", None, _PARTITION_HEADER, rows)
     else:
@@ -429,12 +411,7 @@ def _cmd_verify(args) -> int:
             limit = f" (budget {budget:g}s)" if budget else ""
             print(f"{cid}: {title}{limit}")
         return 0
-    only = None if args.only is None else _items(args.only)
-    if only:
-        unknown = set(only) - set(verify_mod.criteria_ids())
-        if unknown:
-            raise InputError(f"unknown criteria: {', '.join(sorted(unknown))}")
-    results = verify_mod.run_all(only)
+    results = verify_mod.run_all(None if args.only is None else _items(args.only))
     for result in results:
         print(verify_mod.format_result(result))
     failed = [r.cid for r in results if not r.passed]

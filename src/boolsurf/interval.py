@@ -89,12 +89,7 @@ class Interval:
                 return Interval(self.lo * other, self.hi * other, self.bits)
             return Interval(self.hi * other, self.lo * other, self.bits)
         lo, hi = self._ends(other)
-        if self.lo >= 0 and lo >= 0:
-            low, high = self.lo * lo, self.hi * hi
-        else:
-            ends = (self.lo * lo, self.lo * hi, self.hi * lo, self.hi * hi)
-            low, high = min(ends), max(ends)
-        return Interval(low >> self.bits, -(-high >> self.bits), self.bits)
+        return Interval(*_product(self.lo, self.hi, lo, hi, self.bits), self.bits)
 
     __rmul__ = __mul__
 
@@ -127,6 +122,16 @@ class Interval:
     def __float__(self) -> float:
         """The double nearest the midpoint: correctly rounded when settled."""
         return (self.lo + self.hi) / (2 << self.bits)
+
+
+def _product(lo: int, hi: int, other_lo: int, other_hi: int, bits: int) -> tuple[int, int]:
+    """The ends of [lo, hi] * [other_lo, other_hi] at `bits`, rounded outward."""
+    if lo >= 0 and other_lo >= 0:
+        low, high = lo * other_lo, hi * other_hi
+    else:
+        ends = (lo * other_lo, lo * other_hi, hi * other_lo, hi * other_hi)
+        low, high = min(ends), max(ends)
+    return low >> bits, -(-high >> bits)
 
 
 def sqrt_sum(terms, bits: int) -> Interval:

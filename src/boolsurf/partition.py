@@ -47,7 +47,7 @@ import numpy as np
 from .core import (_CELL_BUDGET, TruthTable, _check_n, _moment_weights, _subset_sums, bsa,
                    popcount_table, sensitivities)
 from .errors import DegenerateInputError, InputError, VerificationError
-from .interval import Interval, refine, sqrt_sum, working_bits
+from .interval import Interval, _product, _root, refine, sqrt_sum, working_bits
 from .seeding import Estimate, mc_values, mean_and_stderr
 
 DEFAULT_PRECISION = 15
@@ -63,7 +63,7 @@ def _check_precision(precision: int) -> int:
 
 
 def _settled(*values) -> bool:
-    for v in values:  # a plain loop: the sandwich asks this once per case
+    for v in values:
         if v is not None and not v.settled:
             return False
     return True
@@ -176,11 +176,6 @@ def _near_equal(n: int, sizes: tuple[int, ...]) -> bool:
     return m <= min(sizes) and max(sizes) <= m + 1
 
 
-def _average_is_total(n: int, k: int, blocks: int, equal: bool) -> bool:
-    """B = sqrt(n - k) identically: k = n, b = 1, or k = 0 with equal sizes."""
-    return k == n or blocks == 1 or (k == 0 and equal)
-
-
 def near_equal_sizes(n: int, blocks: int) -> tuple[int, ...]:
     """The canonical floor/ceil split: larger blocks first."""
     if not 1 <= blocks <= n:
@@ -190,14 +185,14 @@ def near_equal_sizes(n: int, blocks: int) -> tuple[int, ...]:
 
 
 def near_equal_sweep(ns):
-    """Every (n, k, sizes) with `sizes` the near-equal split of n into b
-    blocks, for n in `ns`, b in 1..n and k in 0..n, in that nesting order:
-    n(n + 1) cases per n."""
-    for n in ns:
-        for b in range(1, n + 1):
-            sizes = near_equal_sizes(n, b)
-            for k in range(0, n + 1):
-                yield n, k, sizes
+    """Every group (n, sizes) with `sizes` the near-equal split of n into b
+    blocks, for n in `ns` and b in 1..n, in that nesting order; each group
+    certifies k in 0..n, so n(n + 1) cases per n.  Raises InputError for
+    an n below 1 before yielding anything."""
+    ns = list(ns)
+    if ns and min(ns) < 1:
+        raise InputError(f"near-equal sweeps need n >= 1, got {min(ns)}")
+    return ((n, near_equal_sizes(n, b)) for n in ns for b in range(1, n + 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,22 +229,79 @@ def _split(n: int, sizes: tuple[int, ...], bits: int) -> _Split:
                   1 / Interval.sqrt(blocks, bits), tilt, slope)
 
 
-def _average(split: _Split, n: int, k: int, bits: int) -> Interval:
-    """B when it is not sqrt(n - k) identically."""
-    lo = hi = 0
-    for m, count in split.size_counts:
-        mean = _mean_sqrt(n, n - k, m, bits)
-        lo += count * mean.lo
-        hi += count * mean.hi
-    return Interval(lo, hi, bits) * split.inv_root_b
+def _sandwich(split: _Split, n: int, k: int, bits: int) -> tuple:
+    """The sandwich of k zeros among the n positions of `split` at `bits`,
+    as integer ends: the one arithmetic behind B, the gap bound and every
+    sandwich certificate.
+
+    Returns (a_lo, a_hi, b_lo, b_hi, gap_lo, gap_hi, bound, pass_lower,
+    pass_upper, pass_gap): A = sqrt(n - k), the average B, gap = A - B,
+    the gap bound's (lo, hi) ends or None when k = n, and the three
+    certificates (pass_upper None off near-equal sizes, pass_gap None
+    when k = n).  Products round outward as `Interval.__mul__` does.
+    """
+    root = _root(n - k, bits)
+    a_lo, a_hi = root.lo, root.hi
+    if k == n or split.blocks == 1 or (k == 0 and split.equal):
+        # B = sqrt(n - k) identically: every block count is constant
+        b_lo, b_hi, gap_lo, gap_hi, lower = a_lo, a_hi, 0, 0, True
+    else:
+        lo = hi = 0
+        for m, count in split.size_counts:
+            mean = _mean_sqrt(n, n - k, m, bits)
+            lo += count * mean.lo
+            hi += count * mean.hi
+        inv = split.inv_root_b
+        b_lo, b_hi = _product(lo, hi, inv.lo, inv.hi, bits)
+        gap_lo, gap_hi = a_lo - b_hi, a_hi - b_lo
+        lower = b_hi < a_lo
+    if k == n:
+        bound = gap_ok = None
+    elif split.blocks == 1 or (k == 0 and split.equal):
+        bound, gap_ok = (0, 0), True  # the gap is 0 too
+    else:
+        # sqrt(n - k) * (tilt + k * slope / (n - k)): the Jensen steps
+        # sqrt(n - k) * tilt and k * slope / sqrt(n - k), the sum rounded
+        # outward in one step
+        tilt, slope = split.tilt, split.slope
+        lo, hi = tilt.lo, tilt.hi
+        if k:
+            lo += slope.lo * k // (n - k)
+            hi -= -slope.hi * k // (n - k)
+        bound = _product(a_lo, a_hi, lo, hi, bits)
+        gap_ok = k == 0 or gap_hi < bound[0]  # at k = 0 the bound is the gap itself
+    upper = gap_hi < split.blocks << bits if split.near_equal else None  # A <= B + b
+    return a_lo, a_hi, b_lo, b_hi, gap_lo, gap_hi, bound, lower, upper, gap_ok
+
+
+def _all_passed(pass_lower: bool, pass_upper: bool | None, pass_gap: bool | None) -> bool:
+    """The lower certificate passes and neither other one fails (None: it
+    does not apply)."""
+    return pass_lower and pass_upper is not False and pass_gap is not False
+
+
+def _certified(ends: tuple, bits: int) -> bool:
+    """Every certificate of `_sandwich`'s `ends` passes or does not apply,
+    and A, B, the gap and the bound are each settled (`Interval.settled`)."""
+    a_lo, a_hi, b_lo, b_hi, gap_lo, gap_hi, bound, lower, upper, gap_ok = ends
+    if not _all_passed(lower, upper, gap_ok):
+        return False
+    scale = 1 << bits
+    if bound is not None and bound[0] / scale != bound[1] / scale:
+        return False
+    return (a_lo / scale == a_hi / scale and b_lo / scale == b_hi / scale
+            and gap_lo / scale == gap_hi / scale)
+
+
+def _sandwich_at(n: int, sizes: tuple[int, ...], k: int, bits: int):
+    """`refine`'s step: ((ends, bits), certified)."""
+    ends = _sandwich(_split(n, sizes, bits), n, k, bits)
+    return (ends, bits), _certified(ends, bits)
 
 
 def _block_average(spec: BlockPartitionSpec, bits: int) -> Interval:
-    n, k = spec.n, spec.k
-    split = _split(n, spec.sizes, bits)
-    if _average_is_total(n, k, split.blocks, split.equal):
-        return Interval.sqrt(n - k, bits)
-    return _average(split, n, k, bits)
+    ends = _sandwich(_split(spec.n, spec.sizes, bits), spec.n, spec.k, bits)
+    return Interval(ends[2], ends[3], bits)
 
 
 def block_average_B(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION) -> Interval:
@@ -257,22 +309,9 @@ def block_average_B(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION
     return _refined(partial(_block_average, spec), precision)
 
 
-def _bound(split: _Split, n: int, k: int, bits: int) -> Interval | None:
-    """sqrt(n - k) * (tilt + k * slope / (n - k)): the Jensen steps
-    sqrt(n - k) * tilt and k * slope / sqrt(n - k)."""
-    if k == n:
-        return None
-    if split.blocks == 1 or (k == 0 and split.equal):
-        return Interval.exact(0, bits)
-    tilt, slope = split.tilt, split.slope
-    if k:  # tilt + slope * k / (n - k), rounded outward in one step
-        tilt = Interval(tilt.lo + slope.lo * k // (n - k),
-                        tilt.hi - (-slope.hi * k // (n - k)), bits)
-    return Interval.sqrt(n - k, bits) * tilt
-
-
 def _gap_bound(spec: BlockPartitionSpec, bits: int) -> Interval | None:
-    return _bound(_split(spec.n, spec.sizes, bits), spec.n, spec.k, bits)
+    bound = _sandwich(_split(spec.n, spec.sizes, bits), spec.n, spec.k, bits)[6]
+    return None if bound is None else Interval(*bound, bits)
 
 
 def gap_bound(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION) -> Interval | None:
@@ -300,31 +339,7 @@ class SandwichReport:
 
     @property
     def all_passed(self) -> bool:
-        return self.pass_lower and self.pass_upper is not False and self.pass_gap is not False
-
-
-def _sandwich(spec: BlockPartitionSpec, precision: int, bits: int):
-    n, k = spec.n, spec.k
-    split = _split(n, spec.sizes, bits)
-    a_val = Interval.sqrt(n - k, bits)
-    if _average_is_total(n, k, split.blocks, split.equal):
-        b_val, gap, pass_lower = a_val, Interval.exact(0, bits), True
-    else:
-        b_val = _average(split, n, k, bits)
-        gap = a_val - b_val
-        pass_lower = b_val < a_val
-    bound = _bound(split, n, k, bits)
-    if bound is None:
-        pass_gap = None
-    elif k == 0 or split.blocks == 1:
-        pass_gap = True  # the bound is the gap itself, or both are 0
-    else:
-        pass_gap = gap < bound
-    near = split.near_equal
-    pass_upper = gap < split.blocks if near else None  # A <= B + b
-    report = SandwichReport(spec, precision, a_val, b_val, gap, bound, near,
-                            pass_lower, pass_upper, pass_gap)
-    return report, report.all_passed and _settled(a_val, b_val, gap, bound)
+        return _all_passed(self.pass_lower, self.pass_upper, self.pass_gap)
 
 
 def sandwich_check(spec: BlockPartitionSpec,
@@ -333,7 +348,35 @@ def sandwich_check(spec: BlockPartitionSpec,
     sizes) sqrt(n - k) <= B + b, each by strict separation or by a
     structural equality."""
     precision = _check_precision(precision)
-    return refine(partial(_sandwich, spec, precision), working_bits(precision))
+    n, k, sizes = spec.n, spec.k, spec.sizes
+    ends, bits = refine(partial(_sandwich_at, n, sizes, k), working_bits(precision))
+    a_lo, a_hi, b_lo, b_hi, gap_lo, gap_hi, bound, lower, upper, gap_ok = ends
+    return SandwichReport(spec, precision, Interval(a_lo, a_hi, bits), Interval(b_lo, b_hi, bits),
+                          Interval(gap_lo, gap_hi, bits),
+                          None if bound is None else Interval(*bound, bits),
+                          _near_equal(n, sizes), lower, upper, gap_ok)
+
+
+def sandwich_rows(n: int, sizes, ks, precision: int = DEFAULT_PRECISION):
+    """For each k in `ks`, `sandwich_check`'s certificate of k zeros among
+    n positions split into blocks `sizes`, as the row (n, k, label, A, B,
+    gap, gap_bound, pass_lower, pass_upper, pass_gap): label is the
+    dash-joined sizes, each number the float of its enclosure (gap_bound
+    None when k = n).  The sizes and the precision are checked once."""
+    sizes = _block_sizes(sizes, n)
+    precision = _check_precision(precision)
+    label = "-".join(map(str, sizes))
+    start = working_bits(precision)
+    for k in ks:
+        if not 0 <= k <= n:
+            raise InputError(f"k must lie in 0..{n}, got {k}")
+        ends, bits = refine(partial(_sandwich_at, n, sizes, k), start)
+        a_lo, a_hi, b_lo, b_hi, gap_lo, gap_hi, bound, lower, upper, gap_ok = ends
+        scale = 2 << bits  # float(Interval) is (lo + hi) / 2^(bits + 1)
+        yield (n, k, label, (a_lo + a_hi) / scale, (b_lo + b_hi) / scale,
+               (gap_lo + gap_hi) / scale,
+               None if bound is None else (bound[0] + bound[1]) / scale,
+               lower, upper, gap_ok)
 
 
 @dataclass(frozen=True)

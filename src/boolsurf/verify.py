@@ -32,7 +32,7 @@ import numpy as np
 from . import boundary, partition, restriction
 from .core import (TruthTable, bsa, bsa_via_tails, fractional_moment,
                    noise_sensitivity, noise_sensitivity_semigroup)
-from .errors import BoolsurfError, VerificationError
+from .errors import BoolsurfError, InputError, VerificationError
 from .interval import prove, sqrt_sum, working_bits
 from .ptf import generate, sign_table
 from .seeding import substream
@@ -85,12 +85,17 @@ def run_criterion(cid: str) -> CriterionResult:
 
 
 def run_all(only=None) -> list[CriterionResult]:
-    wanted = set(only) if only else None
-    results = []
-    for cid, _, _, _ in _REGISTRY:
-        if wanted is None or cid in wanted:
-            results.append(run_criterion(cid))
-    return results
+    """Run every criterion, or those whose ids `only` lists, in registry
+    order.  An empty `only` or an unknown id raises InputError before any
+    criterion runs."""
+    if only is not None:
+        only = set(only)
+        if not only:
+            raise InputError("no criteria selected")
+        unknown = only - set(criteria_ids())
+        if unknown:
+            raise InputError(f"unknown criteria: {', '.join(sorted(unknown))}")
+    return [run_criterion(cid) for cid in criteria_ids() if only is None or cid in only]
 
 
 def format_result(r: CriterionResult) -> str:
@@ -232,12 +237,12 @@ def _c5():
 def _c6():
     triples = 0
     failures = 0
-    for n, k, sizes in partition.near_equal_sweep(range(1, 61)):
-        spec = partition.BlockPartitionSpec(n, k, sizes)
-        report = partition.sandwich_check(spec, partition.CERT_PRECISION)
-        triples += 1
-        if not report.all_passed:
-            failures += 1
+    for n, sizes in partition.near_equal_sweep(range(1, 61)):
+        for *_, lower, upper, gap_ok in partition.sandwich_rows(
+                n, sizes, range(n + 1), partition.CERT_PRECISION):
+            triples += 1
+            if not partition._all_passed(lower, upper, gap_ok):
+                failures += 1
     return failures == 0, f"{triples} (n, k, b) triples at 30-digit precision, {failures} failures"
 
 
@@ -267,8 +272,8 @@ def _c7():
 
 def _c6_hypergeometric_cases():
     # a near-equal split has at most two distinct sizes, its first and its last
-    return sorted({(n, n - k, m) for n, k, sizes in partition.near_equal_sweep(range(1, 61))
-                   for m in (sizes[0], sizes[-1])})
+    return sorted({(n, n - k, m) for n, sizes in partition.near_equal_sweep(range(1, 61))
+                   for k in range(n + 1) for m in (sizes[0], sizes[-1])})
 
 
 @_criterion("c8", "square-root mean enclosure on random distributions and the sweep's "

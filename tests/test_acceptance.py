@@ -7,6 +7,7 @@ including the measured runtime against the budget.
 
 import pytest
 
+from boolsurf.errors import InputError
 from boolsurf.verify import criteria_ids, format_result, run_all
 
 CRITERIA = criteria_ids()
@@ -20,6 +21,14 @@ def results():
 
 def test_every_criterion_is_covered():
     assert CRITERIA == [f"c{i}" for i in range(1, 15)]
+
+
+@pytest.mark.parametrize("only, message", [([], "no criteria selected"),
+                                           (["c99"], "unknown criteria: c99"),
+                                           (["c1", "c99", "c0"], "unknown criteria: c0, c99")])
+def test_run_all_rejects_an_empty_or_unknown_selection(only, message):
+    with pytest.raises(InputError, match=message):
+        run_all(only)
 
 
 @pytest.mark.parametrize("cid", CRITERIA)

@@ -13,8 +13,9 @@ from boolsurf.partition import (BlockPartitionSpec, HypergeometricParams, _picks
                                 _shuffle_table, block_average_B,
                                 bsa_block_bound, gap_bound, hg_pmf, jensen_bounds,
                                 mc_partition_average, mean_sqrt_hg, near_equal_sizes,
-                                near_equal_sweep, sandwich_check)
+                                near_equal_sweep, sandwich_check, sandwich_rows)
 from boolsurf.seeding import substream
+from boolsurf.verify import _random_composition
 
 # Exact references: sqrt(s) to within 1e-60 as a Fraction, and the ends
 # of an enclosure as Fractions.  `close` holds when both ends of the
@@ -154,13 +155,15 @@ def test_near_equal_sizes():
 
 
 def test_near_equal_sweep_order_and_count():
-    cases = list(near_equal_sweep([3, 0, 2]))
-    assert len(cases) == 3 * 4 + 2 * 3
-    # n, then b, then k: the order the c6 criterion certifies in
-    assert cases == [(n, k, near_equal_sizes(n, b)) for n in (3, 2)
-                     for b in range(1, n + 1) for k in range(n + 1)]
+    groups = list(near_equal_sweep([3, 2]))
+    assert sum(n + 1 for n, _ in groups) == 3 * 4 + 2 * 3  # k in 0..n per group
+    # n, then b (then k): the order the c6 criterion certifies in
+    assert groups == [(n, near_equal_sizes(n, b)) for n in (3, 2) for b in range(1, n + 1)]
     for n in range(1, 13):
-        assert sum(1 for _ in near_equal_sweep([n])) == n * (n + 1)
+        assert sum(m + 1 for m, _ in near_equal_sweep([n])) == n * (n + 1)
+    for ns in ([3, 0, 2], [-3]):  # rejected at the call, before any group
+        with pytest.raises(InputError):
+            near_equal_sweep(ns)
 
 
 def test_near_equal_property():
@@ -494,24 +497,31 @@ def test_gap_bound_none_only_when_all_zeros():
     assert gap_bound(BlockPartitionSpec(4, 3, (2, 2)), precision=20) is not None
 
 
+def outcome(report):
+    """A report's floats and flags, in `sandwich_rows`' column order."""
+    return (float(report.sqrt_total), float(report.block_average), float(report.gap),
+            None if report.gap_bound is None else float(report.gap_bound),
+            report.pass_lower, report.pass_upper, report.pass_gap)
+
+
 def test_sandwich_refines_an_unsettled_first_pass(monkeypatch):
     # every sweep case settles at the default working bits, so start far
     # below them: the first pass cannot settle and refine must rerun it
-    specs = [BlockPartitionSpec(n, k, sizes) for n, k, sizes in near_equal_sweep(range(1, 9))]
-    specs += [BlockPartitionSpec(12, 4, (5, 1, 6)), BlockPartitionSpec(20, 11, (1, 6, 13))]
+    groups = [(n, sizes, range(n + 1)) for n, sizes in near_equal_sweep(range(1, 9))]
+    groups += [(12, (5, 1, 6), [4]), (20, (1, 6, 13), [11])]
+    specs = [BlockPartitionSpec(n, k, sizes) for n, sizes, ks in groups for k in ks]
 
-    def outcome(report):
-        return (float(report.sqrt_total), float(report.block_average), float(report.gap),
-                None if report.gap_bound is None else float(report.gap_bound),
-                report.pass_lower, report.pass_upper, report.pass_gap)
+    def group_rows():
+        return [row for n, sizes, ks in groups for row in sandwich_rows(n, sizes, ks, 15)]
 
     default = [outcome(sandwich_check(spec, precision=15)) for spec in specs]
+    default_rows = group_rows()
     passes = []
     sandwich = partition._sandwich
 
-    def recorded(spec, precision, bits):
+    def recorded(split, n, k, bits):
         passes.append(bits)
-        return sandwich(spec, precision, bits)
+        return sandwich(split, n, k, bits)
 
     monkeypatch.setattr(partition, "working_bits", lambda digits: 20)
     monkeypatch.setattr(partition, "_sandwich", recorded)
@@ -519,6 +529,37 @@ def test_sandwich_refines_an_unsettled_first_pass(monkeypatch):
     assert passes.count(20) == len(specs)
     assert len(passes) > len(specs) and max(passes) > 20  # refinements ran
     assert low == default
+    passes.clear()
+    low_rows = group_rows()
+    assert passes.count(20) == len(specs)
+    assert len(passes) > len(specs) and max(passes) > 20
+    assert low_rows == default_rows
+
+
+@pytest.mark.parametrize("precision", [10, 15, 30, 50])
+def test_sandwich_rows_equal_per_case_reports(precision):
+    rng = substream(19, 0)
+    groups = list(near_equal_sweep(range(1, 15)))
+    for _ in range(50):
+        n = int(rng.integers(1, 41))
+        groups.append((n, _random_composition(rng, n, int(rng.integers(1, min(n, 8) + 1)))))
+    for n, sizes in groups:
+        label = "-".join(map(str, sizes))
+        want = [(n, k, label,
+                 *outcome(sandwich_check(BlockPartitionSpec(n, k, sizes), precision)))
+                for k in range(n + 1)]
+        assert list(sandwich_rows(n, sizes, range(n + 1), precision)) == want
+
+
+def test_sandwich_rows_check_the_split_once_and_each_k():
+    with pytest.raises(InputError, match="block sizes sum to 5"):
+        list(sandwich_rows(4, (2, 3), [0]))
+    with pytest.raises(InputError, match="precision"):
+        list(sandwich_rows(4, (2, 2), [0], precision=9))
+    rows = sandwich_rows(4, (2, 2), [4, 5])
+    assert next(rows)[:2] == (4, 4)
+    with pytest.raises(InputError, match=r"k must lie in 0\.\.4, got 5"):
+        next(rows)
 
 
 def test_sandwich_precision_validation():
