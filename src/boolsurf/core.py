@@ -193,12 +193,14 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
     order in which rows, strips and blocks are visited changes no bit;
     only the stage order matters, and it is kept.
 
-    A stack of shape (..., 2^n) with more than one row, and a single
-    table of under 2^10 entries (a stack of one row, where the transposed
-    copy costs more than it saves), is transformed along its last axis:
-    the rows are copied once into the columns of a (2^n, rows) array,
-    whose stages then run over every row together, so each row equals
-    its own transform bit for bit.  The result has the input's shape.
+    A stack of shape (..., 2^n) is transformed along its last axis, each
+    row equal to its own transform bit for bit; the result has the
+    input's shape.  Rows of at least 2^10 entries run one at a time
+    through the blocked stages above (a stack of 2^16-entry rows run
+    together streams from memory).  Shorter rows, a single table among
+    them, are copied once into the columns of a (2^n, rows) array, whose
+    stages then run over every row together: there the transposed copy
+    of one row costs more than it saves.
 
     Two shortcuts give the same bytes:
 
@@ -216,7 +218,7 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
         raise InputError(f"length must be a power of two, got {size}")
     n = size.bit_length() - 1
     work = np.int32 if vec.dtype == np.int8 and n <= EXACT_CAP else np.float64
-    if vec.size != size or n < _SPLIT_BITS:
+    if n < _SPLIT_BITS:
         stack = np.array(vec.reshape(-1, size).T, dtype=work, order="C")
         _butterflies(stack, n)
         return np.ascontiguousarray(stack.T, dtype=np.float64).reshape(vec.shape)
@@ -235,8 +237,9 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
         _butterflies(square, low - half)
     if n > low:
         width = 1 << max(_BLOCK_BITS - (n - low), 0)
-        for j in range(0, rows.shape[1], width):
-            _butterflies(rows[:, j:j + width], n - low)
+        for table in out.reshape(-1, 1 << (n - low), 1 << low):
+            for j in range(0, 1 << low, width):
+                _butterflies(table[:, j:j + width], n - low)
     return out.astype(np.float64, copy=False)
 
 

@@ -9,6 +9,16 @@ is a handful of array operations over all terms at once.  Signing a
 polynomial gives a threshold function; ties p(x) = 0 resolve to +1 and
 are counted so callers can detect degenerate inputs.
 
+Evaluation on the whole cube runs in two phases above 16 variables: the
+terms are grouped by their high part (mask >> 16), each live high
+part's low terms run through the Walsh-Hadamard transform as one row of
+a stack, and every value is one BLAS product of the high characters
+with those rows.  The product sums in BLAS's order, so signs are not
+read off the floats near zero: points within the rounding bound
+gamma_k * sum |c| (Higham, ch. 4) are decided by an exactly rounded sum
+(Shewchuk's filtered predicates, DCG 1997), and integer coefficients
+with sum |c| < 2^53 need no filter, being exact in any order.
+
 Storage allows up to STORAGE_CAP variables (masks fit in uint64);
 dense evaluation over all 2^n points additionally needs n <= the exact
 cap from the core module.
@@ -16,15 +26,17 @@ cap from the core module.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .core import (_CELL_BUDGET, TruthTable, _check_index, _check_n, _chi, _moment_weights,
-                   _pack_bits, _unpack_bits, all_points_signs, gather_bits, to_signs,
-                   walsh_hadamard)
+from .core import (_BLOCK_BITS, _CELL_BUDGET, TruthTable, _check_index, _check_n, _chi,
+                   _moment_weights, _pack_bits, _unpack_bits, all_points_signs, gather_bits,
+                   to_signs, walsh_hadamard)
 from .errors import CapacityError, DegenerateInputError, InputError, ParseError
 from .seeding import Estimate, mc_values, mean_and_stderr, substream
 
@@ -174,29 +186,102 @@ def _running_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
+def _exact_values(p: SparsePolynomial, points: np.ndarray) -> np.ndarray:
+    """p at uint64 point indices, each correctly rounded (math.fsum of the
+    signed coefficients), so its sign is the exact sign of p(x)."""
+    out = np.empty(len(points))
+    step = max(1, _CELL_BUDGET // max(len(p.masks), 1))
+    for start in range(0, len(points), step):
+        signed = _characters(p, points[start:start + step, None]) * p.coefs
+        out[start:start + step] = [math.fsum(row) for row in signed.tolist()]
+    return out
+
+
 def eval_poly(p: SparsePolynomial, x: int) -> float:
-    """Value at point index x (same bit encoding as truth tables)."""
+    """Value at point index x (same bit encoding as truth tables), correctly
+    rounded: its sign is exact and agrees with sign_table."""
     x = _check_index(x, p.n, "point index")
-    return _running_sum(_characters(p, np.uint64(x)) * p.coefs)
+    return float(_exact_values(p, np.array([x], dtype=np.uint64))[0])
 
 
 def eval_on_cube(p: SparsePolynomial) -> np.ndarray:
-    """Values at every point index, through the fast transform."""
-    dense = np.zeros(1 << _check_n(p.n), dtype=np.float64)
-    dense[p.masks] = p.coefs
-    return walsh_hadamard(dense)
+    """Values at every point index.
+
+    Up to 16 variables the dense coefficient vector runs through
+    walsh_hadamard.  Above, the terms are grouped by their high part
+    mask >> 16; the (r, 2^16) stack of the r live high parts' low parts
+    runs through walsh_hadamard (each row bit-identical to the dense
+    transform's low 16 stages), and all 2^n values are one product
+    chi(high, x >> 16) @ rows, whose row-major result is in index order.
+    The product adds in BLAS's order, so above 16 variables a value may
+    differ from the dense transform's in the last bits, within the bound
+    sign_table filters by.
+    """
+    n = _check_n(p.n)
+    if n <= _BLOCK_BITS:
+        dense = np.zeros(1 << n, dtype=np.float64)
+        dense[p.masks] = p.coefs
+        return walsh_hadamard(dense)
+    high, slot = np.unique(p.masks >> np.uint64(_BLOCK_BITS), return_inverse=True)
+    rows = np.zeros((len(high), 1 << _BLOCK_BITS), dtype=np.float64)
+    rows[slot, p.masks & np.uint64((1 << _BLOCK_BITS) - 1)] = p.coefs
+    rows = walsh_hadamard(rows)
+    chi = _chi(high, np.arange(1 << (n - _BLOCK_BITS), dtype=np.uint64)[:, None])
+    return (chi.astype(np.float64) @ rows).reshape(-1)
+
+
+def _rounding_radius(p: SparsePolynomial) -> float:
+    """An upper bound on |eval_on_cube(p)[x] - p(x)| at every x.
+
+    0 when every coefficient is an integer and sum |c| < 2^53: every
+    partial sum is then an integer below 2^53, exact in any order.
+    Otherwise gamma_k * sum |c|, gamma_k = k u / (1 - k u) with u = 2^-53,
+    rounded upward: each value is a signed sum of the coefficients
+    through at most k roundings, k = n up to 16 variables (the
+    transform's depth) and 16 + r + 1 above (the row transform's depth
+    plus the product's length over the r live high parts).
+    """
+    try:
+        total = math.fsum(np.abs(p.coefs).tolist())
+    except OverflowError:
+        raise InputError("the coefficients' absolute sum exceeds the float64 range") from None
+    if total < 2.0 ** 53 and np.array_equal(p.coefs, np.trunc(p.coefs)):
+        return 0.0
+    if p.n <= _BLOCK_BITS:
+        k = p.n
+    else:
+        k = _BLOCK_BITS + len(np.unique(p.masks >> np.uint64(_BLOCK_BITS))) + 1
+    bound = Fraction(k, (1 << 53) - k) * Fraction(np.nextafter(total, np.inf))
+    return float(np.nextafter(float(bound), np.inf))
 
 
 def sign_table(p: SparsePolynomial) -> tuple[TruthTable, int]:
-    """Threshold function sign(p) and the number of exact zero evaluations.
+    """Threshold function sign(p) and the number of points where p is exactly 0.
 
-    sign(0) = +1 by convention; a large zero count signals a degenerate
-    polynomial whose threshold function is sensitive to perturbation.
+    Signs are exact whatever order eval_on_cube added in: one blocked
+    pass reads each value's sign and flags the points with
+    |value| <= _rounding_radius(p), and each flagged point is decided by
+    its correctly rounded value.  With integer coefficients the radius
+    is 0 and the flagged points are the zeros.  sign(0) = +1 by
+    convention; a large zero count signals a degenerate polynomial whose
+    threshold function is sensitive to perturbation.
     """
+    radius = _rounding_radius(p)
     vals = eval_on_cube(p)
-    zero_hits = int(np.count_nonzero(vals == 0.0))
-    table = TruthTable(p.n, to_signs(vals))
-    return table, zero_hits
+    signs = np.empty(vals.size, dtype=np.int8)
+    near = []
+    for start in range(0, vals.size, _CELL_BUDGET):
+        v = vals[start:start + _CELL_BUDGET]
+        signs[start:start + _CELL_BUDGET] = to_signs(v)
+        hits = np.flatnonzero((v <= radius) & (v >= -radius))
+        if hits.size:
+            near.append(hits + start)
+    near = np.concatenate(near) if near else np.empty(0, dtype=np.int64)
+    if radius == 0.0:
+        return TruthTable(p.n, signs), len(near)
+    exact = _exact_values(p, near.astype(np.uint64))
+    signs[near] = to_signs(exact)
+    return TruthTable(p.n, signs), int(np.count_nonzero(exact == 0.0))
 
 
 def restrict_poly(p: SparsePolynomial, rho: "Restriction") -> SparsePolynomial:

@@ -14,9 +14,12 @@ signed coefficients and free-bit-compressed term masks as (rows, terms)
 arrays, adds them into a (rows, 2^f) stack of dense restricted
 polynomials with one bincount, transforms the stack with one
 walsh_hadamard call and reads each row's closeness to a constant from
-its +1 count.  Every dense and transformed value is the float that the
-single-trial path Restriction -> restrict_poly -> eval_on_cube gives, so
-every trial's outcome is that path's too.
+its +1 count.  Up to 16 free coordinates every dense and transformed
+value is the float that the single-trial path Restriction ->
+restrict_poly -> eval_on_cube gives, so every trial's outcome is that
+path's too; above 16, eval_on_cube adds in a BLAS product and its values
+may differ in the last bits.  The +1 count reads the floats' signs, not
+sign_table's exact signs near zero.
 A batch holds at most core._CELL_BUDGET = 2^16 cells in either array, the
 one budget every batched computation shares; a row whose 2^f alone
 exceeds it runs as a batch of one, through the same code.
@@ -145,11 +148,11 @@ def _plus_counts(p: SparsePolynomial, patterns: np.ndarray, f: int) -> np.ndarra
     """Number of +1 signs of p restricted by each row of `patterns`, all
     of which leave exactly f coordinates free.
 
-    Row by row this is sign_table(restrict_poly(p, Restriction(row))):
-    the same signed coefficients and free-bit-compressed term masks, and
-    a bincount that adds each row's terms in term order, as restrict_poly
-    does, so every dense value and every transformed value is the same
-    float.
+    Row by row this counts to_signs(eval_on_cube(restrict_poly(p,
+    Restriction(row)))) for f <= 16: the same signed coefficients and
+    free-bit-compressed term masks, and a bincount that adds each row's
+    terms in term order, as restrict_poly does, so every dense value and
+    every transformed value is the same float.
     """
     rows = len(patterns)
     base = _pack_bits(patterns == -1)  # each row's -1 mask

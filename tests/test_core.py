@@ -389,6 +389,21 @@ def test_walsh_hadamard_stack_matches_radix2_loop_row_by_row(n, shape):
     assert np.array_equal(stack, given)
 
 
+# rows of 2^10 and more run one at a time through the blocked stages
+@pytest.mark.parametrize("dtype", [np.float64, np.int8])
+@pytest.mark.parametrize("n", [16, 17])
+def test_walsh_hadamard_stack_of_long_rows_matches_each_row(n, dtype):
+    rng = np.random.default_rng(2100 + n)
+    stack = rng.standard_normal((3, 1 << n))
+    if dtype == np.int8:
+        stack = rng.integers(-128, 128, size=(3, 1 << n), dtype=np.int8)
+    out = walsh_hadamard(stack)
+    assert out.shape == stack.shape and out.dtype == np.float64
+    for row, want in zip(out, stack):
+        assert row.tobytes() == walsh_hadamard(want).tobytes()
+        assert row.tobytes() == reference_walsh_hadamard(want).tobytes()
+
+
 @pytest.mark.parametrize("n", range(10, 17))
 def test_walsh_hadamard_int8_runs_exactly(n):
     vec = np.random.default_rng(300 + n).integers(-128, 128, size=1 << n, dtype=np.int8)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from boolsurf.core import TruthTable, all_points_signs, total_influence
+from boolsurf.core import TruthTable, all_points_signs, total_influence, walsh_hadamard
 from boolsurf.errors import (BoolsurfError, CapacityError, DegenerateInputError, InputError,
                              ParseError)
 from boolsurf.ptf import (ALPHA_EXACT_CAP, SparsePolynomial, alpha_estimate,
@@ -116,6 +118,98 @@ def test_sign_table_matches_naive():
     for x in range(0, 1024, 37):
         want = 1 if naive_eval(p, x) >= 0 else -1
         assert table.values[x] == want
+
+
+def exact_on_used_bits(p):
+    """Exact p(x) as Fractions on the sub-cube of the variables p uses, and
+    each of the 2^n point indices' sub-index into that list."""
+    used = [i for i in range(p.n) if any(mask >> i & 1 for mask in p.terms)]
+    values = []
+    for sub in range(1 << len(used)):
+        x = sum((sub >> j & 1) << i for j, i in enumerate(used))
+        values.append(sum(Fraction(c) * (-1) ** bin(mask & x).count("1")
+                          for mask, c in p.terms.items()))
+    idx = np.arange(1 << p.n, dtype=np.int64)
+    sub = np.zeros_like(idx)
+    for j, i in enumerate(used):
+        sub |= (idx >> i & 1) << j
+    return values, sub
+
+
+HIGH = 1 << 16  # the first variable past the dense transform's 16
+EXACT_SIGN_CASES = {
+    # exact value +-2^-55 (about 2.78e-17) where the float sums read +-5.55e-17
+    "decimal": lambda n: {1: 0.1, 2: 0.2, 4: -0.3},
+    "decimal-across-high-parts": lambda n: {1: 0.1, HIGH: 0.2, HIGH | 8: -0.3},
+    # exact ties off the integer route
+    "dyadic-ties": lambda n: {1: 0.5, 2: 0.25, 4: 0.25},
+    "dyadic-ties-across-high-parts": lambda n: {HIGH: 0.5, HIGH | 2: 0.25, 4: 0.25},
+    # a low and the top variable cancel 3 - 3, after the +-2^-55 rounded away
+    "decimal-padded-on-high": lambda n: {1: 0.1, 2: 0.2, 4: -0.3, 32: 3.0, 1 << (n - 1): -3.0},
+    # integers, but past 2^53: 2^53 + 1 rounds, so the integer shortcut must not apply
+    "integers-past-2^53": lambda n: {1: 1.0, 32: 2.0 ** 53, 1 << (n - 1): -2.0 ** 53},
+}
+
+
+@pytest.mark.parametrize("n", [17, 18])
+@pytest.mark.parametrize("case", list(EXACT_SIGN_CASES))
+def test_signs_exact_near_zero(case, n):
+    p = SparsePolynomial(n, EXACT_SIGN_CASES[case](n))
+    values, sub = exact_on_used_bits(p)
+    want = np.array([1 if v >= 0 else -1 for v in values], dtype=np.int8)
+    zeros = np.array([v == 0 for v in values])
+    table, zero_hits = sign_table(p)
+    assert np.array_equal(table.values, want[sub])
+    # the count analyze reports as zero_sign_evaluations
+    assert zero_hits == np.count_nonzero(zeros[sub])
+    # eval_poly at every sub-cube pattern, the unused bits random: the exact
+    # value rounded once, so its sign is the exact sign and sign_table's
+    rng = np.random.default_rng(n)
+    for s, v in enumerate(values):
+        x = int(rng.choice(np.flatnonzero(sub == s)))
+        got = eval_poly(p, x)
+        assert got == float(v)
+        assert (1 if got >= 0 else -1) == table.values[x]
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+def test_eval_on_cube_integer_coefficients_equal_dense_transform(n):
+    p = generate("random", n, degree=2, seed=n)
+    q = SparsePolynomial(n, {mask: float(round(8 * c)) for mask, c in p.terms.items()})
+    dense = np.zeros(1 << n)
+    dense[q.masks] = q.coefs
+    assert eval_on_cube(q).tobytes() == walsh_hadamard(dense).tobytes()
+
+
+@pytest.mark.parametrize("n", [17, 19, 20])
+def test_eval_on_cube_within_rounding_bound(n):
+    # gamma_k sum |c| (Higham, ch. 4), k = 16 stages + r live high parts + 1
+    p = generate("random-sparse", n, degree=3, nterms=80, seed=n)
+    k = 16 + len(set((p.masks >> np.uint64(16)).tolist())) + 1
+    bound = Fraction(k, 2 ** 53 - k) * sum(Fraction(abs(c)) for c in p.coefs.tolist())
+    vals = eval_on_cube(p)
+    for x in np.random.default_rng(n).integers(0, 1 << n, size=64).tolist():
+        exact = sum(Fraction(c) * (-1) ** bin(mask & x).count("1") for mask, c in p.terms.items())
+        assert abs(Fraction(vals[x]) - exact) <= bound
+
+
+def test_sign_table_rejects_an_absolute_sum_past_float_range():
+    with pytest.raises(InputError, match="absolute sum"):
+        sign_table(SparsePolynomial(1, {0: 1e308, 1: 1e308}))
+
+
+def test_sign_table_memory_peak():
+    # the 2^20 float64 values are 8 MiB; 18,091,248 bytes is the peak of the
+    # dense transform this route replaced, which held the dense vector and its copy
+    p = generate("random", 20, degree=2, seed=0)
+    sign_table(p)
+    tracemalloc.start()
+    try:
+        sign_table(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18_091_248
 
 
 # ---------------------------------------------------------------- construction
@@ -402,8 +496,9 @@ def test_golden_stats_and_evaluation():
     stats = poly_stats(q)
     assert stats.variance == 58.67931870074336
     assert stats.regular_tau == 0.30759317225799426
-    assert eval_poly(q, 0) == -5.959491373898838
-    assert eval_poly(q, 777) == 2.835369039696076
+    # eval_poly is correctly rounded: these are the exact rational sums rounded once
+    assert eval_poly(q, 0) == -5.95949137389884
+    assert eval_poly(q, 777) == 2.835369039696074
 
 
 def test_golden_alpha_estimate():
