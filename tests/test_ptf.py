@@ -148,6 +148,10 @@ EXACT_SIGN_CASES = {
     "decimal-padded-on-high": lambda n: {1: 0.1, 2: 0.2, 4: -0.3, 32: 3.0, 1 << (n - 1): -3.0},
     # integers, but past 2^53: 2^53 + 1 rounds, so the integer shortcut must not apply
     "integers-past-2^53": lambda n: {1: 1.0, 32: 2.0 ** 53, 1 << (n - 1): -2.0 ** 53},
+    # the four ones are lost to 2^53 one rounding at a time: the floats read
+    # -3 where p(0) = +1, an error past u sum |c|, so the bound needs its depth
+    "errors-past-one-rounding": lambda n: {0: 2.0 ** 53, 1: 1.0, 2: 1.0, 4: 1.0, 8: 1.0,
+                                           16: -3.0, 1 << (n - 1): -2.0 ** 53},
 }
 
 
@@ -199,8 +203,9 @@ def test_sign_table_rejects_an_absolute_sum_past_float_range():
 
 
 def test_sign_table_memory_peak():
-    # the 2^20 float64 values are 8 MiB; 18,091,248 bytes is the peak of the
-    # dense transform this route replaced, which held the dense vector and its copy
+    # 18,091,248 bytes is the dense route's peak at n = 20: the 8 MiB dense
+    # vector, its transformed copy and the sign pass.  A filter that builds a
+    # 2^20 float temporary (np.abs of the values) goes past it.
     p = generate("random", 20, degree=2, seed=0)
     sign_table(p)
     tracemalloc.start()
