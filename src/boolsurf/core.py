@@ -195,12 +195,13 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
 
     A stack of shape (..., 2^n) is transformed along its last axis, each
     row equal to its own transform bit for bit; the result has the
-    input's shape.  Rows of at least 2^10 entries run one at a time
+    input's shape.  A single table of at least 2^10 entries, and every
+    row of a stack of rows of at least 2^16, runs one row at a time
     through the blocked stages above (a stack of 2^16-entry rows run
-    together streams from memory).  Shorter rows, a single table among
-    them, are copied once into the columns of a (2^n, rows) array, whose
-    stages then run over every row together: there the transposed copy
-    of one row costs more than it saves.
+    together streams from memory).  Other stacks, and a single table of
+    under 2^10 entries (where the transposed copy of one row costs more
+    than it saves), are copied once into the columns of a (2^n, rows)
+    array, whose stages then run over every row together.
 
     Two shortcuts give the same bytes:
 
@@ -218,7 +219,7 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
         raise InputError(f"length must be a power of two, got {size}")
     n = size.bit_length() - 1
     work = np.int32 if vec.dtype == np.int8 and n <= EXACT_CAP else np.float64
-    if n < _SPLIT_BITS:
+    if n < _SPLIT_BITS or (vec.size != size and n < _BLOCK_BITS):
         stack = np.array(vec.reshape(-1, size).T, dtype=work, order="C")
         _butterflies(stack, n)
         return np.ascontiguousarray(stack.T, dtype=np.float64).reshape(vec.shape)

@@ -204,6 +204,19 @@ def eval_poly(p: SparsePolynomial, x: int) -> float:
     return float(_exact_values(p, np.array([x], dtype=np.uint64))[0])
 
 
+def _high_parts(p: SparsePolynomial):
+    """eval_on_cube's route: None up to 16 variables (the dense
+    transform), else the live high parts mask >> 16 in increasing order
+    and each term's slot among them.  The masks are sorted, so their
+    high parts are too and one comparison of neighbours finds them."""
+    if p.n <= _BLOCK_BITS:
+        return None
+    high = p.masks >> np.uint64(_BLOCK_BITS)
+    starts = np.ones(len(high), dtype=bool)
+    starts[1:] = high[1:] != high[:-1]
+    return high[starts], np.cumsum(starts) - 1
+
+
 def eval_on_cube(p: SparsePolynomial) -> np.ndarray:
     """Values at every point index.
 
@@ -218,11 +231,12 @@ def eval_on_cube(p: SparsePolynomial) -> np.ndarray:
     sign_table filters by.
     """
     n = _check_n(p.n)
-    if n <= _BLOCK_BITS:
+    parts = _high_parts(p)
+    if parts is None:
         dense = np.zeros(1 << n, dtype=np.float64)
         dense[p.masks] = p.coefs
         return walsh_hadamard(dense)
-    high, slot = np.unique(p.masks >> np.uint64(_BLOCK_BITS), return_inverse=True)
+    high, slot = parts
     rows = np.zeros((len(high), 1 << _BLOCK_BITS), dtype=np.float64)
     rows[slot, p.masks & np.uint64((1 << _BLOCK_BITS) - 1)] = p.coefs
     rows = walsh_hadamard(rows)
@@ -233,25 +247,31 @@ def eval_on_cube(p: SparsePolynomial) -> np.ndarray:
 def _rounding_radius(p: SparsePolynomial) -> float:
     """An upper bound on |eval_on_cube(p)[x] - p(x)| at every x.
 
-    0 when every coefficient is an integer and sum |c| < 2^53: every
-    partial sum is then an integer below 2^53, exact in any order.
+    0 when every coefficient is an integer multiple of one power of two
+    2^e and sum |c| < 2^(53 + e): every partial sum is then such a
+    multiple below 2^(53 + e), exact in any order.  That covers integers
+    with sum |c| < 2^53 and dyadic ties such as 0.5, 0.25, 0.25.
     Otherwise gamma_k * sum |c|, gamma_k = k u / (1 - k u) with u = 2^-53,
     rounded upward: each value is a signed sum of the coefficients
-    through at most k roundings, k = n up to 16 variables (the
-    transform's depth) and 16 + r + 1 above (the row transform's depth
-    plus the product's length over the r live high parts).
+    through at most k roundings, k = n on the dense route and 16 + r + 1
+    on the product route (the row transform's depth plus the product's
+    length over the r live high parts).  The exact sum |c| is at most
+    its correctly rounded value times 1 + u.
     """
+    if p.is_zero:
+        return 0.0
     try:
         total = math.fsum(np.abs(p.coefs).tolist())
     except OverflowError:
         raise InputError("the coefficients' absolute sum exceeds the float64 range") from None
-    if total < 2.0 ** 53 and np.array_equal(p.coefs, np.trunc(p.coefs)):
+    frac, exp = np.frexp(np.abs(p.coefs))
+    whole = np.ldexp(frac, 53).astype(np.int64)  # |c| = whole * 2^(exp - 53), whole < 2^53
+    scale = int((exp - 53 + np.bitwise_count((whole & -whole) - 1)).min())
+    if math.frexp(total)[1] <= 53 + scale:  # total < 2^(53 + scale)
         return 0.0
-    if p.n <= _BLOCK_BITS:
-        k = p.n
-    else:
-        k = _BLOCK_BITS + len(np.unique(p.masks >> np.uint64(_BLOCK_BITS))) + 1
-    bound = Fraction(k, (1 << 53) - k) * Fraction(np.nextafter(total, np.inf))
+    parts = _high_parts(p)
+    k = p.n if parts is None else _BLOCK_BITS + len(parts[0]) + 1
+    bound = Fraction(k, (1 << 53) - k) * Fraction(total) * Fraction((1 << 53) + 1, 1 << 53)
     return float(np.nextafter(float(bound), np.inf))
 
 
@@ -261,27 +281,35 @@ def sign_table(p: SparsePolynomial) -> tuple[TruthTable, int]:
     Signs are exact whatever order eval_on_cube added in: one blocked
     pass reads each value's sign and flags the points with
     |value| <= _rounding_radius(p), and each flagged point is decided by
-    its correctly rounded value.  With integer coefficients the radius
-    is 0 and the flagged points are the zeros.  sign(0) = +1 by
-    convention; a large zero count signals a degenerate polynomial whose
-    threshold function is sensitive to perturbation.
+    its correctly rounded value.  p(x) depends only on the bits of x
+    that p's terms use, so that value is computed once per distinct
+    pattern of those bits.  When the radius is 0 the values are exact
+    and the flagged points are the zeros.  sign(0) = +1 by convention; a
+    large zero count signals a degenerate polynomial whose threshold
+    function is sensitive to perturbation.
     """
     radius = _rounding_radius(p)
     vals = eval_on_cube(p)
     signs = np.empty(vals.size, dtype=np.int8)
-    near = []
+    used = np.bitwise_or.reduce(p.masks, initial=np.uint64(0))
+    decided: dict[int, float] = {}  # exact value by pattern of the used bits
+    zeros = 0
     for start in range(0, vals.size, _CELL_BUDGET):
         v = vals[start:start + _CELL_BUDGET]
         signs[start:start + _CELL_BUDGET] = to_signs(v)
         hits = np.flatnonzero((v <= radius) & (v >= -radius))
-        if hits.size:
-            near.append(hits + start)
-    near = np.concatenate(near) if near else np.empty(0, dtype=np.int64)
-    if radius == 0.0:
-        return TruthTable(p.n, signs), len(near)
-    exact = _exact_values(p, near.astype(np.uint64))
-    signs[near] = to_signs(exact)
-    return TruthTable(p.n, signs), int(np.count_nonzero(exact == 0.0))
+        if not hits.size or radius == 0.0:
+            zeros += hits.size
+            continue
+        patterns, back = np.unique((hits + start).astype(np.uint64) & used, return_inverse=True)
+        patterns = patterns.tolist()
+        new = [q for q in patterns if q not in decided]
+        if new:
+            decided.update(zip(new, _exact_values(p, np.array(new, dtype=np.uint64)).tolist()))
+        exact = np.array([decided[q] for q in patterns])[back]
+        signs[start + hits] = to_signs(exact)
+        zeros += int(np.count_nonzero(exact == 0.0))
+    return TruthTable(p.n, signs), zeros
 
 
 def restrict_poly(p: SparsePolynomial, rho: "Restriction") -> SparsePolynomial:

@@ -202,7 +202,8 @@ def restriction_failure_prob(p: SparsePolynomial, rate: float, delta: float,
     Samples restrictions with free-rate `rate`, restricts the polynomial,
     signs it over the free cube, and tests delta-closeness exactly.  The
     trials run in batches (see the module docstring) whose values equal
-    the single-trial path's.
+    the single-trial path's for samples with at most 16 free
+    coordinates; above 16 they may differ in the last bits.
     Samples with more than `max_free` free coordinates are rejected and
     reported through `rejection_rate` (the estimate conditions on
     acceptance).  Rates or deltas above 1/16 are allowed but draw a

@@ -389,7 +389,7 @@ def test_walsh_hadamard_stack_matches_radix2_loop_row_by_row(n, shape):
     assert np.array_equal(stack, given)
 
 
-# rows of 2^10 and more run one at a time through the blocked stages
+# rows of 2^16 and more run one at a time through the blocked stages
 @pytest.mark.parametrize("dtype", [np.float64, np.int8])
 @pytest.mark.parametrize("n", [16, 17])
 def test_walsh_hadamard_stack_of_long_rows_matches_each_row(n, dtype):

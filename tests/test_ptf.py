@@ -8,6 +8,7 @@ import pytest
 from boolsurf.core import TruthTable, all_points_signs, total_influence, walsh_hadamard
 from boolsurf.errors import (BoolsurfError, CapacityError, DegenerateInputError, InputError,
                              ParseError)
+from boolsurf import ptf
 from boolsurf.ptf import (ALPHA_EXACT_CAP, SparsePolynomial, alpha_estimate,
                           alpha_exact, eval_on_cube, eval_poly, generate,
                           poly_stats, restrict_poly, sign_table, variables_mask)
@@ -200,6 +201,62 @@ def test_eval_on_cube_within_rounding_bound(n):
 def test_sign_table_rejects_an_absolute_sum_past_float_range():
     with pytest.raises(InputError, match="absolute sum"):
         sign_table(SparsePolynomial(1, {0: 1e308, 1: 1e308}))
+
+
+TOP = float(np.finfo(np.float64).max)
+
+
+@pytest.mark.parametrize("terms", [{0: TOP}, {0: TOP, 1: 0.1}, {0: -TOP, 1: 1.0}])
+def test_sign_table_at_the_top_of_float_range(terms):
+    p = SparsePolynomial(1, terms)
+    table, zero_hits = sign_table(p)
+    assert table.values.tolist() == [int(np.sign(terms[0]))] * 2
+    assert zero_hits == 0
+
+
+# every coefficient a multiple of 2^e and sum |c| < 2^(53 + e): exact in any order
+EXACT_ORDER_CASES = {
+    "integers": ({1: 3.0, 2: -5.0}, True),
+    "dyadic-ties": ({1: 0.5, 2: 0.25, 4: 0.25}, True),
+    "scaled-integers": ({1: 2.0 ** 60, 2: -3 * 2.0 ** 60}, True),
+    "subnormals": ({1: 5e-324, 2: -1e-323}, True),
+    "top-of-range": ({1: TOP}, True),
+    "decimal": ({1: 0.1, 2: 0.2, 4: -0.3}, False),
+    "integers-to-2^53+1": ({1: 1.0, 2: 2.0 ** 53}, False),
+    "halves-to-2^52+0.5": ({1: 0.5, 2: 2.0 ** 52}, False),
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_ORDER_CASES))
+def test_rounding_radius_is_zero_exactly_when_every_order_is_exact(case):
+    terms, exact = EXACT_ORDER_CASES[case]
+    assert (ptf._rounding_radius(SparsePolynomial(18, terms)) == 0.0) == exact
+
+
+def test_sign_table_decides_each_pattern_of_the_used_bits_once(monkeypatch):
+    # x1 = x2 = x3 (a quarter of the points) leaves +-2^-55 under floats
+    # that read +-5.55e-17: every such point is flagged, in two patterns
+    p = SparsePolynomial(20, {1: 0.1, 2: 0.2, 4: -0.3})
+    decided = []
+    exact_values = ptf._exact_values
+    monkeypatch.setattr(ptf, "_exact_values",
+                        lambda q, points: decided.append(len(points)) or exact_values(q, points))
+    table, zero_hits = sign_table(p)
+    assert sum(decided) == 2
+    values, sub = exact_on_used_bits(p)
+    assert np.array_equal(table.values, np.where(np.array(values) >= 0, 1, -1)[sub])
+    assert zero_hits == 0
+
+
+@pytest.mark.parametrize("n", [16, 17, 20])
+def test_high_parts_group_the_terms_as_unique_does(n):
+    p = generate("random-sparse", n, degree=3, nterms=60, seed=n)
+    parts = ptf._high_parts(p)
+    if n <= 16:
+        assert parts is None
+        return
+    high, slot = np.unique(p.masks >> np.uint64(16), return_inverse=True)
+    assert np.array_equal(parts[0], high) and np.array_equal(parts[1], slot)
 
 
 def test_sign_table_memory_peak():
