@@ -248,17 +248,6 @@ def test_sign_table_decides_each_pattern_of_the_used_bits_once(monkeypatch):
     assert zero_hits == 0
 
 
-@pytest.mark.parametrize("n", [16, 17, 20])
-def test_high_parts_group_the_terms_as_unique_does(n):
-    p = generate("random-sparse", n, degree=3, nterms=60, seed=n)
-    parts = ptf._high_parts(p)
-    if n <= 16:
-        assert parts is None
-        return
-    high, slot = np.unique(p.masks >> np.uint64(16), return_inverse=True)
-    assert np.array_equal(parts[0], high) and np.array_equal(parts[1], slot)
-
-
 def test_sign_table_memory_peak():
     # 18,091,248 bytes is the dense route's peak at n = 20: the 8 MiB dense
     # vector, its transformed copy and the sign pass.  A filter that builds a
