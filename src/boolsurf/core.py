@@ -164,11 +164,18 @@ def _butterflies(x: np.ndarray, stages: int) -> None:
 
 
 def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform, in place on a float64 copy.
+    """Unnormalised Walsh-Hadamard transform: _transform's result as float64.
 
     Self-inverse up to a factor of len(vec).  The kernel is
     (-1)^popcount(S & x) under the index encoding above, which matches
     evaluating multilinear monomials at sign vectors.
+    """
+    return _transform(vec).astype(np.float64, copy=False)
+
+
+def _transform(vec: np.ndarray) -> np.ndarray:
+    """walsh_hadamard in its working dtype, in place on a C-contiguous copy:
+    int32 for an int8 input on n <= EXACT_CAP, float64 otherwise.
 
     Stage i replaces each pair (y[x], y[x + 2^i]), bit i of x clear, by
     (sum, difference); stages run in the order i = 0, 1, ..., n - 1.
@@ -203,7 +210,7 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
     than it saves), are copied once into the columns of a (2^n, rows)
     array, whose stages then run over every row together.
 
-    Two shortcuts give the same bytes:
+    Two shortcuts keep walsh_hadamard's bytes:
 
     - an int8 input (a sign table) on n <= EXACT_CAP runs in int32, which
       is exact: every partial sum has |value| <= 255 * 2^23 < 2^31, and
@@ -222,7 +229,7 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
     if n < _SPLIT_BITS or (vec.size != size and n < _BLOCK_BITS):
         stack = np.array(vec.reshape(-1, size).T, dtype=work, order="C")
         _butterflies(stack, n)
-        return np.ascontiguousarray(stack.T, dtype=np.float64).reshape(vec.shape)
+        return np.ascontiguousarray(stack.T).reshape(vec.shape)
     out = np.array(vec, dtype=work, copy=True)
     low = min(n, _BLOCK_BITS)
     half = low >> 1
@@ -241,7 +248,31 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
         for table in out.reshape(-1, 1 << (n - low), 1 << low):
             for j in range(0, 1 << low, width):
                 _butterflies(table[:, j:j + width], n - low)
-    return out.astype(np.float64, copy=False)
+    return out
+
+
+_MASS_BITS = 12  # _level_masses sorts squares by popcount in rows of 2^12
+
+
+def _level_masses(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Read-only float64 masses[k] = sum over popcount(S) = k of coeffs[S]^2
+    for integer coeffs whose squares sum below 2^53: every sum is exact.
+
+    Row h of coeffs as (2^(n - low), 2^low), low = min(n, 12), squared a
+    block of 2^16 at a time and times the (2^low, low + 1) one-hot matrix
+    of popcounts, gives row h's masses by low popcount, which count at
+    level popcount(h) + that.
+    """
+    low = min(n, _MASS_BITS)
+    onehot = (popcount_table(low)[:, None] == np.arange(low + 1)).astype(np.float64)
+    rows = coeffs.reshape(-1, 1 << low)
+    step = max(1, (1 << _BLOCK_BITS) >> low)
+    by_low = np.concatenate([np.square(rows[i:i + step], dtype=np.float64) @ onehot
+                             for i in range(0, len(rows), step)])
+    levels = popcount_table(n - low)[:, None] + np.arange(low + 1)
+    masses = np.bincount(levels.ravel(), weights=by_low.ravel(), minlength=n + 1)
+    masses.flags.writeable = False
+    return masses
 
 
 @dataclass(frozen=True)
@@ -284,7 +315,7 @@ class SensitivityProfile:
 class TruthTable:
     """Dense sign table of a Boolean function on n <= EXACT_CAP variables."""
 
-    __slots__ = ("n", "values", "_profile", "_edges", "_spectrum")
+    __slots__ = ("n", "values", "_profile", "_edges", "_masses")
 
     def __init__(self, n: int, values):
         n = _check_n(n)
@@ -301,7 +332,7 @@ class TruthTable:
         self.values = arr
         self._profile = None
         self._edges = None
-        self._spectrum = None
+        self._masses = None
 
     def __eq__(self, other):
         return (
@@ -359,12 +390,12 @@ class TruthTable:
             self._profile = SensitivityProfile(self.n, counts)
         return self._profile
 
-    def spectrum(self) -> "FourierSpectrum":
-        if self._spectrum is None:
-            coeffs = walsh_hadamard(self.values)
-            coeffs /= 1 << self.n
-            self._spectrum = FourierSpectrum(self.n, coeffs)
-        return self._spectrum
+    def level_masses(self) -> np.ndarray:
+        """W[k] = sum over |S| = k of N_S^2, where N_S = 2^n fhat(S) is the
+        integer unnormalised Walsh coefficient: read-only float64, exact."""
+        if self._masses is None:
+            self._masses = _level_masses(_transform(self.values), self.n)
+        return self._masses
 
 
 def pack_signs(values) -> np.ndarray:
@@ -531,28 +562,6 @@ def all_function_words(n: int) -> np.ndarray:
     return np.arange(1 << (1 << n), dtype=np.uint64)[:, None]
 
 
-class FourierSpectrum:
-    """Walsh coefficients indexed by subset bitmask."""
-
-    __slots__ = ("n", "coefficients", "_squares")
-
-    def __init__(self, n: int, coefficients: np.ndarray):
-        """The spectrum on a float64 array of 2^n coefficients that no caller
-        keeps, made read-only in place: a 2^24 copy costs 128 MiB."""
-        coefficients.flags.writeable = False
-        self.n = n
-        self.coefficients = coefficients
-        self._squares = None
-
-    def squares(self) -> np.ndarray:
-        """Squared coefficients (the power spectrum), computed once, read-only."""
-        if self._squares is None:
-            squares = self.coefficients * self.coefficients
-            squares.flags.writeable = False
-            self._squares = squares
-        return self._squares
-
-
 class Influence(NamedTuple):
     total: float
     per_coordinate: np.ndarray
@@ -606,38 +615,28 @@ def _check_delta(delta: float) -> float:
 def noise_sensitivity(f: TruthTable, delta: float) -> float:
     """Probability that rerandomising each coordinate w.p. delta flips f.
 
-    Computed from the spectrum as sum_S w(|S|) coeff(S)^2 with the level
-    weight accumulated in the geometric form
-    w(k) = delta * (1 + rho + ... + rho^(k-1)), rho = 1 - 2 delta,
-    which keeps single-coordinate functions exactly at delta.
+    sum_k w(k) W_k / 4^n over f.level_masses(), with the level weight in
+    the geometric form w(k) = delta * (1 + rho + ... + rho^(k-1)),
+    rho = 1 - 2 delta, which keeps single-coordinate functions exactly at
+    delta.  The masses are exact: by Parseval their partial sums are at
+    most 4^n <= 2^48 < 2^53.  Each weight is num / 2^e, so the sum is
+    exact in Python ints and rounded once by the int division.
     """
     delta = _check_delta(delta)
     rho = 1.0 - 2.0 * delta
     powers = rho ** np.arange(f.n + 1, dtype=np.float64)
     weights = np.concatenate(([0.0], delta * np.cumsum(powers[:-1])))
-    return float(_per_point(weights, f.n) @ f.spectrum().squares())
-
-
-# Rows of 2^12 float64 (32 KiB): a gather of whole rows copies memory where
-# a gather per entry reads the popcount table and the weights at every x.
-_ROW_BITS = 12
-
-
-def _per_point(weights, n: int) -> np.ndarray:
-    """weights[popcount(x)] for every x in [0, 2^n), gathered by whole rows:
-    row h of a small table holds weights[h + popcount(j)] over the low
-    _ROW_BITS bits j, and the high bits of x pick row popcount(x >> _ROW_BITS)."""
-    if n <= _ROW_BITS:
-        return weights[popcount_table(n)]
-    rows = weights[np.arange(n - _ROW_BITS + 1)[:, None] + popcount_table(_ROW_BITS)]
-    return rows[popcount_table(n - _ROW_BITS)].reshape(-1)
+    ratios = [w.as_integer_ratio() for w in weights.tolist()]
+    scale = max(den for _, den in ratios)
+    total = sum(num * (scale // den) * int(m) for (num, den), m in zip(ratios, f.level_masses()))
+    return total / (scale << 2 * f.n)
 
 
 def noise_sensitivity_semigroup(f: TruthTable, delta: float) -> float:
     """Same quantity through the smoothing route E|f - T_rho f| / 2."""
     delta = _check_delta(delta)
     rho = 1.0 - 2.0 * delta
-    coeffs = f.spectrum().coefficients * rho ** popcount_table(f.n).astype(np.float64)
+    coeffs = walsh_hadamard(f.values) / (1 << f.n) * rho ** popcount_table(f.n).astype(np.float64)
     smoothed = walsh_hadamard(coeffs)
     return float(np.abs(f.values - smoothed).mean() / 2.0)
 

@@ -1,14 +1,18 @@
+import hashlib
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from boolsurf.core import (EXACT_CAP, TruthTable, _per_point, _subset_sums, all_function_words,
+from boolsurf.core import (EXACT_CAP, TruthTable, _subset_sums, _transform, all_function_words,
                            all_points_signs, bsa, bsa_via_tails, fractional_moment, gather_bits,
                            minus_mask, noise_sensitivity, noise_sensitivity_semigroup,
                            pack_signs, popcount_table, sensitivities, sensitivity_histogram,
                            to_signs, total_influence, walsh_hadamard)
 from boolsurf.errors import CapacityError, InputError
+from boolsurf.ptf import generate, sign_table
 
 
 def brute_sensitivity(values, n, x):
@@ -383,7 +387,7 @@ def test_walsh_hadamard_stack_matches_radix2_loop_row_by_row(n, shape):
     stack = np.random.default_rng(2000 + n).standard_normal(shape + (1 << n,))
     given = stack.copy()
     out = walsh_hadamard(stack)
-    assert out.shape == stack.shape and out.dtype == np.float64
+    assert out.shape == stack.shape and out.dtype == np.float64 and out.flags.c_contiguous
     for row, want in zip(out.reshape(-1, 1 << n), stack.reshape(-1, 1 << n)):
         assert np.array_equal(row, reference_walsh_hadamard(want))
     assert np.array_equal(stack, given)
@@ -433,6 +437,39 @@ def test_walsh_hadamard_zero_row_skip_keeps_bytes(n):
     assert walsh_hadamard(minus).tobytes() == reference_walsh_hadamard(minus).tobytes()
 
 
+# sha256 of walsh_hadamard's bytes on seeded inputs, recorded before the
+# transform was split into _transform and a float64 conversion
+WALSH_DIGESTS = {
+    (5, "int8"): "f8c851942cf427e3923aea70077948a533c55ffb7afff3f905b7746647675e76",
+    (5, "float64"): "17fdd2f56e8260904dc632805865e82852a7883cd760834cc21b08ff16ce740c",
+    (9, "int8"): "04bfd8483a12333a31f41555d797e8350bb2b727003e48b41e451c53e4f908dd",
+    (9, "float64"): "88cabf9dfbfbb929eb7743c2a5cd29209c9d6c6fd665f0a823fd854bf5213715",
+    (10, "int8"): "d0a34d9c87ebed145ea050a97fd77dc4dee3e7a2859c00c7a7903cdbd57bb67d",
+    (10, "float64"): "c0a269fd1987472bfeb15c6743bd8cf5f9b97aaf2f7dc28f47db9ed2efe2ece7",
+    (13, "int8"): "dbb4a9877689f980ff1783d313f5a34b07ded87f829a8162c8884a29d11d731f",
+    (13, "float64"): "8860484fedbd6fc458bb76f9f5df8c31d891b8ffdd1dab2104c9e2ade68c695b",
+    (16, "int8"): "36efe81df0e1c2e2064e8173c851b98169187fa97d3cee45e9dffea506a8d496",
+    (16, "float64"): "b5ac4ad9786c2a807639dc3d1484f40b5636329d90d04d5099cc84ce8fe0e92d",
+    (17, "int8"): "21736fb701f2d272fd94812dd6bf436baeb4ed6d5800e1a8f3e7528d1e0f45c3",
+    (17, "float64"): "3aae810f432071d04d5c39e8c38bef47e3bcd002b4b5f628ad37f6bafe60d241",
+    (19, "int8"): "b85a6947f2812220ceddaac2d27149629a81de641ff382fa9930b929f4ed55f7",
+    (19, "float64"): "6496a485867a95bebcf89905f3928ad547fc309b5df402936487b23de8672f62",
+}
+
+
+@pytest.mark.parametrize("n", [5, 9, 10, 13, 16, 17, 19])
+def test_walsh_hadamard_bytes_pinned_across_working_dtypes(n):
+    rng = np.random.default_rng(500 + n)
+    for vec, work in ((rng.integers(-128, 128, size=1 << n, dtype=np.int8), np.int32),
+                      (rng.standard_normal(1 << n), np.float64)):
+        out = walsh_hadamard(vec)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert hashlib.sha256(out.tobytes()).hexdigest() == WALSH_DIGESTS[n, vec.dtype.name]
+        inner = _transform(vec)
+        assert inner.dtype == work and inner.flags.c_contiguous
+        assert inner.astype(np.float64).tobytes() == out.tobytes()
+
+
 def test_walsh_hadamard_validation():
     with pytest.raises(InputError):
         walsh_hadamard(np.ones(3))
@@ -440,31 +477,34 @@ def test_walsh_hadamard_validation():
         walsh_hadamard(np.ones(0))
 
 
+def fourier(table):
+    """fhat(S) for every subset mask S."""
+    return walsh_hadamard(table.values) / (1 << table.n)
+
+
 def test_fourier_dictator_and_constant():
-    spec = TruthTable.dictator(4).spectrum()
     want = np.zeros(16)
     want[1] = 1.0
-    assert (spec.coefficients == want).all()
-    spec = TruthTable.constant(3).spectrum()
-    assert spec.coefficients[0] == 1.0
-    assert (spec.coefficients[1:] == 0.0).all()
+    assert (fourier(TruthTable.dictator(4)) == want).all()
+    coefficients = fourier(TruthTable.constant(3))
+    assert coefficients[0] == 1.0
+    assert (coefficients[1:] == 0.0).all()
 
 
 def test_fourier_majority3_oracle():
     # direct summation over the 8 points, computed by hand
-    spec = TruthTable.majority(3).spectrum()
     expected = [0.0, 0.5, 0.5, 0.0, 0.5, 0.0, 0.0, -0.5]
-    assert spec.coefficients.tolist() == expected
+    assert fourier(TruthTable.majority(3)).tolist() == expected
 
 
 def test_parseval_and_double_transform():
     for seed in range(10):
         f = TruthTable.random(seed % 8 + 1, seed=100 + seed)
-        spec = f.spectrum()
-        assert abs(spec.coefficients @ spec.coefficients - 1.0) < 1e-10
+        coefficients = fourier(f)
+        assert abs(coefficients @ coefficients - 1.0) < 1e-10
         back = walsh_hadamard(walsh_hadamard(f.values)) / (1 << f.n)
         assert np.abs(back - f.values).max() < 1e-12
-        assert TruthTable(f.n, to_signs(walsh_hadamard(spec.coefficients))) == f
+        assert TruthTable(f.n, to_signs(walsh_hadamard(coefficients))) == f
 
 
 # ---------------------------------------------------------------- noise
@@ -493,20 +533,91 @@ def test_noise_sensitivity_routes_agree():
                        - noise_sensitivity_semigroup(f, delta)) < 1e-10
 
 
-@pytest.mark.parametrize("n", range(11, 15))
-def test_row_gathered_level_weights(n):
-    weights = np.random.default_rng(n).standard_normal(n + 1)
-    assert _per_point(weights, n).tobytes() == weights[popcount_table(n)].tobytes()
+def python_level_masses(values, n):
+    """Level masses by Python ints alone: radix-2 butterflies on a list,
+    then each squared coefficient added to the level of its mask."""
+    coeffs = [int(v) for v in values]
+    h = 1
+    while h < len(coeffs):
+        for start in range(0, len(coeffs), 2 * h):
+            for x in range(start, start + h):
+                coeffs[x], coeffs[x + h] = coeffs[x] + coeffs[x + h], coeffs[x] - coeffs[x + h]
+        h *= 2
+    masses = [0] * (n + 1)
+    for mask, c in enumerate(coeffs):
+        masses[bin(mask).count("1")] += c * c
+    return masses
 
 
-def test_squared_coefficients_computed_once():
-    f = TruthTable.random(6, seed=9)
-    spec = f.spectrum()
-    assert not spec.coefficients.flags.writeable
-    assert spec.coefficients.tobytes() == (walsh_hadamard(f.values) / 64).tobytes()
-    assert spec.squares() is spec.squares()
-    assert spec.squares().tobytes() == (spec.coefficients * spec.coefficients).tobytes()
-    assert not spec.squares().flags.writeable
+def numpy_level_masses(values, n):
+    """Level masses by np.bincount over int64 squares, 2^20 at a time."""
+    coeffs = walsh_hadamard(values).astype(np.int64)
+    levels = popcount_table(n)
+    masses = [0] * (n + 1)
+    for start in range(0, 1 << n, 1 << 20):
+        chunk = coeffs[start:start + (1 << 20)]
+        counts = np.bincount(levels[start:start + (1 << 20)], weights=chunk * chunk,
+                             minlength=n + 1)
+        masses = [m + int(c) for m, c in zip(masses, counts)]
+    return masses
+
+
+def exact_noise_sensitivity(masses, n, delta):
+    """sum_k w(k) W_k / 4^n in exact arithmetic for noise_sensitivity's float
+    weights, rounded once."""
+    rho = 1.0 - 2.0 * delta
+    weights = [0.0] + (delta * np.cumsum(rho ** np.arange(n, dtype=np.float64))).tolist()
+    return float(sum(Fraction(w) * m for w, m in zip(weights, masses)) / 4 ** n)
+
+
+def oracle_tables(n):
+    tables = [TruthTable.constant(n, -1), TruthTable.random(n, seed=600 + n)]
+    if n:
+        tables += [TruthTable.majority(n), TruthTable.parity(n, (1 << n) - 1),
+                   TruthTable.dictator(n, n - 1)]
+    return tables
+
+
+def test_python_level_masses_match_the_definition():
+    # N_S = sum_x f(x) chi_S(x), term by term, at sizes where 4^n is small
+    for n in range(5):
+        for f in oracle_tables(n):
+            values = f.values.tolist()
+            masses = [0] * (n + 1)
+            for mask in range(1 << n):
+                c = sum(v * (-1) ** bin(mask & x).count("1") for x, v in enumerate(values))
+                masses[bin(mask).count("1")] += c * c
+            assert python_level_masses(values, n) == masses
+
+
+# 12 and 13 sit on both sides of the 2^12 rows that sort squares by popcount;
+# 16, 20 and 24 run one, 16 and 256 blocks of 2^16 squares
+@pytest.mark.parametrize("n", list(range(17)) + [20, 24])
+def test_noise_sensitivity_equals_exact_mass_oracle(n):
+    tables = oracle_tables(n) if n < 24 else [TruthTable.random(n, seed=624)]
+    for f in tables:
+        masses = (python_level_masses(f.values, n) if n <= 10
+                  else numpy_level_masses(f.values, n))
+        assert sum(masses) == 4 ** n
+        assert f.level_masses().tolist() == masses
+        for delta in (0.01, 0.1, 1 / 3, 0.49):
+            assert noise_sensitivity(f, delta) == exact_noise_sensitivity(masses, n, delta)
+
+
+def test_noise_sensitivity_memory_peak():
+    # 25,475,813 bytes was the peak of the float spectrum route: the 8 MiB
+    # spectrum, its squares and a 2^20 float64 weight per point, rebuilt
+    # for every delta.  The masses need the 4 MiB int32 transform and
+    # blocks of 2^16; any 2^20 float64 array on top of it goes past 8 MiB.
+    f = sign_table(generate("random", 20, degree=2, seed=0))[0]
+    tracemalloc.start()
+    try:
+        for delta in (0.01, 0.1, 0.25):
+            noise_sensitivity(f, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
 
 
 def test_noise_sensitivity_validation():

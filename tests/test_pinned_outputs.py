@@ -49,10 +49,10 @@ PINNED = [
      "cd8019a6e2ee392e38fc592153e656014ee668326a33df8508dcad8cf23114d7"),
     ("analyze-maj",
      ["analyze", "maj:12"],
-     "2080c7bfdeaf6de59e95125dde9494ac8dc64afcb8d90585f0baffcfc85000d7"),
+     "64adbb72c84f34cae31b27ddd474770176437b4f2c2cce18cb64d0ead5dcc23d"),
     ("analyze-rand",
      ["analyze", "rand:d=2,n=12,seed=5"],
-     "122d644ff7371d9a0df2b92b3643deb4a30ff3ccb94cb1087ca705c93fead661"),
+     "6d2cfd3f173bedfcf83da2246ce71b546a515891574126c3485f18a3d8e35296"),
     ("boundary-maj",
      ["boundary", "maj:12", "--levels-csv", "{levels}"],
      "2a5776c64fd97432cc35cc026a519850c194ea8ddbf077b17c7ad901124a6b81"),
@@ -63,13 +63,13 @@ PINNED = [
     # transform (rands:d=3 leaves high rows all zero) and the cross-word axes
     ("analyze-rands-n18",
      ["analyze", "rands:d=3,n=18,terms=8,seed=2"],
-     "6e9c23fab9dc0a9d36820d5f37dc4e7b98f7aab0b76b9b17e03cbcd33adfcd6d"),
+     "9867dd8fde00dc7440f879a5152d01cfe1bcb5572e590962a0184d87e566c0d9"),
     ("boundary-rands-n18",
      ["boundary", "rands:d=3,n=18,terms=8,seed=2", "--levels-csv", "{levels}"],
      "9b8c0a269462e55dac6371f0f3e0198679747d020aec52dc654adfb584145f8c"),
     ("analyze-harm-n18",
      ["analyze", "harm:18"],
-     "86394664f2bf5f082fea3c04139d290a98b46ab438013f7efeee36be46cf4590"),
+     "38abc2b23a019f794550404d2f48d1cd47f2eacbc0d0b224e62b6584111179e7"),
     ("boundary-harm-n18",
      ["boundary", "harm:18", "--levels-csv", "{levels}"],
      "5e21bff92416d219e6ffd788fb5797e749e0955dd6fcd70d6f50aa8a89aa8de9"),

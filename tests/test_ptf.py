@@ -42,7 +42,8 @@ def maj_poly(n):
 
 def from_truth_table(table):
     """Exact multilinear interpolation: the Walsh spectrum as terms."""
-    return SparsePolynomial(table.n, dict(enumerate(table.spectrum().coefficients)))
+    coefficients = walsh_hadamard(table.values) / (1 << table.n)
+    return SparsePolynomial(table.n, dict(enumerate(coefficients)))
 
 
 # ---------------------------------------------------------------- evaluation
