@@ -509,6 +509,26 @@ class BlockBoundReport:
     passed: bool
 
 
+def _block_values(f: TruthTable, sizes: tuple[int, ...], rng, size: int) -> np.ndarray:
+    """One chunk of bsa_block_bound: per trial the right side's block sum
+    over one uniform ordered partition into `sizes`, divided by sqrt(b)."""
+    offsets = np.cumsum((0,) + sizes[:-1])
+    roots = _moment_weights(f.n, 0.5)
+    segment = max(1, _CELL_BUDGET >> max(sizes))  # rows per (rows, 2^m) index array
+    perms = rng.permuted(np.tile(np.arange(f.n, dtype=np.int64), (size, 1)), axis=1)
+    outside = rng.integers(0, 1 << f.n, size=(size, len(sizes)), dtype=np.int64)
+    total = np.zeros(size, dtype=np.float64)
+    for start in range(0, size, segment):
+        rows = slice(start, min(start + segment, size))
+        for l, m_l in enumerate(sizes):
+            positions = perms[rows, offsets[l]:offsets[l] + m_l]  # (seg, m_l)
+            sub = _subset_sums(positions)  # (seg, 2^m_l); the last column is the block mask
+            idx = (outside[rows, l] & ~sub[:, -1])[:, None] + sub
+            sens, _ = sensitivities(f.values[idx])
+            total[rows] += roots[sens].mean(axis=1)
+    return total / np.sqrt(float(len(sizes)))
+
+
 def bsa_block_bound(f: TruthTable, blocks: int, trials: int, seed: int = 0,
                     workers: int | None = None) -> BlockBoundReport:
     """Sample the block-splitting bound for a concrete function.
@@ -520,30 +540,11 @@ def bsa_block_bound(f: TruthTable, blocks: int, trials: int, seed: int = 0,
     errors; noise is negligible next to the +b term, so a failure means
     a real bug.
     """
-    n = f.n
-    sizes = near_equal_sizes(n, blocks)
-    offsets = np.cumsum((0,) + sizes[:-1])
-    root_b = np.sqrt(float(blocks))
-    roots = _moment_weights(n, 0.5)
-    segment = max(1, _CELL_BUDGET >> max(sizes))  # rows per (rows, 2^m) index array
-
-    def draw(rng, size):
-        perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (size, 1)), axis=1)
-        outside = rng.integers(0, 1 << n, size=(size, blocks), dtype=np.int64)
-        total = np.zeros(size, dtype=np.float64)
-        for start in range(0, size, segment):
-            rows = slice(start, min(start + segment, size))
-            for l, m_l in enumerate(sizes):
-                positions = perms[rows, offsets[l]:offsets[l] + m_l]  # (seg, m_l)
-                sub = _subset_sums(positions)  # (seg, 2^m_l); the last column is the block mask
-                idx = (outside[rows, l] & ~sub[:, -1])[:, None] + sub
-                sens, _ = sensitivities(f.values[idx])
-                total[rows] += roots[sens].mean(axis=1)
-        return total / root_b
-
+    sizes = near_equal_sizes(f.n, blocks)
     # the tiled and the permuted (trials, n) int64 arrays, the completions
     # and the totals; the sub-table indices are bounded per segment
-    values = mc_values(trials, seed, workers, draw, 8 * (2 * n + blocks + 2))
+    values = mc_values(trials, seed, workers, partial(_block_values, f, sizes),
+                       8 * (2 * f.n + blocks + 2))
     est, err = mean_and_stderr(values)
     lhs = bsa(f)
     margin = est + blocks + 4.0 * err - lhs

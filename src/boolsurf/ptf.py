@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
@@ -244,19 +245,17 @@ def eval_on_cube(p: SparsePolynomial) -> np.ndarray:
     return (chi.astype(np.float64) @ rows).reshape(-1)
 
 
-def _rounding_radius(p: SparsePolynomial) -> float:
-    """An upper bound on |eval_on_cube(p)[x] - p(x)| at every x.
+def _rounding_radius(p: SparsePolynomial, depth: int) -> float:
+    """An upper bound on |v - p(x)| for every value v that adds p's
+    coefficients, each times +-1, through at most `depth` roundings.
 
     0 when every coefficient is an integer multiple of one power of two
     2^e and sum |c| < 2^(53 + e): every partial sum is then such a
     multiple below 2^(53 + e), exact in any order.  That covers integers
     with sum |c| < 2^53 and dyadic ties such as 0.5, 0.25, 0.25.
-    Otherwise gamma_k * sum |c|, gamma_k = k u / (1 - k u) with u = 2^-53,
-    rounded upward: each value is a signed sum of the coefficients
-    through at most k roundings, k = n on the dense route and 16 + r + 1
-    on the product route (the row transform's depth plus the product's
-    length over the r live high parts).  The exact sum |c| is at most
-    its correctly rounded value times 1 + u.
+    Otherwise gamma_k * sum |c|, gamma_k = k u / (1 - k u) with u = 2^-53
+    and k = depth, rounded upward (Higham, ch. 4).  The exact sum |c| is
+    at most its correctly rounded value times 1 + u.
     """
     if p.is_zero:
         return 0.0
@@ -269,39 +268,29 @@ def _rounding_radius(p: SparsePolynomial) -> float:
     scale = int((exp - 53 + np.bitwise_count((whole & -whole) - 1)).min())
     if math.frexp(total)[1] <= 53 + scale:  # total < 2^(53 + scale)
         return 0.0
-    parts = _high_parts(p)
-    k = p.n if parts is None else _BLOCK_BITS + len(parts[0]) + 1
-    bound = Fraction(k, (1 << 53) - k) * Fraction(total) * Fraction((1 << 53) + 1, 1 << 53)
+    bound = Fraction(depth, (1 << 53) - depth) * Fraction(total) * Fraction((1 << 53) + 1, 1 << 53)
     return float(np.nextafter(float(bound), np.inf))
 
 
-def sign_table(p: SparsePolynomial) -> tuple[TruthTable, int]:
-    """Threshold function sign(p) and the number of points where p is exactly 0.
-
-    Signs are exact whatever order eval_on_cube added in: one blocked
-    pass reads each value's sign and flags the points with
-    |value| <= _rounding_radius(p), and each flagged point is decided by
-    its correctly rounded value.  p(x) depends only on the bits of x
-    that p's terms use, so that value is computed once per distinct
-    pattern of those bits.  When the radius is 0 the values are exact
-    and the flagged points are the zeros.  sign(0) = +1 by convention; a
-    large zero count signals a degenerate polynomial whose threshold
-    function is sensitive to perturbation.
-    """
-    radius = _rounding_radius(p)
-    vals = eval_on_cube(p)
+def _exact_signs(p: SparsePolynomial, vals, radius: float, points) -> tuple[np.ndarray, int]:
+    """int8 signs of the flat values `vals` of p, each within `radius` of
+    exact, and how many are exactly 0; points(at) gives the uint64 point
+    of each flat position in `at`.  One blocked pass reads each sign and
+    flags |value| <= radius, and each flagged value is decided by the
+    correctly rounded p(x), once per pattern of the bits that p's terms
+    use.  When the radius is 0 the flagged values are the zeros."""
     signs = np.empty(vals.size, dtype=np.int8)
-    used = np.bitwise_or.reduce(p.masks, initial=np.uint64(0))
     decided: dict[int, float] = {}  # exact value by pattern of the used bits
     zeros = 0
     for start in range(0, vals.size, _CELL_BUDGET):
         v = vals[start:start + _CELL_BUDGET]
         signs[start:start + _CELL_BUDGET] = to_signs(v)
-        hits = np.flatnonzero((v <= radius) & (v >= -radius))
+        hits = np.flatnonzero(np.abs(v) <= radius)
         if not hits.size or radius == 0.0:
             zeros += hits.size
             continue
-        patterns, back = np.unique((hits + start).astype(np.uint64) & used, return_inverse=True)
+        used = np.bitwise_or.reduce(p.masks, initial=np.uint64(0))
+        patterns, back = np.unique(points(hits + start) & used, return_inverse=True)
         patterns = patterns.tolist()
         new = [q for q in patterns if q not in decided]
         if new:
@@ -309,6 +298,20 @@ def sign_table(p: SparsePolynomial) -> tuple[TruthTable, int]:
         exact = np.array([decided[q] for q in patterns])[back]
         signs[start + hits] = to_signs(exact)
         zeros += int(np.count_nonzero(exact == 0.0))
+    return signs, zeros
+
+
+def sign_table(p: SparsePolynomial) -> tuple[TruthTable, int]:
+    """Threshold function sign(p) and the number of points where p is exactly 0.
+
+    Signs are exact whatever order eval_on_cube added in (_exact_signs):
+    each value passes through n roundings on the dense route and 16 + r + 1
+    on the product route over r live high parts.  sign(0) = +1; a large
+    zero count signals a degenerate polynomial, sensitive to perturbation.
+    """
+    parts = _high_parts(p)
+    radius = _rounding_radius(p, p.n if parts is None else _BLOCK_BITS + len(parts[0]) + 1)
+    signs, zeros = _exact_signs(p, eval_on_cube(p), radius, lambda at: at.astype(np.uint64))
     return TruthTable(p.n, signs), zeros
 
 
@@ -371,6 +374,17 @@ def _gradient_ratio(pv: np.ndarray, dv: np.ndarray) -> np.ndarray:
     return dv
 
 
+def _alpha_values(p: SparsePolynomial, rng, size: int) -> np.ndarray:
+    """One chunk of alpha_estimate: min(1, (derivative / value)^2) per trial."""
+    sizes = np.bitwise_count(p.masks).astype(np.int16)
+    a = _pack_bits(rng.integers(0, 2, size=(size, p.n), dtype=np.int8))
+    b = _pack_bits(rng.integers(0, 2, size=(size, p.n), dtype=np.int8))
+    # sum of B's signs over each term's variables: |S| - 2 |S & {B = -1}|
+    sb = (sizes - 2 * np.bitwise_count(p.masks & b[:, None])).astype(np.float64)
+    chi = _characters(p, a[:, None])
+    return _gradient_ratio(chi @ p.coefs, (chi * sb) @ p.coefs)
+
+
 def alpha_estimate(p: SparsePolynomial, trials: int, seed: int = 0,
                    workers: int | None = None) -> Estimate:
     """Monte Carlo mean of min(1, |directional derivative / value|^2).
@@ -383,20 +397,10 @@ def alpha_estimate(p: SparsePolynomial, trials: int, seed: int = 0,
     """
     if p.is_zero:
         raise DegenerateInputError("alpha of the zero polynomial is undefined")
-    sizes = np.bitwise_count(p.masks).astype(np.int16)
-
-    def draw(rng, size):
-        a = _pack_bits(rng.integers(0, 2, size=(size, p.n), dtype=np.int8))
-        b = _pack_bits(rng.integers(0, 2, size=(size, p.n), dtype=np.int8))
-        # sum of B's signs over each term's variables: |S| - 2 |S & {B = -1}|
-        sb = (sizes - 2 * np.bitwise_count(p.masks & b[:, None])).astype(np.float64)
-        chi = _characters(p, a[:, None])
-        return _gradient_ratio(chi @ p.coefs, (chi * sb) @ p.coefs)
-
     # at the peak three (trials, terms) float64 arrays (sb, chi and their
     # product), the (trials, n) bits of A and B, and a few per-trial values
     trial_bytes = 8 * (3 * len(p.masks) + 2 * p.n + 4)
-    values = mc_values(trials, seed, workers, draw, trial_bytes)
+    values = mc_values(trials, seed, workers, partial(_alpha_values, p), trial_bytes)
     return Estimate(*mean_and_stderr(values))
 
 

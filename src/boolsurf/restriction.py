@@ -11,18 +11,13 @@ Monte Carlo trials build no Restriction objects.  restriction_failure_prob
 draws a chunk's patterns as one (trials, n) array and groups the trials by
 their free count f.  For each batch of a group it computes every row's
 signed coefficients and free-bit-compressed term masks as (rows, terms)
-arrays, adds them into a (rows, 2^f) stack of dense restricted
-polynomials with one bincount, transforms the stack with one
-walsh_hadamard call and reads each row's closeness to a constant from
-its +1 count.  Up to 16 free coordinates every dense and transformed
-value is the float that the single-trial path Restriction ->
-restrict_poly -> eval_on_cube gives, so every trial's outcome is that
-path's too; above 16, eval_on_cube adds in a BLAS product and its values
-may differ in the last bits.  The +1 count reads the floats' signs, not
-sign_table's exact signs near zero.
-A batch holds at most core._CELL_BUDGET = 2^16 cells in either array, the
-one budget every batched computation shares; a row whose 2^f alone
-exceeds it runs as a batch of one, through the same code.
+arrays, adds them into a (rows, 2^f) stack of dense restricted polynomials
+with one bincount, transforms the stack with one walsh_hadamard call and
+reads each row's closeness to a constant from its +1 count, with the signs
+of sign_table (ptf._exact_signs decides those near zero).  A batch holds
+at most core._CELL_BUDGET = 2^16 cells in either array, the one budget
+every batched computation shares; a row whose 2^f alone exceeds it runs
+as a batch of one, through the same code.
 """
 
 from __future__ import annotations
@@ -39,9 +34,8 @@ from .core import (_CELL_BUDGET, EXACT_CAP, TruthTable, _check_n, _pack_bits, _s
                    _unpack_bits, all_function_words, gather_bits, minus_mask,
                    sensitivity_histogram, walsh_hadamard)
 from .errors import InputError, VerificationError
-# eval_on_cube is the single-trial evaluation the batched engine reproduces;
-# the benchmark harness's tracer test reads it from this namespace.
-from .ptf import SparsePolynomial, _characters, eval_on_cube
+# unused here: the benchmark harness's tracer test reads eval_on_cube from this namespace
+from .ptf import SparsePolynomial, _characters, _exact_signs, _rounding_radius, eval_on_cube
 from .seeding import mc_values, substream
 
 RATE_GUIDELINE = 1.0 / 16.0
@@ -144,30 +138,35 @@ def _closeness(plus, size):
     return np.minimum(plus, minus) / size, np.where(minus <= plus, 1, -1)
 
 
-def _plus_counts(p: SparsePolynomial, patterns: np.ndarray, f: int) -> np.ndarray:
-    """Number of +1 signs of p restricted by each row of `patterns`, all
-    of which leave exactly f coordinates free.
-
-    Row by row this counts to_signs(eval_on_cube(restrict_poly(p,
-    Restriction(row)))) for f <= 16: the same signed coefficients and
-    free-bit-compressed term masks, and a bincount that adds each row's
-    terms in term order, as restrict_poly does, so every dense value and
-    every transformed value is the same float.
-    """
+def _plus_counts(p: SparsePolynomial, patterns: np.ndarray, f: int, radius: float) -> np.ndarray:
+    """Number of +1 signs of sign_table(restrict_poly(p, Restriction(row)))
+    for each row of `patterns`, all of which leave exactly f coordinates
+    free.  A value adds p's coefficients, times +-1, through at most
+    `terms` roundings in the bincount and f in the transform: `radius` is
+    at least _rounding_radius(p, terms + f)."""
     rows = len(patterns)
     base = _pack_bits(patterns == -1)  # each row's -1 mask
     signed = _characters(p, base[:, None]) * p.coefs  # (rows, terms)
     # cell row * 2^f + the term's mask bits at the row's free coordinates
-    free = np.nonzero(patterns == 0)[1].reshape(rows, 1, f)
-    cells = gather_bits(p.masks, free).view(np.int64)
+    free = np.nonzero(patterns == 0)[1].astype(np.uint64).reshape(rows, f)
+    cells = gather_bits(p.masks, free[:, None]).view(np.int64)
     cells += (np.arange(rows, dtype=np.int64) << f)[:, None]
     stack = np.bincount(cells.ravel(), weights=signed.ravel(),
                         minlength=rows << f).reshape(rows, 1 << f)
-    return np.count_nonzero(walsh_hadamard(stack) >= 0, axis=-1)  # sign(0) = +1
+
+    def points(at):  # the row's -1 mask, the cell's bits at the row's free coordinates
+        row = at >> f
+        x = base[row]
+        for j in range(f):
+            x |= (at >> j & 1).astype(np.uint64) << free[row, j]
+        return x
+
+    signs, _ = _exact_signs(p, walsh_hadamard(stack).ravel(), radius, points)
+    return (signs.reshape(stack.shape).sum(axis=-1) + (1 << f)) >> 1  # sum = plus - minus
 
 
 def _trial_values(p: SparsePolynomial, rate: float, delta: float, max_free: int,
-                  rng, size: int) -> np.ndarray:
+                  radius: float, rng, size: int) -> np.ndarray:
     """One chunk of restriction_failure_prob: per trial 1.0 far from
     constant, 0.0 close, NaN rejected (more than max_free free)."""
     patterns = _sample_patterns(p.n, rate, rng, size)
@@ -178,7 +177,8 @@ def _trial_values(p: SparsePolynomial, rate: float, delta: float, max_free: int,
         step = max(1, _CELL_BUDGET // max(len(p.masks), 1 << f))
         for start in range(0, len(group), step):
             rows = group[start:start + step]
-            values[rows] = _closeness(_plus_counts(p, patterns[rows], f), 1 << f)[0] > delta
+            plus = _plus_counts(p, patterns[rows], f, radius)
+            values[rows] = _closeness(plus, 1 << f)[0] > delta
     return values
 
 
@@ -200,10 +200,8 @@ def restriction_failure_prob(p: SparsePolynomial, rate: float, delta: float,
     farther than `delta` from every constant.
 
     Samples restrictions with free-rate `rate`, restricts the polynomial,
-    signs it over the free cube, and tests delta-closeness exactly.  The
-    trials run in batches (see the module docstring) whose values equal
-    the single-trial path's for samples with at most 16 free
-    coordinates; above 16 they may differ in the last bits.
+    signs it over the free cube, and tests delta-closeness exactly, in
+    batches (see the module docstring).
     Samples with more than `max_free` free coordinates are rejected and
     reported through `rejection_rate` (the estimate conditions on
     acceptance).  Rates or deltas above 1/16 are allowed but draw a
@@ -215,7 +213,8 @@ def restriction_failure_prob(p: SparsePolynomial, rate: float, delta: float,
     if not 1 <= max_free <= EXACT_CAP:
         raise InputError(f"max_free must lie in 1..{EXACT_CAP}")
 
-    draw = partial(_trial_values, p, rate, delta, max_free)
+    draw = partial(_trial_values, p, rate, delta, max_free,
+                   _rounding_radius(p, len(p.masks) + max_free))
     # the (trials, n) float64 draw and its mask while patterns are sampled,
     # then the int8 patterns plus per-trial counts, group indices and values;
     # the batches are bounded by the cell budget

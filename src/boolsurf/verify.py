@@ -130,6 +130,7 @@ def _ptf_tables():
     return [(label, sign_table(p)[0]) for label, p in _ptf_corpus()]
 
 
+@lru_cache(maxsize=1)  # c2 and c3 share one corpus and its memoised profiles
 def _random_tables(count: int, max_n: int, stream: int):
     rng = substream(SUITE_SEED, stream)
     tables = []

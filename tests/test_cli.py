@@ -241,6 +241,8 @@ def test_cli_bad_flag_exits_nonzero(capsys):
     (["analyze", '{{"n": 2, "terms": [{{"vars": [true], "coef": 1.0}}]}}'], 2),
     (["analyze", '{{"n": 2, "terms": [{{"vars": [1], "coef": "1e0"}}]}}'], 2),
     (["analyze", '{{"n": 2, "terms": [{{"vars": [1], "coef": true}}]}}'], 2),
+    (["restrict", '{{"n": 2, "terms": [{{"vars": [1], "coef": 1e308}}, '
+                  '{{"vars": [2], "coef": 1e308}}]}}'], 2),
 ], ids=["sizes-not-integer", "sizes-zero-block", "sizes-leading-dash", "sizes-trailing-dash",
         "sizes-double-dash", "sizes-empty", "out-dir-missing", "tail-bad-range",
         "restrict-zero-trials", "restrict-rate-above-1", "restrict-zero-workers",
@@ -257,7 +259,7 @@ def test_cli_bad_flag_exits_nonzero(capsys):
         "partition-precision-underscore", "partition-n-zero", "partition-n-negative",
         "partition-n-range-from-zero", "unrecognized-argument",
         "json-n-fractional", "json-n-string", "json-n-bool", "json-variable-bool",
-        "json-coef-string", "json-coef-bool"])
+        "json-coef-string", "json-coef-bool", "restrict-json-coef-sum-overflows"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, exit_code):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
     # a warning would print before the error line; make one fail the test outright

@@ -635,12 +635,17 @@ def test_noise_sensitivity_validation():
 
 
 def reference_spread(sub_count, free, base=0):
-    """The per-bit loop restriction used to index a sub-table with: bit j of
-    each sub-index goes to coordinate free[j], on top of `base`."""
+    """Bit j of each sub-index goes to coordinate free[j], on top of `base`:
+    per byte of the sub-indices, a per-bit loop over its 256 values builds a
+    table, and each sub-index ORs one lookup per byte."""
     sub = np.arange(sub_count, dtype=np.int64)
     idx = np.full(sub_count, base, dtype=np.int64)
-    for j, i in enumerate(free):
-        idx |= ((sub >> j) & 1) << int(i)
+    byte = np.arange(256, dtype=np.int64)
+    for k in range(0, len(free), 8):
+        table = np.zeros(256, dtype=np.int64)
+        for j, i in enumerate(free[k:k + 8]):
+            table |= ((byte >> j) & 1) << int(i)
+        idx |= np.take(table, sub >> k & 255)
     return idx
 
 

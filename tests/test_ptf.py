@@ -231,7 +231,8 @@ EXACT_ORDER_CASES = {
 @pytest.mark.parametrize("case", list(EXACT_ORDER_CASES))
 def test_rounding_radius_is_zero_exactly_when_every_order_is_exact(case):
     terms, exact = EXACT_ORDER_CASES[case]
-    assert (ptf._rounding_radius(SparsePolynomial(18, terms)) == 0.0) == exact
+    # depth 18: sign_table's product route over one live high part, 16 + 1 + 1
+    assert (ptf._rounding_radius(SparsePolynomial(18, terms), 18) == 0.0) == exact
 
 
 def test_sign_table_decides_each_pattern_of_the_used_bits_once(monkeypatch):

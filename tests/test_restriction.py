@@ -1,14 +1,14 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
-from boolsurf.core import TruthTable, to_signs
+from boolsurf.core import TruthTable
 from boolsurf.errors import CapacityError, InputError
-from boolsurf.ptf import (SparsePolynomial, eval_on_cube, generate, restrict_poly,
-                          sign_table)
-from boolsurf.restriction import (_CELL_BUDGET, Restriction, _sample_patterns,
+from boolsurf.ptf import SparsePolynomial, _rounding_radius, generate, restrict_poly, sign_table
+from boolsurf.restriction import (_CELL_BUDGET, Restriction, _plus_counts, _sample_patterns,
                                   _trial_values,
                                   closeness_to_constant, restrict_table,
                                   restriction_failure_prob, sample_restriction,
@@ -241,9 +241,51 @@ def reference_trial_values(p, rate, delta, trials, seed, workers, max_free):
             if rho.free_count > max_free:
                 values.append(math.nan)
                 continue
-            table = TruthTable(rho.free_count, to_signs(eval_on_cube(restrict_poly(p, rho))))
+            table = sign_table(restrict_poly(p, rho))[0]
             values.append(float(closeness_to_constant(table)[0] > delta))
     return np.array(values)
+
+
+def exact_plus_count(p, pattern):
+    """+1 signs of p restricted by `pattern`, from exact Fraction values at
+    the patterns of the free coordinates that p's terms use, each of which
+    stands for 2^(the other free coordinates) sub-points."""
+    rho = Restriction(pattern)
+    free = rho.free_indices().tolist()
+    used = [i for i in free if any(mask >> i & 1 for mask in p.terms)]
+    plus = 0
+    for sub in range(1 << len(used)):
+        x = rho.fixed_base_index() | sum((sub >> j & 1) << i for j, i in enumerate(used))
+        value = sum(Fraction(c) * (-1) ** bin(mask & x).count("1") for mask, c in p.terms.items())
+        plus += value >= 0
+    return plus << (len(free) - len(used))
+
+
+# name: (terms, n, patterns each leaving the same f free); a float sign of the
+# stack is wrong somewhere in each case but the dyadic one, whose radius is 0
+PLUS_COUNT_CASES = {
+    "witness": ({24: -0.6, 27: 0.1, 28: 0.3, 45: 0.2, 53: -0.6}, 6,
+                [[-1, 0, 0, 0, 1, 0], [1, 0, 0, 0, -1, 0]]),
+    "decimal-ties": ({2: 0.6, 3: -0.1, 5: -0.7}, 4, [[0, 0, 0, 1], [0, 0, 0, -1]]),
+    "dyadic-ties": ({1: 0.5, 2: 0.25, 4: 0.25, 8: 0.75}, 4, [[0, 0, 0, 1], [0, 0, 0, -1]]),
+    "integers-past-2^53": ({1: -1.0, 2: -2.0 ** 53, 4: 2.0 ** 53}, 4,
+                           [[0, 0, 0, 1], [0, 0, 0, -1]]),
+}
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["f<=16", "f>16"])
+@pytest.mark.parametrize("case", list(PLUS_COUNT_CASES))
+def test_plus_counts_are_exact(case, wide):
+    terms, n, rows = PLUS_COUNT_CASES[case]
+    f = rows[0].count(0)
+    pad = 17 - f if wide else 0  # free coordinates that no term uses
+    p = SparsePolynomial(n + pad, terms)
+    patterns = np.array([row + [0] * pad for row in rows], dtype=np.int8)
+    got = _plus_counts(p, patterns, f + pad, _rounding_radius(p, len(p.masks) + f + pad))
+    exact = [exact_plus_count(p, pattern) for pattern in patterns]
+    single = [int(np.count_nonzero(sign_table(restrict_poly(p, Restriction(pattern)))[0].values
+                                   == 1)) for pattern in patterns]
+    assert got.tolist() == exact == single
 
 
 # x1x2, x1x3 and x1x2x3 all land on x1 once x2 and x3 are fixed, and with
@@ -273,7 +315,8 @@ EQUIVALENCE_CASES = {
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 def test_batched_trials_equal_single_trial_path(case, workers):
     p, rate, delta, trials, max_free = EQUIVALENCE_CASES[case]
-    draw = lambda rng, size: _trial_values(p, rate, delta, max_free, rng, size)  # noqa: E731
+    draw = partial(_trial_values, p, rate, delta, max_free,
+                   _rounding_radius(p, len(p.masks) + max_free))
     got = mc_values(trials, 5, workers, draw)
     want = reference_trial_values(p, rate, delta, trials, 5, workers, max_free)
     assert np.array_equal(got, want, equal_nan=True)
