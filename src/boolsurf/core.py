@@ -4,7 +4,7 @@ A function f: {-1,+1}^n -> {-1,+1} is stored as its full table of 2^n
 signs.  Bit i of the table index is 0 where coordinate i equals +1 and 1
 where it equals -1, so ``x ^ (1 << i)`` is the neighbour of ``x`` across
 coordinate i.  Only this module writes the encoding out: ``_unpack_bits``,
-``_pack_bits``, ``_subset_sums``/``gather_bits``, ``_chi``,
+``_pack_bits``, ``_subset_sums``/``gather_bits``/``scatter_bits``, ``_chi``,
 ``to_signs``, ``minus_mask``, ``pack_signs``.
 
 The pointwise sensitivity s(x) counts coordinates whose flip changes f
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, _exact_int
 from .seeding import substream
 
 EXACT_CAP = 24
@@ -55,7 +55,7 @@ def _moment_weights(n: int, alpha: float) -> np.ndarray:
 
 
 def _check_n(n: int) -> int:
-    n = int(n)
+    n = _exact_int(n, "variable count")
     if n < 0:
         raise InputError(f"variable count must be >= 0, got {n}")
     if n > EXACT_CAP:
@@ -65,7 +65,7 @@ def _check_n(n: int) -> int:
 
 def _check_index(value: int, n: int, what: str) -> int:
     """`value` as an int in [0, 2^n): a point index or a subset mask on n variables."""
-    value = int(value)
+    value = _exact_int(value, what)
     if not 0 <= value < 1 << n:
         raise InputError(f"{what} {value} out of range for n={n}")
     return value
@@ -113,6 +113,17 @@ def gather_bits(idx, positions) -> np.ndarray:
     out = np.zeros(np.broadcast_shapes(idx.shape, positions.shape[:-1]), dtype=np.uint64)
     for j in range(positions.shape[-1]):
         out |= (idx >> positions[..., j] & 1) << j
+    return out
+
+
+def scatter_bits(sub, positions) -> np.ndarray:
+    """The per-point inverse of gather_bits, _subset_sums(positions)[..., sub]:
+    uint64 indices whose bit positions[..., j] is bit j of `sub`."""
+    sub = np.asarray(sub, dtype=np.uint64)
+    positions = np.asarray(positions, dtype=np.uint64)
+    out = np.zeros(np.broadcast_shapes(sub.shape, positions.shape[:-1]), dtype=np.uint64)
+    for j in range(positions.shape[-1]):
+        out |= (sub >> j & 1) << positions[..., j]
     return out
 
 
@@ -438,7 +449,7 @@ def sensitivity_histogram(words, n: int) -> tuple[np.ndarray, np.ndarray]:
     binary.  The table runs one strip of words at a time; an axis whose
     pair lies in another strip reads that strip's words.
     """
-    n = int(n)
+    n = _exact_int(n, "variable count")
     words = np.asarray(words, dtype=np.uint64)
     width = words.shape[-1]
     if width != max(1, (1 << n) >> 6):
@@ -553,7 +564,7 @@ def all_function_words(n: int) -> np.ndarray:
     """All 2^(2^n) functions on n >= 1 variables as pack_signs packs them:
     row c of this (2^(2^n), 1) uint64 array is the word c, so f(x) = -1
     exactly where bit x of c is set."""
-    n = int(n)
+    n = _exact_int(n, "variable count")
     if n < 1:
         raise InputError("need n >= 1")
     if n > EXHAUSTIVE_CAP:

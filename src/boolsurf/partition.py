@@ -46,7 +46,7 @@ import numpy as np
 
 from .core import (_CELL_BUDGET, TruthTable, _check_n, _moment_weights, _subset_sums, bsa,
                    popcount_table, sensitivities)
-from .errors import DegenerateInputError, InputError, VerificationError
+from .errors import DegenerateInputError, InputError, VerificationError, _exact_int
 from .interval import Interval, _product, _root, refine, sqrt_sum, working_bits
 from .seeding import Estimate, mc_values, mean_and_stderr
 
@@ -56,23 +56,17 @@ ABS_NOISE = 1e-9  # float-conversion allowance when a Monte Carlo stderr is 0
 
 
 def _check_precision(precision: int) -> int:
-    precision = int(precision)
+    precision = _exact_int(precision, "precision")
     if not 10 <= precision <= 50:
         raise InputError(f"precision must lie in 10..50 decimal digits, got {precision}")
     return precision
 
 
-def _settled(*values) -> bool:
-    for v in values:
-        if v is not None and not v.settled:
-            return False
-    return True
-
-
-def _refined(compute, precision: int):
-    """An enclosure from `compute(bits)`, refined until its float is settled."""
-    return refine(lambda bits: (x := compute(bits), _settled(x)),
-                  working_bits(_check_precision(precision)))
+def _check_k(n: int, k: int) -> int:
+    k = _exact_int(k, "k")
+    if not 0 <= k <= n:
+        raise InputError(f"k must lie in 0..{n}, got {k}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -85,6 +79,8 @@ class HypergeometricParams:
     draws: int
 
     def __post_init__(self):
+        for name in ("population", "successes", "draws"):
+            object.__setattr__(self, name, _exact_int(getattr(self, name), name))
         if self.population < 1:
             raise InputError("population must be >= 1")
         if not 0 <= self.successes <= self.population:
@@ -93,30 +89,25 @@ class HypergeometricParams:
             raise InputError("draws must lie in 1..population")
 
     def support(self) -> range:
-        return _hg_support(self.population, self.successes, self.draws)
-
-
-def _hg_support(population: int, successes: int, draws: int) -> range:
-    """The ones counts a uniform m-subset of n positions with k ones can
-    hold: max(0, m - (n - k)) .. min(m, k)."""
-    n, k, m = population, successes, draws
-    return range(max(0, m - (n - k)), min(m, k) + 1)
+        return _hg_table(self.population, self.successes, self.draws)[0]
 
 
 # Bounded: the weights of a large population are huge integers.
 @lru_cache(maxsize=64)
 def _hg_table(population: int, successes: int, draws: int) -> tuple[range, tuple[int, ...], int]:
-    """(support, weights, C(n, m)): P[X = s] is the integer weight
-    C(k, s) C(n - k, m - s) at s over C(n, m)."""
+    """(support, weights, C(n, m)): the support is the ones counts a uniform
+    m-subset of n positions with k ones can hold, max(0, m - (n - k)) ..
+    min(m, k), and P[X = s] is the integer weight C(k, s) C(n - k, m - s)
+    at s over C(n, m)."""
     n, k, m = population, successes, draws
-    support = _hg_support(n, k, m)
+    support = range(max(0, m - (n - k)), min(m, k) + 1)
     return support, tuple(comb(k, s) * comb(n - k, m - s) for s in support), comb(n, m)
 
 
 def hg_pmf(params: HypergeometricParams, s: int) -> Fraction:
     """Exact point mass P[X = s]."""
     support, weights, total = _hg_table(params.population, params.successes, params.draws)
-    s = int(s)
+    s = _exact_int(s, "ones count")
     if s not in support:
         return Fraction(0)
     return Fraction(weights[s - support.start], total)
@@ -136,9 +127,10 @@ def _mean_sqrt(population: int, successes: int, draws: int, bits: int) -> Interv
 
 
 def mean_sqrt_hg(params: HypergeometricParams, precision: int = DEFAULT_PRECISION) -> Interval:
-    """E[sqrt(X)] enclosed at `precision` digits."""
-    return _refined(partial(_mean_sqrt, params.population, params.successes, params.draws),
-                    precision)
+    """E[sqrt(X)] enclosed at `precision` digits, refined until settled."""
+    args = params.population, params.successes, params.draws
+    return refine(lambda bits: (mean := _mean_sqrt(*args, bits), mean.settled),
+                  working_bits(_check_precision(precision)))
 
 
 @dataclass(frozen=True)
@@ -150,34 +142,26 @@ class BlockPartitionSpec:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError("need n >= 1")
-        if not 0 <= self.k <= self.n:
-            raise InputError(f"k must lie in 0..{self.n}, got {self.k}")
-        object.__setattr__(self, "sizes", _block_sizes(self.sizes, self.n))
+        n, sizes = _check_split(self.n, self.sizes)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", _check_k(n, self.k))
+        object.__setattr__(self, "sizes", sizes)
 
 
-def _block_sizes(sizes, n: int) -> tuple[int, ...]:
-    """`sizes` as ints: each one integral and positive, summing to n."""
-    given = tuple(sizes)
-    sizes = tuple(map(int, given))
-    if sizes != given:
-        raise InputError(f"block sizes must be integers, got {given}")
+def _check_split(n: int, sizes) -> tuple[int, tuple[int, ...]]:
+    """n and `sizes` as ints: the sizes each positive, summing to n."""
+    n = _exact_int(n, "n")
+    sizes = tuple(_exact_int(m, "block size") for m in sizes)
     if not sizes or min(sizes) < 1:
         raise InputError("block sizes must be positive")
     if sum(sizes) != n:
         raise InputError(f"block sizes sum to {sum(sizes)}, expected n={n}")
-    return sizes
-
-
-def _near_equal(n: int, sizes: tuple[int, ...]) -> bool:
-    """True when sizes are a permutation of the floor/ceil split of n."""
-    m = n // len(sizes)  # sizes in {m, m + 1} summing to n: r of them m + 1
-    return m <= min(sizes) and max(sizes) <= m + 1
+    return n, sizes
 
 
 def near_equal_sizes(n: int, blocks: int) -> tuple[int, ...]:
     """The canonical floor/ceil split: larger blocks first."""
+    n, blocks = _exact_int(n, "n"), _exact_int(blocks, "blocks")
     if not 1 <= blocks <= n:
         raise InputError(f"blocks must lie in 1..{n}, got {blocks}")
     m, r = divmod(n, blocks)
@@ -189,7 +173,7 @@ def near_equal_sweep(ns):
     blocks, for n in `ns` and b in 1..n, in that nesting order; each group
     certifies k in 0..n, so n(n + 1) cases per n.  Raises InputError for
     an n below 1 before yielding anything."""
-    ns = list(ns)
+    ns = [_exact_int(n, "n") for n in ns]
     if ns and min(ns) < 1:
         raise InputError(f"near-equal sweeps need n >= 1, got {min(ns)}")
     return ((n, near_equal_sizes(n, b)) for n in ns for b in range(1, n + 1))
@@ -200,8 +184,7 @@ class _Split:
     """The k-free facts of a split of n into b blocks of sizes m_l."""
 
     blocks: int
-    near_equal: bool
-    equal: bool  # every block has the same size
+    near_equal: bool  # the sizes permute the floor/ceil split of n
     size_counts: tuple[tuple[int, int], ...]  # (distinct size, count) pairs
     inv_root_b: Interval  # 1 / sqrt(b)
     # the gap bound's tilt = 1 - sum_l sqrt(m_l) / sqrt(b n) and
@@ -215,6 +198,7 @@ class _Split:
 def _split(n: int, sizes: tuple[int, ...], bits: int) -> _Split:
     size_counts = tuple(Counter(sizes).items())
     blocks = len(sizes)
+    low = n // blocks  # near-equal sizes lie in {low, low + 1}
     tilt = slope = None
     if blocks > 1:
         root_bn = Interval.sqrt(blocks * n, bits)
@@ -225,7 +209,7 @@ def _split(n: int, sizes: tuple[int, ...], bits: int) -> _Split:
             sum_ratio += Interval.exact(count * (n - m), bits) / root
         tilt = (root_bn - sum_roots) / root_bn
         slope = sum_ratio / (2 * (n - 1) * root_bn)
-    return _Split(blocks, _near_equal(n, sizes), len(size_counts) == 1, size_counts,
+    return _Split(blocks, low <= min(sizes) and max(sizes) <= low + 1, size_counts,
                   1 / Interval.sqrt(blocks, bits), tilt, slope)
 
 
@@ -242,9 +226,11 @@ def _sandwich(split: _Split, n: int, k: int, bits: int) -> tuple:
     """
     root = _root(n - k, bits)
     a_lo, a_hi = root.lo, root.hi
-    if k == n or split.blocks == 1 or (k == 0 and split.equal):
-        # B = sqrt(n - k) identically: every block count is constant
+    if k == n or split.blocks == 1 or (k == 0 and len(split.size_counts) == 1):
+        # B = sqrt(n - k) identically: every block count is constant, so
+        # the gap and its bound are 0 (the bound is undefined at k = n)
         b_lo, b_hi, gap_lo, gap_hi, lower = a_lo, a_hi, 0, 0, True
+        bound, gap_ok = (None, None) if k == n else ((0, 0), True)
     else:
         lo = hi = 0
         for m, count in split.size_counts:
@@ -255,11 +241,6 @@ def _sandwich(split: _Split, n: int, k: int, bits: int) -> tuple:
         b_lo, b_hi = _product(lo, hi, inv.lo, inv.hi, bits)
         gap_lo, gap_hi = a_lo - b_hi, a_hi - b_lo
         lower = b_hi < a_lo
-    if k == n:
-        bound = gap_ok = None
-    elif split.blocks == 1 or (k == 0 and split.equal):
-        bound, gap_ok = (0, 0), True  # the gap is 0 too
-    else:
         # sqrt(n - k) * (tilt + k * slope / (n - k)): the Jensen steps
         # sqrt(n - k) * tilt and k * slope / sqrt(n - k), the sum rounded
         # outward in one step
@@ -284,42 +265,21 @@ def _certified(ends: tuple, bits: int) -> bool:
     """Every certificate of `_sandwich`'s `ends` passes or does not apply,
     and A, B, the gap and the bound are each settled (`Interval.settled`)."""
     a_lo, a_hi, b_lo, b_hi, gap_lo, gap_hi, bound, lower, upper, gap_ok = ends
-    if not _all_passed(lower, upper, gap_ok):
-        return False
     scale = 1 << bits
-    if bound is not None and bound[0] / scale != bound[1] / scale:
-        return False
-    return (a_lo / scale == a_hi / scale and b_lo / scale == b_hi / scale
-            and gap_lo / scale == gap_hi / scale)
+    bound_lo, bound_hi = (0, 0) if bound is None else bound
+    return (_all_passed(lower, upper, gap_ok) and a_lo / scale == a_hi / scale
+            and b_lo / scale == b_hi / scale and gap_lo / scale == gap_hi / scale
+            and bound_lo / scale == bound_hi / scale)
 
 
-def _sandwich_at(n: int, sizes: tuple[int, ...], k: int, bits: int):
-    """`refine`'s step: ((ends, bits), certified)."""
-    ends = _sandwich(_split(n, sizes, bits), n, k, bits)
-    return (ends, bits), _certified(ends, bits)
-
-
-def _block_average(spec: BlockPartitionSpec, bits: int) -> Interval:
-    ends = _sandwich(_split(spec.n, spec.sizes, bits), spec.n, spec.k, bits)
-    return Interval(ends[2], ends[3], bits)
-
-
-def block_average_B(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION) -> Interval:
-    """The partition average (1/sqrt(b)) * sum_l E[sqrt(X_l)], enclosed."""
-    return _refined(partial(_block_average, spec), precision)
-
-
-def _gap_bound(spec: BlockPartitionSpec, bits: int) -> Interval | None:
-    bound = _sandwich(_split(spec.n, spec.sizes, bits), spec.n, spec.k, bits)[6]
-    return None if bound is None else Interval(*bound, bits)
-
-
-def gap_bound(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION) -> Interval | None:
-    """Certified upper bound on sqrt(n - k) - B from two Jensen steps.
-
-    Undefined (returns None) when k = n, where both sides vanish.
-    """
-    return _refined(partial(_gap_bound, spec), precision)
+def _case(n: int, sizes: tuple[int, ...], k: int, bits: int) -> tuple[tuple, int]:
+    """(`_sandwich`'s ends, their bits) for k zeros among n positions split
+    into `sizes`, refined from `bits` until `_certified`: the one driver
+    behind sandwich_check, sandwich_rows, block_average_B and gap_bound."""
+    def step(at):
+        ends = _sandwich(_split(n, sizes, at), n, k, at)
+        return (ends, at), _certified(ends, at)
+    return refine(step, bits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -349,12 +309,24 @@ def sandwich_check(spec: BlockPartitionSpec,
     structural equality."""
     precision = _check_precision(precision)
     n, k, sizes = spec.n, spec.k, spec.sizes
-    ends, bits = refine(partial(_sandwich_at, n, sizes, k), working_bits(precision))
+    ends, bits = _case(n, sizes, k, working_bits(precision))
     a_lo, a_hi, b_lo, b_hi, gap_lo, gap_hi, bound, lower, upper, gap_ok = ends
     return SandwichReport(spec, precision, Interval(a_lo, a_hi, bits), Interval(b_lo, b_hi, bits),
                           Interval(gap_lo, gap_hi, bits),
                           None if bound is None else Interval(*bound, bits),
-                          _near_equal(n, sizes), lower, upper, gap_ok)
+                          _split(n, sizes, bits).near_equal, lower, upper, gap_ok)
+
+
+def block_average_B(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION) -> Interval:
+    """The partition average (1/sqrt(b)) * sum_l E[sqrt(X_l)], enclosed:
+    `sandwich_check`'s `block_average`."""
+    return sandwich_check(spec, precision).block_average
+
+
+def gap_bound(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION) -> Interval | None:
+    """`sandwich_check`'s certified upper bound on sqrt(n - k) - B from two
+    Jensen steps; None when k = n, where both sides vanish."""
+    return sandwich_check(spec, precision).gap_bound
 
 
 def sandwich_rows(n: int, sizes, ks, precision: int = DEFAULT_PRECISION):
@@ -363,14 +335,13 @@ def sandwich_rows(n: int, sizes, ks, precision: int = DEFAULT_PRECISION):
     gap, gap_bound, pass_lower, pass_upper, pass_gap): label is the
     dash-joined sizes, each number the float of its enclosure (gap_bound
     None when k = n).  The sizes and the precision are checked once."""
-    sizes = _block_sizes(sizes, n)
+    n, sizes = _check_split(n, sizes)
     precision = _check_precision(precision)
     label = "-".join(map(str, sizes))
     start = working_bits(precision)
     for k in ks:
-        if not 0 <= k <= n:
-            raise InputError(f"k must lie in 0..{n}, got {k}")
-        ends, bits = refine(partial(_sandwich_at, n, sizes, k), start)
+        k = _check_k(n, k)
+        ends, bits = _case(n, sizes, k, start)
         a_lo, a_hi, b_lo, b_hi, gap_lo, gap_hi, bound, lower, upper, gap_ok = ends
         scale = 2 << bits  # float(Interval) is (lo + hi) / 2^(bits + 1)
         yield (n, k, label, (a_lo + a_hi) / scale, (b_lo + b_hi) / scale,
@@ -389,9 +360,19 @@ class JensenBounds:
 
 
 def _over_common_denominator(numbers) -> tuple[list[int], int]:
-    """Integer numerators over one common positive denominator."""
-    pairs = [x.as_integer_ratio() if type(x) in (int, float, Fraction)
-             else tuple(map(int, Fraction(x).as_integer_ratio())) for x in numbers]
+    """Integer numerators over one common positive denominator.  Each number
+    is a finite int, float, Fraction or numpy integer or float scalar;
+    anything else (bools and strings too) raises InputError."""
+    pairs = []
+    for x in numbers:
+        if type(x) not in (int, float, Fraction):
+            if not isinstance(x, (np.integer, np.floating)):  # bools and strings too
+                raise InputError(f"{x!r} is not an int, float, Fraction or numpy number")
+            x = int(x) if isinstance(x, np.integer) else x
+        try:
+            pairs.append(x.as_integer_ratio())
+        except (ValueError, OverflowError):  # NaN, infinities
+            raise InputError(f"{x!r} is not finite") from None
     common = lcm(*(d for _, d in pairs))
     return [n * (common // d) for n, d in pairs], common
 
@@ -440,7 +421,8 @@ def jensen_bounds(values, probs, precision: int = DEFAULT_PRECISION) -> JensenBo
         lower = Interval.exact(2 * first * first - spread, bits) / (root * (2 * first))
         mean_sqrt = sqrt_sum(zip(weights, (x * x_den for x in xs)), bits) / den
         bounds = JensenBounds(lower, upper, mean_sqrt)
-        return bounds, lower < mean_sqrt < upper and _settled(lower, upper, mean_sqrt)
+        return bounds, (lower < mean_sqrt < upper and lower.settled and upper.settled
+                        and mean_sqrt.settled)
 
     bounds = refine(enclose, working_bits(precision))
     if spread and not bounds.lower < bounds.mean_sqrt < bounds.upper:
@@ -481,7 +463,7 @@ def mc_partition_average(y, sizes, trials: int, seed: int = 0,
     if y.ndim != 1 or not np.isin(y, (0, 1)).all():
         raise InputError("population must be a 1-D 0/1 sequence")
     _check_n(len(y))
-    _, table = _shuffle_table(int(y.sum()), _block_sizes(sizes, len(y)))
+    _, table = _shuffle_table(int(y.sum()), _check_split(len(y), sizes)[1])
     # a trial holds an int64 index and its value; the table, fixed per call,
     # is C(n, ones) float64 values: 103 KB at n = 16, 21.6 MB at n = 24
     values = mc_values(trials, seed, workers, partial(_picks, table=table), 8 + 8)
@@ -549,7 +531,7 @@ def bsa_block_bound(f: TruthTable, blocks: int, trials: int, seed: int = 0,
     lhs = bsa(f)
     margin = est + blocks + 4.0 * err - lhs
     passed = margin >= 0.0
-    report = BlockBoundReport(lhs, est, err, blocks, sizes, trials, margin, passed)
+    report = BlockBoundReport(lhs, est, err, len(sizes), sizes, len(values), margin, passed)
     if not passed:
         raise VerificationError(
             f"block bound failed: {lhs} > {est} + {blocks} + 4*{err}")

@@ -38,7 +38,7 @@ import numpy as np
 from .core import (_BLOCK_BITS, _CELL_BUDGET, TruthTable, _check_index, _check_n, _chi,
                    _moment_weights, _pack_bits, _unpack_bits, all_points_signs, gather_bits,
                    to_signs, walsh_hadamard)
-from .errors import CapacityError, DegenerateInputError, InputError, ParseError
+from .errors import CapacityError, DegenerateInputError, InputError, ParseError, _exact_int
 from .seeding import Estimate, mc_values, mean_and_stderr, substream
 
 if TYPE_CHECKING:
@@ -150,22 +150,12 @@ class SparsePolynomial:
 
 
 def _check_storage_n(n: int) -> int:
-    n = int(n)
+    n = _exact_int(n, "variable count")
     if n < 0:
         raise InputError(f"variable count must be >= 0, got {n}")
     if n > STORAGE_CAP:
         raise CapacityError(f"n={n} exceeds the storage cap of {STORAGE_CAP} variables")
     return n
-
-
-def _exact_int(value, what: str) -> int:
-    """`value` as an int when it equals one; bools and strings are not integers."""
-    try:
-        if not isinstance(value, (bool, str)) and int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InputError(f"{what} {value!r} is not an integer")
 
 
 def variables_mask(variables, n: int) -> int:
@@ -450,7 +440,7 @@ def generate(kind: str, n: int, *, subset: int | None = None, degree: int | None
     "random-sparse" (same but on `nterms` subsets sampled without
     replacement).
     """
-    if int(n) < 1:
+    if _exact_int(n, "variable count") < 1:
         raise InputError("generator needs n >= 1")
     n = _check_storage_n(n)
     kind = kind.lower()
@@ -466,7 +456,7 @@ def generate(kind: str, n: int, *, subset: int | None = None, degree: int | None
     if kind in ("random", "rand", "random-sparse", "rands"):
         if degree is None:
             raise InputError("random polynomials need a degree")
-        degree = int(degree)
+        degree = _exact_int(degree, "degree")
         if not 0 <= degree <= n:
             raise InputError(f"degree must lie in 0..{n}, got {degree}")
         count = sum(comb(n, k) for k in range(degree + 1))
@@ -481,7 +471,7 @@ def generate(kind: str, n: int, *, subset: int | None = None, degree: int | None
         if kind in ("random-sparse", "rands"):
             if nterms is None:
                 raise InputError("sparse random polynomials need a term count")
-            nterms = int(nterms)
+            nterms = _exact_int(nterms, "term count")
             if not 1 <= nterms <= count:
                 raise InputError(f"term count must lie in 1..{count}, got {nterms}")
             masks = masks[np.sort(rng.choice(len(masks), size=nterms, replace=False))]

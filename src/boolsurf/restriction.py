@@ -31,9 +31,9 @@ from math import nan
 import numpy as np
 
 from .core import (_CELL_BUDGET, EXACT_CAP, TruthTable, _check_n, _pack_bits, _subset_sums,
-                   _unpack_bits, all_function_words, gather_bits, minus_mask,
+                   _unpack_bits, all_function_words, gather_bits, minus_mask, scatter_bits,
                    sensitivity_histogram, walsh_hadamard)
-from .errors import InputError, VerificationError
+from .errors import InputError, VerificationError, _exact_int
 # unused here: the benchmark harness's tracer test reads eval_on_cube from this namespace
 from .ptf import SparsePolynomial, _characters, _exact_signs, _rounding_radius, eval_on_cube
 from .seeding import mc_values, substream
@@ -103,7 +103,7 @@ def _open_unit(name: str, value: float) -> float:
 def _sample_patterns(n: int, rate: float, rng, count: int) -> np.ndarray:
     """(count, n) int8 restriction patterns, one per row: each entry 0
     (free) with probability `rate`, otherwise a uniform sign."""
-    n = int(n)
+    n = _exact_int(n, "variable count")
     if n < 1:
         raise InputError("restrictions need n >= 1")
     rate = _open_unit("free-rate", rate)
@@ -156,10 +156,7 @@ def _plus_counts(p: SparsePolynomial, patterns: np.ndarray, f: int, radius: floa
 
     def points(at):  # the row's -1 mask, the cell's bits at the row's free coordinates
         row = at >> f
-        x = base[row]
-        for j in range(f):
-            x |= (at >> j & 1).astype(np.uint64) << free[row, j]
-        return x
+        return base[row] | scatter_bits(at & (1 << f) - 1, free[row])
 
     signs, _ = _exact_signs(p, walsh_hadamard(stack).ravel(), radius, points)
     return (signs.reshape(stack.shape).sum(axis=-1) + (1 << f)) >> 1  # sum = plus - minus
@@ -210,6 +207,7 @@ def restriction_failure_prob(p: SparsePolynomial, rate: float, delta: float,
     """
     rate = _open_unit("free-rate", rate)
     delta = _open_unit("delta", delta)
+    max_free = _exact_int(max_free, "max_free")
     if not 1 <= max_free <= EXACT_CAP:
         raise InputError(f"max_free must lie in 1..{EXACT_CAP}")
 
@@ -220,6 +218,7 @@ def restriction_failure_prob(p: SparsePolynomial, rate: float, delta: float,
     # the batches are bounded by the cell budget
     trial_bytes = 9 * p.n + 32
     values = mc_values(trials, seed, workers, draw, trial_bytes)  # checks trials, workers, seed
+    trials = len(values)
     if rate > RATE_GUIDELINE or delta > RATE_GUIDELINE:
         warnings.warn(
             f"rate={rate} delta={delta}: values above {RATE_GUIDELINE} are outside the "
@@ -255,7 +254,7 @@ class TailReport:
 def tail_coupling_check(f: TruthTable, m: int) -> TailReport:
     """Exact rational tail/coupling quantities at level m, with the
     sandwich floor <= coupling_lb / p_e <= 1 checked en route."""
-    m = int(m)
+    m = _exact_int(m, "level m")
     if f.n < 1:
         raise InputError("tail levels need a function on n >= 1 variables")
     if not 1 <= m <= f.n:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, _exact_int
 
 # Bytes one Monte Carlo call may hold at once.  A larger request exits
 # with a capacity error before drawing, instead of paging on a host
@@ -32,16 +32,16 @@ class Estimate(NamedTuple):
 
 def substream(seed: int, index: int = 0) -> np.random.Generator:
     """Independent generator for substream `index` of master `seed` (>= 0)."""
-    seed = int(seed)
+    seed = _exact_int(seed, "seed")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(int(index),))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_exact_int(index, "substream index"),))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def resolve_workers(workers: int | None = None) -> int:
     """The explicit worker count, or 1 when it is None."""
-    workers = 1 if workers is None else int(workers)
+    workers = 1 if workers is None else _exact_int(workers, "worker count")
     if workers < 1:
         raise InputError("worker count must be >= 1")
     return workers
@@ -68,6 +68,7 @@ def mc_values(total: int, seed: int, workers: int | None, draw,
     would need more than MC_BYTES_CAP raises CapacityError before any
     chunk is drawn.
     """
+    total = _exact_int(total, "trial count")
     if total < 1:
         raise InputError("need trials >= 1")
     workers = resolve_workers(workers)

@@ -250,9 +250,9 @@ def _c6():
 def _random_composition(rng, n: int, parts: int) -> tuple[int, ...]:
     if parts == 1:
         return (n,)
-    cuts = np.sort(rng.choice(n - 1, size=parts - 1, replace=False)) + 1
-    edges = np.concatenate(([0], cuts, [n]))
-    return tuple(int(d) for d in np.diff(edges))
+    # parts end after each sorted cut position in 0..n - 2, and at n - 1
+    edges = [-1, *sorted(rng.choice(n - 1, size=parts - 1, replace=False).tolist()), n - 1]
+    return tuple(b - a for a, b in zip(edges, edges[1:]))
 
 
 @_criterion("c7", "gap bound covers the sandwich gap on random arbitrary-size splits")

@@ -9,8 +9,8 @@ import pytest
 from boolsurf.core import (EXACT_CAP, TruthTable, _subset_sums, _transform, all_function_words,
                            all_points_signs, bsa, bsa_via_tails, fractional_moment, gather_bits,
                            minus_mask, noise_sensitivity, noise_sensitivity_semigroup,
-                           pack_signs, popcount_table, sensitivities, sensitivity_histogram,
-                           to_signs, total_influence, walsh_hadamard)
+                           pack_signs, popcount_table, scatter_bits, sensitivities,
+                           sensitivity_histogram, to_signs, total_influence, walsh_hadamard)
 from boolsurf.errors import CapacityError, InputError
 from boolsurf.ptf import generate, sign_table
 
@@ -701,6 +701,25 @@ def test_gather_bits_inverts_spread_bits(free):
     sub = np.arange(1 << len(free))
     positions = np.array(free, dtype=np.int64)
     assert np.array_equal(gather_bits(_subset_sums(positions), positions), sub)
+
+
+@pytest.mark.parametrize("free", [[], [3], [5, 1, 7], [2, 9, 4, 23, 11], [62, 0, 40], [63, 1]])
+def test_scatter_bits_is_spread_bits_per_point(free):
+    positions = np.array(free, dtype=np.int64)
+    sub = np.arange(1 << len(free))
+    out = scatter_bits(sub, positions)
+    assert out.dtype == np.uint64
+    assert np.array_equal(out, _subset_sums(positions).view(np.uint64))
+    assert np.array_equal(gather_bits(out, positions), sub)
+
+
+def test_scatter_bits_batched_positions():
+    rng = np.random.default_rng(7)
+    positions = np.stack([rng.permutation(64)[:5] for _ in range(7)])  # (rows, m)
+    sub = rng.integers(0, 1 << 5, size=7)
+    out = scatter_bits(sub, positions)  # one sub-cube index per row
+    assert out.shape == (7,)
+    assert np.array_equal(out, _subset_sums(positions)[np.arange(7), sub].view(np.uint64))
 
 
 # ---------------------------------------------------------------- signs

@@ -312,6 +312,22 @@ def test_jensen_validation():
         jensen_bounds([0], [1], precision=15)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float32("nan"),
+                                 "0.5", True, np.True_, None, 0.5j])
+def test_jensen_rejects_what_is_not_a_finite_number(bad):
+    for values, probs in (([1, 3], [bad, 0.5]), ([bad, 3], [0.5, 0.5])):
+        with pytest.raises(InputError):
+            jensen_bounds(values, probs, precision=15)
+
+
+def test_jensen_reads_numpy_scalars_exactly():
+    want = jensen_bounds([1, 3, 6], [0.25, 0.5, 0.25], precision=20)
+    assert jensen_bounds(np.array([1, 3, 6]), np.array([0.25, 0.5, 0.25], dtype=np.float32),
+                         precision=20) == want
+    assert jensen_bounds([np.uint8(1), np.int64(3), 6.0], [Fraction(1, 4), np.float16(0.5), 0.25],
+                         precision=20) == want
+
+
 def test_jensen_two_point_block_size_sweep():
     # the block-size distribution of every near-equal split up to n = 60
     for n in range(1, 61):
@@ -545,9 +561,13 @@ def test_sandwich_rows_equal_per_case_reports(precision):
         groups.append((n, _random_composition(rng, n, int(rng.integers(1, min(n, 8) + 1)))))
     for n, sizes in groups:
         label = "-".join(map(str, sizes))
-        want = [(n, k, label,
-                 *outcome(sandwich_check(BlockPartitionSpec(n, k, sizes), precision)))
-                for k in range(n + 1)]
+        want = []
+        for k in range(n + 1):
+            spec = BlockPartitionSpec(n, k, sizes)
+            report = sandwich_check(spec, precision)
+            assert block_average_B(spec, precision) == report.block_average
+            assert gap_bound(spec, precision) == report.gap_bound
+            want.append((n, k, label, *outcome(report)))
         assert list(sandwich_rows(n, sizes, range(n + 1), precision)) == want
 
 
