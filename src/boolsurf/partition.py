@@ -360,13 +360,12 @@ class JensenBounds:
 
 
 def _over_common_denominator(numbers) -> tuple[list[int], int]:
-    """Integer numerators over one common positive denominator.  Each number
-    is a finite int, float, Fraction or numpy integer or float scalar;
-    anything else (bools and strings too) raises InputError."""
+    """Integer numerators over one common positive denominator, read from finite
+    ints, floats, Fractions and numpy integer or float scalars; else InputError."""
     pairs = []
     for x in numbers:
         if type(x) not in (int, float, Fraction):
-            if not isinstance(x, (np.integer, np.floating)):  # bools and strings too
+            if not isinstance(x, (np.integer, np.floating)):
                 raise InputError(f"{x!r} is not an int, float, Fraction or numpy number")
             x = int(x) if isinstance(x, np.integer) else x
         try:
@@ -382,7 +381,7 @@ def jensen_bounds(values, probs, precision: int = DEFAULT_PRECISION) -> JensenBo
     and sqrt(E[X]).
 
     The distribution of X is given by parallel `values` / `probs`
-    sequences (Fractions and floats welcome; both are read exactly).
+    sequences of finite ints, floats, Fractions or numpy numbers, read exactly.
     X must be nonnegative with positive mean; for an affine image
     a X + c, pass the values a x + c.  The exact mean of sqrt(X) is
     computed alongside, and the enclosure is certified by strict
