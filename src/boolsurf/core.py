@@ -337,10 +337,20 @@ class TruthTable:
         # and truncates 1.5 to 1
         if np.count_nonzero(arr == 1) + np.count_nonzero(arr == -1) != arr.size:
             raise InputError("table entries must be +1 or -1")
-        arr = arr.astype(np.int8)
-        arr.flags.writeable = False
+        self._store(n, arr.astype(np.int8))
+
+    @classmethod
+    def _from_signs(cls, n: int, signs: np.ndarray) -> "TruthTable":
+        """Wrap without validation or copy: n within the cap and `signs` a
+        fresh int8 array of 2^n entries, each +1 or -1 (to_signs output)."""
+        table = object.__new__(cls)
+        table._store(n, signs)
+        return table
+
+    def _store(self, n: int, values: np.ndarray) -> None:
+        values.flags.writeable = False
         self.n = n
-        self.values = arr
+        self.values = values
         self._profile = None
         self._edges = None
         self._masses = None

@@ -12,9 +12,11 @@ are counted so callers can detect degenerate inputs.
 Evaluation on the whole cube runs in two phases above 16 variables: the
 terms are grouped by their high part (mask >> 16), each live high
 part's low terms run through the Walsh-Hadamard transform as one row of
-a stack, and every value is one BLAS product of the high characters
-with those rows.  The product sums in BLAS's order, so signs are not
-read off the floats near zero: points within the rounding bound
+a stack, and the values are BLAS products of the high characters with
+those rows, formed one block of 2^_PRODUCT_BITS values at a time as
+the sign pass reads them, so the 2^n floats never exist at once.  The
+product sums in BLAS's order, so signs are not read off the floats near
+zero: points within the rounding bound
 gamma_k * sum |c| (Higham, ch. 4) are decided by an exactly rounded sum
 (Shewchuk's filtered predicates, DCG 1997), and integer coefficients
 with sum |c| < 2^53 need no filter, being exact in any order.
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,6 +49,9 @@ if TYPE_CHECKING:
 STORAGE_CAP = 64
 GENERATE_TERM_CAP = 1_000_000
 ALPHA_EXACT_CAP = 11
+# eval_on_cube's product blocks above 16 variables hold 2^_PRODUCT_BITS
+# values (8 MiB of float64), 2^(_PRODUCT_BITS - 16) high indices each.
+_PRODUCT_BITS = 20
 
 
 class SparsePolynomial:
@@ -208,31 +213,36 @@ def _high_parts(p: SparsePolynomial):
     return high[starts], np.cumsum(starts) - 1
 
 
-def eval_on_cube(p: SparsePolynomial) -> np.ndarray:
-    """Values at every point index.
+def eval_on_cube(p: SparsePolynomial) -> Iterator[np.ndarray]:
+    """Values at every point index, as consecutive flat float64 blocks in
+    index order.
 
     Up to 16 variables the dense coefficient vector runs through
-    walsh_hadamard.  Above, the terms are grouped by their high part
-    mask >> 16; the (r, 2^16) stack of the r live high parts' low parts
-    runs through walsh_hadamard (each row bit-identical to the dense
-    transform's low 16 stages), and all 2^n values are one product
-    chi(high, x >> 16) @ rows, whose row-major result is in index order.
-    The product adds in BLAS's order, so above 16 variables a value may
-    differ from the dense transform's in the last bits, within the bound
-    sign_table filters by.
+    walsh_hadamard and is the one block.  Above, the terms are grouped by
+    their high part mask >> 16; the (r, 2^16) stack of the r live high
+    parts' low parts runs through walsh_hadamard before this returns
+    (each row bit-identical to the dense transform's low 16 stages), and
+    each block is the product chi(high, xs) @ rows over the next
+    2^(_PRODUCT_BITS - 16) high indices xs, formed only when the block is
+    drawn; its row-major result is in index order.  The product adds in
+    BLAS's order, so above 16 variables a value may differ from the
+    dense transform's in the last bits, within the bound sign_table
+    filters by.
     """
     n = _check_n(p.n)
     parts = _high_parts(p)
     if parts is None:
         dense = np.zeros(1 << n, dtype=np.float64)
         dense[p.masks] = p.coefs
-        return walsh_hadamard(dense)
+        return iter((walsh_hadamard(dense),))
     high, slot = parts
     rows = np.zeros((len(high), 1 << _BLOCK_BITS), dtype=np.float64)
     rows[slot, p.masks & np.uint64((1 << _BLOCK_BITS) - 1)] = p.coefs
     rows = walsh_hadamard(rows)
     chi = _chi(high, np.arange(1 << (n - _BLOCK_BITS), dtype=np.uint64)[:, None])
-    return (chi.astype(np.float64) @ rows).reshape(-1)
+    chi = chi.astype(np.float64)
+    step = 1 << (_PRODUCT_BITS - _BLOCK_BITS)
+    return ((chi[at:at + step] @ rows).reshape(-1) for at in range(0, len(chi), step))
 
 
 def _rounding_radius(p: SparsePolynomial, depth: int) -> float:
@@ -262,47 +272,57 @@ def _rounding_radius(p: SparsePolynomial, depth: int) -> float:
     return float(np.nextafter(float(bound), np.inf))
 
 
-def _exact_signs(p: SparsePolynomial, vals, radius: float, points) -> tuple[np.ndarray, int]:
-    """int8 signs of the flat values `vals` of p, each within `radius` of
-    exact, and how many are exactly 0; points(at) gives the uint64 point
-    of each flat position in `at`.  One blocked pass reads each sign and
-    flags |value| <= radius, and each flagged value is decided by the
-    correctly rounded p(x), once per pattern of the bits that p's terms
-    use.  When the radius is 0 the flagged values are the zeros."""
-    signs = np.empty(vals.size, dtype=np.int8)
+def _exact_signs(p: SparsePolynomial, blocks: Iterable[np.ndarray], size: int, radius: float,
+                 points) -> tuple[np.ndarray, int]:
+    """int8 signs of p's `size` values, read from consecutive flat blocks
+    each within `radius` of exact, and how many are exactly 0; points(at)
+    gives the uint64 point of each flat position in `at`.  One pass over
+    sub-blocks of 2^16 values reads each sign and flags |value| <= radius,
+    and each flagged value is decided by the correctly rounded p(x), once
+    per pattern of the bits that p's terms use across all the blocks.
+    When the radius is 0 the flagged values are the zeros."""
+    signs = np.empty(size, dtype=np.int8)
     decided: dict[int, float] = {}  # exact value by pattern of the used bits
     zeros = 0
-    for start in range(0, vals.size, _CELL_BUDGET):
-        v = vals[start:start + _CELL_BUDGET]
-        signs[start:start + _CELL_BUDGET] = to_signs(v)
-        hits = np.flatnonzero(np.abs(v) <= radius)
-        if not hits.size or radius == 0.0:
-            zeros += hits.size
-            continue
-        used = np.bitwise_or.reduce(p.masks, initial=np.uint64(0))
-        patterns, back = np.unique(points(hits + start) & used, return_inverse=True)
-        patterns = patterns.tolist()
-        new = [q for q in patterns if q not in decided]
-        if new:
-            decided.update(zip(new, _exact_values(p, np.array(new, dtype=np.uint64)).tolist()))
-        exact = np.array([decided[q] for q in patterns])[back]
-        signs[start + hits] = to_signs(exact)
-        zeros += int(np.count_nonzero(exact == 0.0))
+    offset = 0
+    for vals in blocks:
+        for start in range(0, vals.size, _CELL_BUDGET):
+            v = vals[start:start + _CELL_BUDGET]
+            at = offset + start
+            signs[at:at + v.size] = to_signs(v)
+            hits = np.flatnonzero(np.abs(v) <= radius)
+            if not hits.size or radius == 0.0:
+                zeros += hits.size
+                continue
+            used = np.bitwise_or.reduce(p.masks, initial=np.uint64(0))
+            patterns, back = np.unique(points(hits + at) & used, return_inverse=True)
+            patterns = patterns.tolist()
+            new = [q for q in patterns if q not in decided]
+            if new:
+                decided.update(zip(new, _exact_values(p, np.array(new, dtype=np.uint64)).tolist()))
+            exact = np.array([decided[q] for q in patterns])[back]
+            signs[at + hits] = to_signs(exact)
+            zeros += int(np.count_nonzero(exact == 0.0))
+        offset += vals.size
     return signs, zeros
 
 
 def sign_table(p: SparsePolynomial) -> tuple[TruthTable, int]:
     """Threshold function sign(p) and the number of points where p is exactly 0.
 
-    Signs are exact whatever order eval_on_cube added in (_exact_signs):
-    each value passes through n roundings on the dense route and 16 + r + 1
-    on the product route over r live high parts.  sign(0) = +1; a large
-    zero count signals a degenerate polynomial, sensitive to perturbation.
+    The sign pass draws eval_on_cube's blocks one at a time, so above 16
+    variables it holds one block of 2^_PRODUCT_BITS floats, never all
+    2^n.  Signs are exact whatever order the blocks were added in
+    (_exact_signs): each value passes through n roundings on the dense
+    route and 16 + r + 1 on the product route over r live high parts.
+    sign(0) = +1; a large zero count signals a degenerate polynomial,
+    sensitive to perturbation.
     """
     parts = _high_parts(p)
     radius = _rounding_radius(p, p.n if parts is None else _BLOCK_BITS + len(parts[0]) + 1)
-    signs, zeros = _exact_signs(p, eval_on_cube(p), radius, lambda at: at.astype(np.uint64))
-    return TruthTable(p.n, signs), zeros
+    signs, zeros = _exact_signs(p, eval_on_cube(p), 1 << p.n, radius,
+                                lambda at: at.astype(np.uint64))
+    return TruthTable._from_signs(p.n, signs), zeros
 
 
 def restrict_poly(p: SparsePolynomial, rho: "Restriction") -> SparsePolynomial:

@@ -47,12 +47,14 @@ class Restriction:
     __slots__ = ("n", "pattern", "_free", "_base")
 
     def __init__(self, pattern):
-        arr = np.asarray(pattern, dtype=np.int8)
-        if arr.ndim != 1:
+        if np.ndim(pattern) != 1:
             raise InputError("restriction pattern must be one-dimensional")
-        if arr.size and not -1 <= arr.min() <= arr.max() <= 1:
+        # each entry by the integer rule: an int8 cast would truncate 0.5 to
+        # 0 (free) and read True as 1
+        entries = [_exact_int(v, "pattern entry") for v in pattern]
+        if not {-1, 0, 1}.issuperset(entries):
             raise InputError("pattern entries must be -1, 0, or +1")
-        arr = arr.copy()
+        arr = np.array(entries, dtype=np.int8)
         arr.flags.writeable = False
         free = np.flatnonzero(arr == 0)
         free.flags.writeable = False
@@ -158,7 +160,7 @@ def _plus_counts(p: SparsePolynomial, patterns: np.ndarray, f: int, radius: floa
         row = at >> f
         return base[row] | scatter_bits(at & (1 << f) - 1, free[row])
 
-    signs, _ = _exact_signs(p, walsh_hadamard(stack).ravel(), radius, points)
+    signs, _ = _exact_signs(p, (walsh_hadamard(stack).ravel(),), stack.size, radius, points)
     return (signs.reshape(stack.shape).sum(axis=-1) + (1 << f)) >> 1  # sum = plus - minus
 
 

@@ -15,7 +15,7 @@ from boolsurf.partition import (BlockPartitionSpec, HypergeometricParams, block_
                                 bsa_block_bound, hg_pmf, mc_partition_average, near_equal_sizes,
                                 near_equal_sweep, sandwich_check, sandwich_rows)
 from boolsurf.ptf import _check_storage_n, alpha_estimate, generate
-from boolsurf.restriction import (restriction_failure_prob, sample_restriction,
+from boolsurf.restriction import (Restriction, restriction_failure_prob, sample_restriction,
                                   tail_coupling_check)
 from boolsurf.seeding import mc_values, resolve_workers, substream
 
@@ -45,6 +45,7 @@ ENTRY_POINTS = {
     "seeding.substream index": (lambda x: substream(7, x).integers(1 << 30), 2),
     "seeding.resolve_workers": (resolve_workers, 2),
     "seeding.mc_values trials": (lambda x: mc_values(x, 1, None, _uniform).tolist(), 3),
+    "Restriction pattern entry": (lambda x: Restriction([1, 0, x]).pattern.tolist(), -1),
     "restriction._sample_patterns n": (
         lambda x: sample_restriction(x, 0.5, seed=1).pattern.tolist(), 4),
     "restriction_failure_prob seed": (
@@ -110,3 +111,26 @@ def test_exact_int_reads_integral_numbers(value):
 def test_exact_int_rejects_everything_else(value):
     with pytest.raises(InputError, match=r"^x .* is not an integer$"):
         _exact_int(value, "x")
+
+
+@pytest.mark.parametrize("pattern", [[0.5, 1, -1], [True, 0, 0], np.array([0.5, 1.0]),
+                                     np.array([True, False])])
+def test_restriction_entries_are_never_truncated(pattern):
+    # an int8 cast would read these as '*+-', '+**', '*+' and '+*'
+    with pytest.raises(InputError, match="is not an integer"):
+        Restriction(pattern)
+
+
+@pytest.mark.parametrize("pattern", [[2, 0], [0, -2], np.array([255, 0]), np.array([1, 256])])
+def test_restriction_entries_outside_the_signs_are_input_errors(pattern):
+    # 255 and 256 would wrap to -1 and 0 under an int8 cast
+    with pytest.raises(InputError, match="must be -1, 0, or \\+1"):
+        Restriction(pattern)
+
+
+def test_restriction_reads_integral_entries_of_any_type():
+    want = Restriction.from_string("+*-")
+    for pattern in ([1.0, 0.0, -1.0], np.array([1, 0, -1], dtype=np.int8),
+                    np.array([1.0, 0.0, -1.0]), (np.int64(1), 0, np.float32(-1))):
+        got = Restriction(pattern)
+        assert got.pattern.tolist() == want.pattern.tolist() and got.pattern.dtype == np.int8

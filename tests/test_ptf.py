@@ -73,16 +73,21 @@ def test_eval_matches_naive_oracle():
         assert abs(eval_poly(p, x) - naive_eval(p, x)) < 1e-12
 
 
+def cube_values(p):
+    """eval_on_cube's blocks joined into one array in index order."""
+    return np.concatenate(list(eval_on_cube(p)))
+
+
 def test_eval_on_cube_matches_pointwise():
     p = generate("random", 7, degree=2, seed=3)
-    vals = eval_on_cube(p)
+    vals = cube_values(p)
     for x in range(128):
         assert abs(vals[x] - eval_poly(p, x)) < 1e-12
 
 
 def test_eval_on_cube_integer_coefficients_exact():
     p = SparsePolynomial(4, {0b0001: 3.0, 0b0110: -2.0, 0b1111: 1.0})
-    vals = eval_on_cube(p)
+    vals = cube_values(p)
     assert all(vals[x] == naive_eval(p, x) for x in range(16))
 
 
@@ -178,13 +183,42 @@ def test_signs_exact_near_zero(case, n):
         assert (1 if got >= 0 else -1) == table.values[x]
 
 
+# above 2^20 values the product comes in several blocks: each case puts
+# flagged points in every block, and every pattern of the used bits recurs
+# in each block (bit 16 or 17 alternates within one, or the top bit splits
+# them and low bits vary inside)
+MULTI_BLOCK_CASES = {
+    "decimal-with-a-high-tie": lambda n: {1: 0.1, 2: 0.2, 4: -0.3, 2 * HIGH | 8: 0.3, 16: -0.3},
+    **{case: EXACT_SIGN_CASES[case] for case in (
+        "decimal-across-high-parts", "dyadic-ties-across-high-parts", "decimal-padded-on-high")},
+}
+
+
+@pytest.mark.parametrize("n", [21, 22])
+@pytest.mark.parametrize("case", list(MULTI_BLOCK_CASES))
+def test_signs_exact_across_product_blocks(case, n, monkeypatch):
+    p = SparsePolynomial(n, MULTI_BLOCK_CASES[case](n))
+    assert len(list(eval_on_cube(p))) > 1
+    decided = []
+    exact_values = ptf._exact_values
+    monkeypatch.setattr(ptf, "_exact_values",
+                        lambda q, points: decided.extend(points.tolist()) or exact_values(q, points))
+    values, sub = exact_on_used_bits(p)
+    table, zero_hits = sign_table(p)
+    assert np.array_equal(table.values, np.where(np.array(values) >= 0, 1, -1)[sub])
+    assert zero_hits == np.count_nonzero(np.array([v == 0 for v in values])[sub])
+    # one memo across the blocks: each flagged pattern is decided once
+    assert len(decided) == len(set(decided))
+    assert bool(decided) == (not case.startswith("dyadic"))
+
+
 @pytest.mark.parametrize("n", range(17, 21))
 def test_eval_on_cube_integer_coefficients_equal_dense_transform(n):
     p = generate("random", n, degree=2, seed=n)
     q = SparsePolynomial(n, {mask: float(round(8 * c)) for mask, c in p.terms.items()})
     dense = np.zeros(1 << n)
     dense[q.masks] = q.coefs
-    assert eval_on_cube(q).tobytes() == walsh_hadamard(dense).tobytes()
+    assert cube_values(q).tobytes() == walsh_hadamard(dense).tobytes()
 
 
 @pytest.mark.parametrize("n", [17, 19, 20])
@@ -193,7 +227,7 @@ def test_eval_on_cube_within_rounding_bound(n):
     p = generate("random-sparse", n, degree=3, nterms=80, seed=n)
     k = 16 + len(set((p.masks >> np.uint64(16)).tolist())) + 1
     bound = Fraction(k, 2 ** 53 - k) * sum(Fraction(abs(c)) for c in p.coefs.tolist())
-    vals = eval_on_cube(p)
+    vals = cube_values(p)
     for x in np.random.default_rng(n).integers(0, 1 << n, size=64).tolist():
         exact = sum(Fraction(c) * (-1) ** bin(mask & x).count("1") for mask, c in p.terms.items())
         assert abs(Fraction(vals[x]) - exact) <= bound
@@ -250,19 +284,30 @@ def test_sign_table_decides_each_pattern_of_the_used_bits_once(monkeypatch):
     assert zero_hits == 0
 
 
-def test_sign_table_memory_peak():
-    # 18,091,248 bytes is the dense route's peak at n = 20: the 8 MiB dense
-    # vector, its transformed copy and the sign pass.  A filter that builds a
-    # 2^20 float temporary (np.abs of the values) goes past it.
-    p = generate("random", 20, degree=2, seed=0)
+def warm_sign_table_peak(p):
+    """tracemalloc peak, in bytes, of sign_table(p) after one call has run."""
     sign_table(p)
     tracemalloc.start()
     try:
         sign_table(p)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 18_091_248
+
+
+def test_sign_table_memory_peak():
+    # 18,091,248 bytes is the dense route's peak at n = 20: the 8 MiB dense
+    # vector, its transformed copy and the sign pass.  A filter that builds a
+    # 2^20 float temporary (np.abs of the values) goes past it.
+    assert warm_sign_table_peak(generate("random", 20, degree=2, seed=0)) <= 18_091_248
+
+
+def test_sign_table_never_holds_every_value():
+    # 2^23 float64 values alone take 2^23 * 8 bytes: the product is formed
+    # and signed one block at a time, so the signs, the transformed stack
+    # and one block stay below that
+    p = generate("random-sparse", 23, degree=3, nterms=64, seed=0)
+    assert warm_sign_table_peak(p) < (1 << 23) * 8
 
 
 # ---------------------------------------------------------------- construction
