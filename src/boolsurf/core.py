@@ -4,8 +4,8 @@ A function f: {-1,+1}^n -> {-1,+1} is stored as its full table of 2^n
 signs.  Bit i of the table index is 0 where coordinate i equals +1 and 1
 where it equals -1, so ``x ^ (1 << i)`` is the neighbour of ``x`` across
 coordinate i.  Only this module writes the encoding out: ``_unpack_bits``,
-``_pack_bits``, ``_subset_sums``/``gather_bits``/``scatter_bits``, ``_chi``,
-``to_signs``, ``minus_mask``, ``pack_signs``.
+``_pack_bits``, ``_subset_sums``/``gather_bits``/``scatter_bits``,
+``broadcast_bits``, ``_chi``, ``to_signs``, ``minus_mask``, ``pack_signs``.
 
 The pointwise sensitivity s(x) counts coordinates whose flip changes f
 at x.  Everything downstream is a moment of the sensitivity histogram:
@@ -125,6 +125,24 @@ def scatter_bits(sub, positions) -> np.ndarray:
     for j in range(positions.shape[-1]):
         out |= (sub >> j & 1) << positions[..., j]
     return out
+
+
+def broadcast_bits(out: np.ndarray, sub: np.ndarray, positions) -> None:
+    """Write out[x] = sub[gather_bits(x, positions)] for every index x of
+    the flat 2^b array `out`: each of sub's 2^m entries, m = len(positions)
+    distinct bit positions below b, is copied to the 2^(b - m) indices
+    whose bits at `positions` spell its sub-cube index.  out is viewed as
+    b axes of 2 (bit b - 1 first) and sub as m axes put on the axes of
+    their positions, so the copy is one broadcast assignment."""
+    positions = [int(q) for q in positions]
+    bits, m = out.size.bit_length() - 1, len(positions)
+    # axis a of sub's (2,) * m view is bit m - 1 - a, at positions[m - 1 - a];
+    # out's axes run from bit b - 1 down, so sub's go by descending position
+    order = sorted(range(m), key=lambda a: positions[m - 1 - a], reverse=True)
+    shape = [1] * bits
+    for q in positions:
+        shape[bits - 1 - q] = 2
+    out.reshape((2,) * bits)[...] = sub.reshape((2,) * m).transpose(order).reshape(shape)
 
 
 # walsh_hadamard works on blocks of 2^16 float64 entries (512 KiB), rows for

@@ -320,13 +320,17 @@ def sandwich_check(spec: BlockPartitionSpec,
 def block_average_B(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION) -> Interval:
     """The partition average (1/sqrt(b)) * sum_l E[sqrt(X_l)], enclosed:
     `sandwich_check`'s `block_average`."""
-    return sandwich_check(spec, precision).block_average
+    (_, _, b_lo, b_hi, *_), bits = _case(spec.n, spec.sizes, spec.k,
+                                         working_bits(_check_precision(precision)))
+    return Interval(b_lo, b_hi, bits)
 
 
 def gap_bound(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION) -> Interval | None:
     """`sandwich_check`'s certified upper bound on sqrt(n - k) - B from two
     Jensen steps; None when k = n, where both sides vanish."""
-    return sandwich_check(spec, precision).gap_bound
+    (*_, bound, _, _, _), bits = _case(spec.n, spec.sizes, spec.k,
+                                       working_bits(_check_precision(precision)))
+    return None if bound is None else Interval(*bound, bits)
 
 
 def sandwich_rows(n: int, sizes, ks, precision: int = DEFAULT_PRECISION):

@@ -11,10 +11,13 @@ are counted so callers can detect degenerate inputs.
 
 Evaluation on the whole cube runs in two phases above 16 variables: the
 terms are grouped by their high part (mask >> 16), each live high
-part's low terms run through the Walsh-Hadamard transform as one row of
-a stack, and the values are BLAS products of the high characters with
-those rows, formed one block of 2^_PRODUCT_BITS values at a time as
-the sign pass reads them, so the 2^n floats never exist at once.  The
+part's low terms become one row of a stack, and the values are BLAS
+products of the high characters with those rows, formed one block of
+2^_PRODUCT_BITS values at a time as the sign pass reads them, so the
+2^n floats never exist at once.  A row depends on x only through its
+used bits, the OR of its terms' low masks: their Walsh-Hadamard
+transform runs on those bits alone and is broadcast over the rest, so a
+row whose terms use no low bit is its constant coefficient.  The
 product sums in BLAS's order, so signs are not read off the floats near
 zero: points within the rounding bound
 gamma_k * sum |c| (Higham, ch. 4) are decided by an exactly rounded sum
@@ -38,8 +41,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .core import (_BLOCK_BITS, _CELL_BUDGET, TruthTable, _check_index, _check_n, _chi,
-                   _moment_weights, _pack_bits, _unpack_bits, all_points_signs, gather_bits,
-                   to_signs, walsh_hadamard)
+                   _moment_weights, _pack_bits, _unpack_bits, all_points_signs, broadcast_bits,
+                   gather_bits, to_signs, walsh_hadamard)
 from .errors import CapacityError, DegenerateInputError, InputError, ParseError, _exact_int
 from .seeding import Estimate, mc_values, mean_and_stderr, substream
 
@@ -203,14 +206,16 @@ def eval_poly(p: SparsePolynomial, x: int) -> float:
 def _high_parts(p: SparsePolynomial):
     """eval_on_cube's route: None up to 16 variables (the dense
     transform), else the live high parts mask >> 16 in increasing order
-    and each term's slot among them.  The masks are sorted, so their
-    high parts are too and one comparison of neighbours finds them."""
+    and the r + 1 bounds of their runs of terms.  The masks are sorted,
+    so their high parts are too and one comparison of neighbours finds
+    them."""
     if p.n <= _BLOCK_BITS:
         return None
     high = p.masks >> np.uint64(_BLOCK_BITS)
     starts = np.ones(len(high), dtype=bool)
     starts[1:] = high[1:] != high[:-1]
-    return high[starts], np.cumsum(starts) - 1
+    bounds = np.flatnonzero(starts)
+    return high[bounds], np.append(bounds, len(high))
 
 
 def eval_on_cube(p: SparsePolynomial) -> Iterator[np.ndarray]:
@@ -219,10 +224,17 @@ def eval_on_cube(p: SparsePolynomial) -> Iterator[np.ndarray]:
 
     Up to 16 variables the dense coefficient vector runs through
     walsh_hadamard and is the one block.  Above, the terms are grouped by
-    their high part mask >> 16; the (r, 2^16) stack of the r live high
-    parts' low parts runs through walsh_hadamard before this returns
-    (each row bit-identical to the dense transform's low 16 stages), and
-    each block is the product chi(high, xs) @ rows over the next
+    their high part mask >> 16 and the (r, 2^16) stack of the r live high
+    parts' low parts is built before this returns, each row bit-identical
+    to the dense transform's low 16 stages.  A row is built from its used
+    bits U, the OR of its terms' low masks: the terms compressed onto U
+    (gather_bits) run through walsh_hadamard as a 2^|U|-entry vector, or
+    stay the one constant coefficient when U is empty, and broadcast_bits
+    copies the result over the bits outside U.  That is the full row's
+    transform byte for byte: a stage on a bit outside U pairs each value
+    with +0 and returns it unchanged (the coefficients are nonzero, so no
+    -0.0 arises), and the stages on U run in the same order on the same
+    operands.  Each block is the product chi(high, xs) @ rows over the next
     2^(_PRODUCT_BITS - 16) high indices xs, formed only when the block is
     drawn; its row-major result is in index order.  The product adds in
     BLAS's order, so above 16 variables a value may differ from the
@@ -235,10 +247,18 @@ def eval_on_cube(p: SparsePolynomial) -> Iterator[np.ndarray]:
         dense = np.zeros(1 << n, dtype=np.float64)
         dense[p.masks] = p.coefs
         return iter((walsh_hadamard(dense),))
-    high, slot = parts
-    rows = np.zeros((len(high), 1 << _BLOCK_BITS), dtype=np.float64)
-    rows[slot, p.masks & np.uint64((1 << _BLOCK_BITS) - 1)] = p.coefs
-    rows = walsh_hadamard(rows)
+    high, bounds = parts
+    low = p.masks & np.uint64((1 << _BLOCK_BITS) - 1)
+    used = _unpack_bits(np.bitwise_or.reduceat(low, bounds[:-1]), _BLOCK_BITS)
+    rows = np.empty((len(high), 1 << _BLOCK_BITS), dtype=np.float64)
+    for row, bits, start, stop in zip(rows, used, bounds[:-1], bounds[1:]):
+        positions = np.flatnonzero(bits)
+        terms = low[start:stop]
+        if positions.size < _BLOCK_BITS:  # on all 16 bits the compression is the identity
+            terms = gather_bits(terms, positions)
+        small = np.zeros(1 << positions.size, dtype=np.float64)
+        small[terms] = p.coefs[start:stop]
+        broadcast_bits(row, walsh_hadamard(small) if positions.size else small, positions)
     chi = _chi(high, np.arange(1 << (n - _BLOCK_BITS), dtype=np.uint64)[:, None])
     chi = chi.astype(np.float64)
     step = 1 << (_PRODUCT_BITS - _BLOCK_BITS)

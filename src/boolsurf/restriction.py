@@ -47,7 +47,11 @@ class Restriction:
     __slots__ = ("n", "pattern", "_free", "_base")
 
     def __init__(self, pattern):
-        if np.ndim(pattern) != 1:
+        try:
+            flat = np.ndim(pattern) == 1
+        except ValueError:  # a ragged nesting such as [[1], [1, 0]]
+            flat = False
+        if not flat:
             raise InputError("restriction pattern must be one-dimensional")
         # each entry by the integer rule: an int8 cast would truncate 0.5 to
         # 0 (free) and read True as 1

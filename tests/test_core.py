@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from boolsurf.core import (EXACT_CAP, TruthTable, _subset_sums, _transform, all_function_words,
-                           all_points_signs, bsa, bsa_via_tails, fractional_moment, gather_bits,
+                           all_points_signs, broadcast_bits, bsa, bsa_via_tails,
+                           fractional_moment, gather_bits,
                            minus_mask, noise_sensitivity, noise_sensitivity_semigroup,
                            pack_signs, popcount_table, scatter_bits, sensitivities,
                            sensitivity_histogram, to_signs, total_influence, walsh_hadamard)
@@ -720,6 +721,16 @@ def test_scatter_bits_batched_positions():
     out = scatter_bits(sub, positions)  # one sub-cube index per row
     assert out.shape == (7,)
     assert np.array_equal(out, _subset_sums(positions)[np.arange(7), sub].view(np.uint64))
+
+
+@pytest.mark.parametrize("free", [[], [0], [15], [5, 1, 7], [0, 2, 3, 9, 14], [12, 3, 15, 0],
+                                  list(range(16))])
+def test_broadcast_bits_matches_gather_oracle(free):
+    positions = np.array(free, dtype=np.int64)
+    small = np.random.default_rng(len(free)).standard_normal(1 << len(free))
+    out = np.full(1 << 16, np.nan)
+    broadcast_bits(out, small, positions)
+    assert np.array_equal(out, small[gather_bits(np.arange(2 ** 16), positions)])
 
 
 # ---------------------------------------------------------------- signs

@@ -128,6 +128,13 @@ def test_restriction_entries_outside_the_signs_are_input_errors(pattern):
         Restriction(pattern)
 
 
+@pytest.mark.parametrize("pattern", [[[1], [1, 0]], [1, [0]], [[1, 0], [0, 1]], 5])
+def test_restriction_patterns_must_be_flat(pattern):
+    # the ragged ones make numpy raise its own ValueError while reading the shape
+    with pytest.raises(InputError, match="^restriction pattern must be one-dimensional$"):
+        Restriction(pattern)
+
+
 def test_restriction_reads_integral_entries_of_any_type():
     want = Restriction.from_string("+*-")
     for pattern in ([1.0, 0.0, -1.0], np.array([1, 0, -1], dtype=np.int8),

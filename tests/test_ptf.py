@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -231,6 +232,61 @@ def test_eval_on_cube_within_rounding_bound(n):
     for x in np.random.default_rng(n).integers(0, 1 << n, size=64).tolist():
         exact = sum(Fraction(c) * (-1) ** bin(mask & x).count("1") for mask, c in p.terms.items())
         assert abs(Fraction(vals[x]) - exact) <= bound
+
+
+def stacked_reference(p):
+    """eval_on_cube's values built the zero-padded way: every live high
+    part's low terms in one (r, 2^16) stack through walsh_hadamard, then
+    chi(high, xs) @ rows per block of 2^(_PRODUCT_BITS - 16) high indices."""
+    high, slot = np.unique(p.masks >> np.uint64(16), return_inverse=True)
+    rows = np.zeros((len(high), 1 << 16))
+    rows[slot, p.masks & np.uint64(0xFFFF)] = p.coefs
+    rows = walsh_hadamard(rows)
+    xs = np.arange(1 << (p.n - 16), dtype=np.uint64)
+    chi = np.where(np.bitwise_count(high & xs[:, None]) & 1, -1.0, 1.0)
+    step = 1 << (ptf._PRODUCT_BITS - 16)
+    return np.concatenate([(chi[at:at + step] @ rows).reshape(-1)
+                           for at in range(0, len(chi), step)])
+
+
+HIGH_ROW_CASES = {
+    **{f"{kind}:{n}": partial(generate, kind, n) for kind in ("maj", "harm") for n in (17, 21)},
+    **{f"rand:d=2,n={n}": partial(generate, "rand", n, degree=2, seed=n) for n in range(17, 21)},
+    **{f"rands:d=3,n={n}": partial(generate, "rands", n, degree=3, nterms=64, seed=n)
+       for n in range(17, 23)},
+    # high parts 2 and 5 hold one term each, on low mask 0: constant rows
+    "constant-high-rows": lambda: SparsePolynomial(19, {1: 0.3, 6: -1.1, 2 * HIGH: 0.7,
+                                                        5 * HIGH: 2.5, 5 * HIGH | 8: -0.2}),
+    "integers": lambda: SparsePolynomial(18, {
+        m: round(8 * c) or 1 for m, c in generate("rand", 18, degree=2).terms.items()}),
+    "dyadic": lambda: SparsePolynomial(20, {
+        m: math.ldexp(round(64 * c) or 1, -6)
+        for m, c in generate("rands", 20, degree=3, nterms=64, seed=2).terms.items()}),
+}
+
+
+@pytest.mark.parametrize("case", list(HIGH_ROW_CASES))
+def test_eval_on_cube_equals_the_zero_padded_stack(case):
+    p = HIGH_ROW_CASES[case]()
+    assert cube_values(p).tobytes() == stacked_reference(p).tobytes()
+
+
+@pytest.mark.parametrize("case", ["maj:21", "harm:17", "rand:d=2,n=20", "rands:d=3,n=22",
+                                  "constant-high-rows"])
+def test_eval_on_cube_transforms_only_the_used_bits(case, monkeypatch):
+    # one transform of 2^|U| cells per high part whose terms use a nonempty
+    # set U of low bits, none for a row of one low-mask-0 term
+    p = HIGH_ROW_CASES[case]()
+    cells = []
+    transform = ptf.walsh_hadamard
+    monkeypatch.setattr(ptf, "walsh_hadamard", lambda vec: cells.append(vec.size) or transform(vec))
+    eval_on_cube(p)
+    used = {}
+    for mask in p.masks.tolist():
+        used[mask >> 16] = used.get(mask >> 16, 0) | mask & 0xFFFF
+    assert sum(cells) == sum(1 << u.bit_count() for u in used.values() if u)
+    if case == "maj:21":
+        assert cells == [1 << 16]
 
 
 def test_sign_table_rejects_an_absolute_sum_past_float_range():
