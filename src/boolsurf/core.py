@@ -239,15 +239,9 @@ def _transform(vec: np.ndarray) -> np.ndarray:
     than it saves), are copied once into the columns of a (2^n, rows)
     array, whose stages then run over every row together.
 
-    Two shortcuts keep walsh_hadamard's bytes:
-
-    - an int8 input (a sign table) on n <= EXACT_CAP runs in int32, which
-      is exact: every partial sum has |value| <= 255 * 2^23 < 2^31, and
-      float64 sums of such integers are exact too;
-    - in the low stages a row whose bits are all zero (+0 everywhere, as
-      in the sparse dense vector of a low-degree polynomial) is skipped,
-      since +0 + +0 and +0 - +0 are +0.  The test reads the bits, so rows
-      of -0.0 or NaN still run.
+    An int8 input (a sign table) on n <= EXACT_CAP runs in int32 and keeps
+    walsh_hadamard's bytes: every partial sum has |value| <= 255 * 2^23 <
+    2^31, and float64 sums of such integers are exact too.
     """
     vec = np.asarray(vec)
     size = vec.shape[-1]
@@ -263,10 +257,7 @@ def _transform(vec: np.ndarray) -> np.ndarray:
     low = min(n, _BLOCK_BITS)
     half = low >> 1
     rows = out.reshape(-1, 1 << low)
-    row_bits = rows.view(f"u{out.itemsize}")
-    for row, bits in zip(rows, row_bits):
-        if not bits.any():
-            continue
+    for row in rows:
         square = row.reshape(-1, 1 << half)
         flipped = square.T.copy()
         _butterflies(flipped, half)
@@ -564,10 +555,10 @@ def sensitivities(values) -> tuple[np.ndarray, np.ndarray]:
     batches of many small tables as fast as one large table.
 
     Histograms come from sensitivity_histogram; this per-point scan serves
-    bsa_block_bound, whose float sums keep point order.  On batches like
-    its own (2,048 to 8,192 sub-tables of 8 to 32 points), packing,
-    bit-sliced counting and unpacking s ran 1.8x to 5.8x slower than this
-    byte scan on a 2-core Xeon.
+    bsa_block_bound, whose float sums keep point order.  On its batches
+    (2,048 to 8,192 tables of 8 to 32 points; 2-core Xeon), packing, bit-sliced
+    counting and unpacking s ran 1.8x to 5.8x slower; summing histograms times
+    root weights cut sampling's work_per_s 2-18% and moved rhs_estimate's bits.
     """
     values = np.asarray(values)
     size = values.shape[-1]

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -70,14 +70,13 @@ class SparsePolynomial:
 
     def __init__(self, n: int, terms):
         n = _check_storage_n(n)
-        source = dict(terms)
-        masks = np.array([_check_index(m, n, "term mask") for m in source], dtype=np.uint64)
-        coefs = np.array([float(c) for c in source.values()], dtype=np.float64)
+        pairs = terms.items() if isinstance(terms, Mapping) else list(terms)
+        masks = np.array([_check_index(m, n, "term mask") for m, _ in pairs], dtype=np.uint64)
+        coefs = np.array([float(c) for _, c in pairs], dtype=np.float64)
         infinite = ~np.isfinite(coefs)
         if infinite.any():
             raise InputError(f"coefficient for mask {masks[infinite].min()} is not finite")
-        order = np.argsort(masks)
-        self._store(n, masks[order], coefs[order])
+        self._store(n, *_combine(masks, coefs))
 
     @classmethod
     def _from_arrays(cls, n: int, masks: np.ndarray, coefs: np.ndarray) -> "SparsePolynomial":
@@ -123,8 +122,8 @@ class SparsePolynomial:
         """Build from {"n": ..., "terms": [{"vars": [...], "coef": ...}, ...]}.
 
         Variables are 1-indexed lists; a repeated variable inside one
-        term is rejected (it would not be multilinear).  Terms sharing
-        the same subset are summed.
+        term is rejected (it would not be multilinear).  Terms sharing a
+        subset get the correctly rounded sum of their coefficients (_combine).
         """
         if not isinstance(data, dict):
             raise InputError("polynomial JSON must be an object")
@@ -135,7 +134,7 @@ class SparsePolynomial:
         n = _exact_int(n, "'n'")
         if not isinstance(raw_terms, list):
             raise InputError("'terms' must be a list")
-        acc: dict[int, float] = {}
+        pairs = []
         for pos, term in enumerate(raw_terms):
             try:
                 variables, coef = list(term["vars"]), term["coef"]
@@ -148,13 +147,29 @@ class SparsePolynomial:
                 mask = variables_mask(variables, n)
             except InputError as exc:
                 raise type(exc)(f"term {pos}: {exc}") from None
-            acc[mask] = acc.get(mask, 0.0) + coef
-        return cls(n, acc)
+            pairs.append((mask, coef))
+        return cls(n, pairs)
 
     def to_json_dict(self) -> dict:
         terms = [{"vars": (np.flatnonzero(bits) + 1).tolist(), "coef": coef}
                  for bits, coef in zip(_unpack_bits(self.masks, self.n), self.coefs.tolist())]
         return {"n": self.n, "terms": terms}
+
+
+def _combine(masks: np.ndarray, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct masks in increasing order, each with the correctly rounded sum
+    (math.fsum) of its coefficients; InputError where fsum overflows."""
+    order = np.argsort(masks)  # fsum is correctly rounded in any order
+    masks, coefs = masks[order], coefs[order]
+    starts = np.flatnonzero(np.diff(masks, prepend=~masks[:1]))  # each mask's first term
+    ends = np.append(starts[1:], len(masks))
+    sums = coefs[starts]  # a mask that occurs once keeps its coefficient
+    for i in np.flatnonzero(ends - starts > 1).tolist():
+        try:
+            sums[i] = math.fsum(coefs[starts[i]:ends[i]].tolist())
+        except OverflowError:
+            raise InputError(f"coefficients of mask {masks[starts[i]]} overflow float64") from None
+    return masks[starts], sums
 
 
 def _check_storage_n(n: int) -> int:
@@ -350,13 +365,12 @@ def restrict_poly(p: SparsePolynomial, rho: "Restriction") -> SparsePolynomial:
 
     The result lives on the free coordinates, renumbered in increasing
     order of original index, matching how table restriction renumbers.
-    Terms that land on the same free subset are summed in mask order.
+    Terms landing on one free subset get the correctly rounded sum (_combine).
     """
     if rho.n != p.n:
         raise InputError(f"restriction is on {rho.n} variables, polynomial on {p.n}")
     signed = _characters(p, np.uint64(rho.fixed_base_index())) * p.coefs
-    masks, slot = np.unique(gather_bits(p.masks, rho.free_indices()), return_inverse=True)
-    coefs = np.bincount(slot, weights=signed, minlength=len(masks))
+    masks, coefs = _combine(gather_bits(p.masks, rho.free_indices()), signed)
     return SparsePolynomial._from_arrays(rho.free_count, masks, coefs)
 
 

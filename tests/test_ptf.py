@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from functools import partial
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -409,6 +410,57 @@ def test_json_repeated_subsets_are_summed():
     assert p.terms == {1: 3.0}
 
 
+def test_json_like_terms_are_correctly_rounded_in_any_order():
+    # added left to right, 0.1 + 0.2 + 0.3 is 0.6000000000000001
+    for order in permutations([0.1, 0.2, 0.3]):
+        p = SparsePolynomial.from_json_dict(
+            {"n": 2, "terms": [{"vars": [2], "coef": c} for c in order]})
+        assert p.terms == {2: 0.6}
+
+
+def test_repeated_constructor_pairs_are_combined():
+    assert SparsePolynomial(2, [(1, 1.0), (1, 2.0)]).terms == {1: 3.0}
+    assert SparsePolynomial(2, [(2, 0.3), (1, -1.0), (2, 0.2), (2, 0.1)]).terms == {1: -1.0, 2: 0.6}
+    assert SparsePolynomial(2, [(1, 0.5), (1, -0.5)]).is_zero
+
+
+def test_like_terms_past_the_float_range_are_rejected():
+    with pytest.raises(InputError):
+        SparsePolynomial.from_json_dict({"n": 1, "terms": [{"vars": [1], "coef": 1e308}] * 2})
+    with pytest.raises(InputError):
+        SparsePolynomial(1, [(1, 1e308), (1, 1e308)])
+
+
+def test_combine_equals_the_fraction_oracle():
+    rng = np.random.default_rng(2026)
+    for _ in range(300):
+        size = int(rng.integers(1, 40))
+        masks = rng.integers(0, int(rng.integers(1, 12)), size=size).astype(np.uint64)
+        coefs = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size=size)
+        tiny = rng.random(size) < 0.2  # subnormals
+        coefs[tiny] = rng.integers(-2 ** 52, 2 ** 52, size=int(tiny.sum())) * 5e-324
+        pairs = rng.random(size) < 0.3  # cancelling pairs: the term and its negation
+        masks = np.concatenate([masks, masks[pairs]])
+        coefs = np.concatenate([coefs, -coefs[pairs]])
+        got_masks, got = ptf._combine(masks, coefs)
+        want: dict[int, Fraction] = {}
+        for m, c in zip(masks.tolist(), coefs.tolist()):
+            want[m] = want.get(m, Fraction(0)) + Fraction(c)
+        assert got_masks.dtype == np.uint64 and got_masks.tolist() == sorted(want)
+        assert got.tolist() == [float(want[m]) for m in sorted(want)]
+
+
+def test_combine_sums_only_repeated_masks(monkeypatch):
+    calls = []
+    monkeypatch.setattr(math, "fsum", lambda values: calls.append(values) or sum(values))
+    masks = np.arange(1000, dtype=np.uint64)
+    masks[[10, 20, 21]] = [5, 7, 7]
+    coefs = np.arange(1.0, 1001.0)
+    got_masks, got = ptf._combine(masks, coefs)
+    assert sorted(sorted(group) for group in calls) == [[6.0, 11.0], [8.0, 21.0, 22.0]]
+    assert len(got_masks) == 997 and got[got_masks.tolist().index(999)] == 1000.0
+
+
 def test_json_validation():
     with pytest.raises(InputError):
         SparsePolynomial.from_json_dict({"terms": []})
@@ -496,6 +548,13 @@ def test_restrict_fully_fixed():
     q = restrict_poly(p, Restriction.from_string("+-+"))
     assert q.n == 0
     assert q.terms == {0: 1.0}
+
+
+def test_restrict_overflow_raises():
+    p = SparsePolynomial(3, {0b001: 1e308, 0b011: 1e308})
+    with pytest.raises(InputError):
+        restrict_poly(p, Restriction([0, 1, 1]))
+    assert restrict_poly(p, Restriction([0, -1, 1])).is_zero  # x2 = -1 cancels them
 
 
 def test_restrict_dimension_mismatch():

@@ -270,6 +270,10 @@ PLUS_COUNT_CASES = {
     "dyadic-ties": ({1: 0.5, 2: 0.25, 4: 0.25, 8: 0.75}, 4, [[0, 0, 0, 1], [0, 0, 0, -1]]),
     "integers-past-2^53": ({1: -1.0, 2: -2.0 ** 53, 4: 2.0 ** 53}, 4,
                            [[0, 0, 0, 1], [0, 0, 0, -1]]),
+    # x1's collected coefficient 0.1 + 0.2 + 0.3 is 0.6 rounded once, not
+    # 0.6000000000000001 added in order, which would read sign(0) = +1
+    "collected-rounding": ({1: 0.1, 3: 0.2, 5: 0.3, 0: -0.6000000000000001}, 3,
+                           [[0, 1, 1], [0, -1, 1]]),
 }
 
 
@@ -286,6 +290,18 @@ def test_plus_counts_are_exact(case, wide):
     single = [int(np.count_nonzero(sign_table(restrict_poly(p, Restriction(pattern)))[0].values
                                    == 1)) for pattern in patterns]
     assert got.tolist() == exact == single
+
+
+def test_plus_counts_are_exact_where_the_collected_coefficient_rounds():
+    # 0.1 + 0.2 is a tie that rounds up to 0.30000000000000004, so the
+    # restricted polynomial reads sign(0) = +1 at x1 = +1, where p is -2.8e-17
+    p = SparsePolynomial(2, {1: 0.1, 3: 0.2, 0: -0.30000000000000004})
+    patterns = np.array([[0, 1]], dtype=np.int8)
+    got = _plus_counts(p, patterns, 1, _rounding_radius(p, len(p.masks) + 1))
+    assert got.tolist() == [exact_plus_count(p, patterns[0])] == [0]
+    # the single route rounds the combined coefficient once: README's residual
+    table, zeros = sign_table(restrict_poly(p, Restriction(patterns[0])))
+    assert (int(np.count_nonzero(table.values == 1)), zeros) == (1, 1)
 
 
 # x1x2, x1x3 and x1x2x3 all land on x1 once x2 and x3 are fixed, and with
