@@ -239,9 +239,15 @@ def _transform(vec: np.ndarray) -> np.ndarray:
     than it saves), are copied once into the columns of a (2^n, rows)
     array, whose stages then run over every row together.
 
-    An int8 input (a sign table) on n <= EXACT_CAP runs in int32 and keeps
-    walsh_hadamard's bytes: every partial sum has |value| <= 255 * 2^23 <
-    2^31, and float64 sums of such integers are exact too.
+    Two shortcuts keep walsh_hadamard's bytes:
+
+    - an int8 input (a sign table) on n <= EXACT_CAP runs in int32, which
+      is exact: every partial sum has |value| <= 255 * 2^23 < 2^31, and
+      float64 sums of such integers are exact too;
+    - in the low stages a row whose bits are all zero (+0 everywhere, as
+      in the sparse dense vector of a low-degree polynomial) is skipped,
+      since +0 + +0 and +0 - +0 are +0.  The test reads the bits, so rows
+      of -0.0 or NaN still run.
     """
     vec = np.asarray(vec)
     size = vec.shape[-1]
@@ -257,7 +263,10 @@ def _transform(vec: np.ndarray) -> np.ndarray:
     low = min(n, _BLOCK_BITS)
     half = low >> 1
     rows = out.reshape(-1, 1 << low)
-    for row in rows:
+    row_bits = rows.view(f"u{out.itemsize}")
+    for row, bits in zip(rows, row_bits):
+        if not bits.any():
+            continue
         square = row.reshape(-1, 1 << half)
         flipped = square.T.copy()
         _butterflies(flipped, half)

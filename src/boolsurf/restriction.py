@@ -145,12 +145,11 @@ def _closeness(plus, size):
 
 
 def _plus_counts(p: SparsePolynomial, patterns: np.ndarray, f: int, radius: float) -> np.ndarray:
-    """The exact +1 count of p restricted by each row of `patterns`, all of
-    which leave exactly f coordinates free.  sign_table(restrict_poly(p, rho))
-    agrees when every combined coefficient is exact, not always where a
-    rounded one lands on the value that decides a sign (README has a case).
-    A value adds p's coefficients, times +-1, through at most `terms` roundings
-    in the bincount and f in the transform: radius >= _rounding_radius(p, terms + f)."""
+    """The exact +1 count of p restricted by each row of `patterns` (each leaves
+    exactly f coordinates free); sign_table(restrict_poly(p, rho)) agrees whenever
+    every combined coefficient is exact (README has a case where one is not).  A
+    value adds p's coefficients, times +-1, through at most `terms` roundings in
+    the bincount and f in the transform: radius >= _rounding_radius(p, terms + f)."""
     rows = len(patterns)
     base = _pack_bits(patterns == -1)  # each row's -1 mask
     signed = _characters(p, base[:, None]) * p.coefs  # (rows, terms)
