@@ -239,15 +239,10 @@ def _transform(vec: np.ndarray) -> np.ndarray:
     than it saves), are copied once into the columns of a (2^n, rows)
     array, whose stages then run over every row together.
 
-    Two shortcuts keep walsh_hadamard's bytes:
-
-    - an int8 input (a sign table) on n <= EXACT_CAP runs in int32, which
-      is exact: every partial sum has |value| <= 255 * 2^23 < 2^31, and
-      float64 sums of such integers are exact too;
-    - in the low stages a row whose bits are all zero (+0 everywhere, as
-      in the sparse dense vector of a low-degree polynomial) is skipped,
-      since +0 + +0 and +0 - +0 are +0.  The test reads the bits, so rows
-      of -0.0 or NaN still run.
+    One shortcut keeps walsh_hadamard's bytes: an int8 input (a sign
+    table) on n <= EXACT_CAP runs in int32, which is exact: every partial
+    sum has |value| <= 255 * 2^23 < 2^31, and float64 sums of such
+    integers are exact too.
     """
     vec = np.asarray(vec)
     size = vec.shape[-1]
@@ -262,11 +257,7 @@ def _transform(vec: np.ndarray) -> np.ndarray:
     out = np.array(vec, dtype=work, copy=True)
     low = min(n, _BLOCK_BITS)
     half = low >> 1
-    rows = out.reshape(-1, 1 << low)
-    row_bits = rows.view(f"u{out.itemsize}")
-    for row, bits in zip(rows, row_bits):
-        if not bits.any():
-            continue
+    for row in out.reshape(-1, 1 << low):
         square = row.reshape(-1, 1 << half)
         flipped = square.T.copy()
         _butterflies(flipped, half)

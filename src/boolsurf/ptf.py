@@ -158,17 +158,23 @@ class SparsePolynomial:
 
 def _combine(masks: np.ndarray, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct masks in increasing order, each with the correctly rounded sum
-    (math.fsum) of its coefficients; InputError where fsum overflows."""
+    of its coefficients: math.fsum, or where fsum's partial sums overflow the
+    exact Fraction sum rounded once; InputError where that sum overflows."""
     order = np.argsort(masks)  # fsum is correctly rounded in any order
     masks, coefs = masks[order], coefs[order]
     starts = np.flatnonzero(np.diff(masks, prepend=~masks[:1]))  # each mask's first term
     ends = np.append(starts[1:], len(masks))
     sums = coefs[starts]  # a mask that occurs once keeps its coefficient
     for i in np.flatnonzero(ends - starts > 1).tolist():
+        like = coefs[starts[i]:ends[i]].tolist()
         try:
-            sums[i] = math.fsum(coefs[starts[i]:ends[i]].tolist())
-        except OverflowError:
-            raise InputError(f"coefficients of mask {masks[starts[i]]} overflow float64") from None
+            sums[i] = math.fsum(like)
+        except OverflowError:  # a partial sum overflowed; the exact sum may still fit
+            try:
+                sums[i] = float(sum(map(Fraction, like)))
+            except OverflowError:
+                mask = masks[starts[i]]
+                raise InputError(f"coefficients of mask {mask} overflow float64") from None
     return masks[starts], sums
 
 
@@ -218,52 +224,54 @@ def eval_poly(p: SparsePolynomial, x: int) -> float:
     return float(_exact_values(p, np.array([x], dtype=np.uint64))[0])
 
 
-def _high_parts(p: SparsePolynomial):
+def _high_parts(masks: np.ndarray, n: int):
     """eval_on_cube's route: None up to 16 variables (the dense
     transform), else the live high parts mask >> 16 in increasing order
-    and the r + 1 bounds of their runs of terms.  The masks are sorted,
-    so their high parts are too and one comparison of neighbours finds
-    them."""
-    if p.n <= _BLOCK_BITS:
+    and the r + 1 bounds of their runs of terms.  The masks come grouped
+    by high part in increasing order, so one comparison of neighbours
+    finds the runs."""
+    if n <= _BLOCK_BITS:
         return None
-    high = p.masks >> np.uint64(_BLOCK_BITS)
+    high = masks >> np.uint64(_BLOCK_BITS)
     starts = np.ones(len(high), dtype=bool)
     starts[1:] = high[1:] != high[:-1]
     bounds = np.flatnonzero(starts)
     return high[bounds], np.append(bounds, len(high))
 
 
-def eval_on_cube(p: SparsePolynomial) -> Iterator[np.ndarray]:
-    """Values at every point index, as consecutive flat float64 blocks in
-    index order.
+def eval_on_cube(masks: np.ndarray, coefs: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """Values of sum_i coefs[i] chi_masks[i] on n variables at every point
+    index, as consecutive flat float64 blocks in index order.
 
-    Up to 16 variables the dense coefficient vector runs through
-    walsh_hadamard and is the one block.  Above, the terms are grouped by
-    their high part mask >> 16 and the (r, 2^16) stack of the r live high
-    parts' low parts is built before this returns, each row bit-identical
-    to the dense transform's low 16 stages.  A row is built from its used
-    bits U, the OR of its terms' low masks: the terms compressed onto U
-    (gather_bits) run through walsh_hadamard as a 2^|U|-entry vector, or
-    stay the one constant coefficient when U is empty, and broadcast_bits
-    copies the result over the bits outside U.  That is the full row's
-    transform byte for byte: a stage on a bit outside U pairs each value
-    with +0 and returns it unchanged (the coefficients are nonzero, so no
-    -0.0 arises), and the stages on U run in the same order on the same
-    operands.  Each block is the product chi(high, xs) @ rows over the next
-    2^(_PRODUCT_BITS - 16) high indices xs, formed only when the block is
-    drawn; its row-major result is in index order.  The product adds in
-    BLAS's order, so above 16 variables a value may differ from the
-    dense transform's in the last bits, within the bound sign_table
-    filters by.
+    The uint64 masks may be unsorted and repeat: np.bincount adds each
+    mask's coefficients in the order given, which the stable sort by high
+    part keeps.  Up to 16 variables the dense coefficient vector runs
+    through walsh_hadamard and is the one block.  Above, the (r, 2^16)
+    stack of the r live high parts' (mask >> 16) low parts is built before
+    this returns, each row bit-identical to the dense transform's low 16
+    stages.  A row is built from its used bits U, the OR of its terms' low
+    masks: the terms compressed onto U (gather_bits) run through
+    walsh_hadamard as a 2^|U|-entry vector, or are their sum when U is
+    empty, and broadcast_bits copies the result over the bits outside U.
+    That is the full row's transform byte for byte: a stage on a bit
+    outside U pairs each value with +0 and returns it unchanged (bincount
+    starts at +0.0, so no -0.0 arises), and the stages on U run in the
+    same order on the same operands.  Each block is the product
+    chi(high, xs) @ rows over the next 2^(_PRODUCT_BITS - 16) high indices
+    xs, formed only when the block is drawn; its row-major result is in
+    index order.  The product adds in BLAS's order, so above 16 variables
+    a value may differ from the dense transform's in the last bits, within
+    the bound sign_table filters by.
     """
-    n = _check_n(p.n)
-    parts = _high_parts(p)
+    n = _check_n(n)
+    order = np.argsort(masks >> np.uint64(_BLOCK_BITS), kind="stable")
+    masks, coefs = masks[order], coefs[order]
+    parts = _high_parts(masks, n)
     if parts is None:
-        dense = np.zeros(1 << n, dtype=np.float64)
-        dense[p.masks] = p.coefs
+        dense = np.bincount(masks.view(np.int64), weights=coefs, minlength=1 << n)
         return iter((walsh_hadamard(dense),))
     high, bounds = parts
-    low = p.masks & np.uint64((1 << _BLOCK_BITS) - 1)
+    low = masks & np.uint64((1 << _BLOCK_BITS) - 1)
     used = _unpack_bits(np.bitwise_or.reduceat(low, bounds[:-1]), _BLOCK_BITS)
     rows = np.empty((len(high), 1 << _BLOCK_BITS), dtype=np.float64)
     for row, bits, start, stop in zip(rows, used, bounds[:-1], bounds[1:]):
@@ -271,8 +279,8 @@ def eval_on_cube(p: SparsePolynomial) -> Iterator[np.ndarray]:
         terms = low[start:stop]
         if positions.size < _BLOCK_BITS:  # on all 16 bits the compression is the identity
             terms = gather_bits(terms, positions)
-        small = np.zeros(1 << positions.size, dtype=np.float64)
-        small[terms] = p.coefs[start:stop]
+        small = np.bincount(terms.view(np.int64), weights=coefs[start:stop],
+                            minlength=1 << positions.size)
         broadcast_bits(row, walsh_hadamard(small) if positions.size else small, positions)
     chi = _chi(high, np.arange(1 << (n - _BLOCK_BITS), dtype=np.uint64)[:, None])
     chi = chi.astype(np.float64)
@@ -353,9 +361,9 @@ def sign_table(p: SparsePolynomial) -> tuple[TruthTable, int]:
     sign(0) = +1; a large zero count signals a degenerate polynomial,
     sensitive to perturbation.
     """
-    parts = _high_parts(p)
+    parts = _high_parts(p.masks, p.n)
     radius = _rounding_radius(p, p.n if parts is None else _BLOCK_BITS + len(parts[0]) + 1)
-    signs, zeros = _exact_signs(p, eval_on_cube(p), 1 << p.n, radius,
+    signs, zeros = _exact_signs(p, eval_on_cube(p.masks, p.coefs, p.n), 1 << p.n, radius,
                                 lambda at: at.astype(np.uint64))
     return TruthTable._from_signs(p.n, signs), zeros
 

@@ -423,7 +423,7 @@ def test_walsh_hadamard_int8_extreme_fits_int32():
 
 
 @pytest.mark.parametrize("n", [16, 18])
-def test_walsh_hadamard_zero_row_skip_keeps_bytes(n):
+def test_walsh_hadamard_zero_rows_keep_bytes(n):
     rows = np.random.default_rng(400 + n).standard_normal((1 << (n - 16), 1 << 16))
     if n > 16:
         rows[1] = 0.0

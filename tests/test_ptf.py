@@ -77,7 +77,7 @@ def test_eval_matches_naive_oracle():
 
 def cube_values(p):
     """eval_on_cube's blocks joined into one array in index order."""
-    return np.concatenate(list(eval_on_cube(p)))
+    return np.concatenate(list(eval_on_cube(p.masks, p.coefs, p.n)))
 
 
 def test_eval_on_cube_matches_pointwise():
@@ -93,10 +93,22 @@ def test_eval_on_cube_integer_coefficients_exact():
     assert all(vals[x] == naive_eval(p, x) for x in range(16))
 
 
+@pytest.mark.parametrize("n", [10, 20])
+def test_eval_on_cube_adds_repeated_unsorted_masks(n):
+    # dyadic coefficients well below 2^53: every sum is exact in any order
+    rng = np.random.default_rng(n)
+    masks = rng.choice(rng.integers(0, 1 << n, size=12, dtype=np.uint64), size=40)
+    coefs = np.ldexp(rng.integers(-64, 65, size=40).astype(np.float64), -6)
+    assert len(np.unique(masks)) < len(masks) and (np.diff(masks.astype(np.int64)) < 0).any()
+    collected = SparsePolynomial(n, zip(masks.tolist(), coefs.tolist()))
+    got = np.concatenate(list(eval_on_cube(masks, coefs, n)))
+    assert got.tobytes() == cube_values(collected).tobytes()
+
+
 def test_eval_on_cube_capacity():
     p = SparsePolynomial(30, {1: 1.0})
     with pytest.raises(CapacityError):
-        eval_on_cube(p)
+        eval_on_cube(p.masks, p.coefs, p.n)
 
 
 # ---------------------------------------------------------------- sign tables
@@ -200,7 +212,7 @@ MULTI_BLOCK_CASES = {
 @pytest.mark.parametrize("case", list(MULTI_BLOCK_CASES))
 def test_signs_exact_across_product_blocks(case, n, monkeypatch):
     p = SparsePolynomial(n, MULTI_BLOCK_CASES[case](n))
-    assert len(list(eval_on_cube(p))) > 1
+    assert len(list(eval_on_cube(p.masks, p.coefs, p.n))) > 1
     decided = []
     exact_values = ptf._exact_values
     monkeypatch.setattr(ptf, "_exact_values",
@@ -276,18 +288,21 @@ def test_eval_on_cube_equals_the_zero_padded_stack(case):
                                   "constant-high-rows"])
 def test_eval_on_cube_transforms_only_the_used_bits(case, monkeypatch):
     # one transform of 2^|U| cells per high part whose terms use a nonempty
-    # set U of low bits, none for a row of one low-mask-0 term
+    # set U of low bits, none for a row of one low-mask-0 term, whether the
+    # terms come sorted or shuffled
     p = HIGH_ROW_CASES[case]()
-    cells = []
-    transform = ptf.walsh_hadamard
-    monkeypatch.setattr(ptf, "walsh_hadamard", lambda vec: cells.append(vec.size) or transform(vec))
-    eval_on_cube(p)
     used = {}
     for mask in p.masks.tolist():
         used[mask >> 16] = used.get(mask >> 16, 0) | mask & 0xFFFF
-    assert sum(cells) == sum(1 << u.bit_count() for u in used.values() if u)
-    if case == "maj:21":
-        assert cells == [1 << 16]
+    transform = ptf.walsh_hadamard
+    for order in (slice(None), np.random.default_rng(1).permutation(len(p.masks))):
+        cells = []
+        monkeypatch.setattr(ptf, "walsh_hadamard",
+                            lambda vec: cells.append(vec.size) or transform(vec))
+        eval_on_cube(p.masks[order], p.coefs[order], p.n)
+        assert sum(cells) == sum(1 << u.bit_count() for u in used.values() if u)
+        if case == "maj:21":
+            assert cells == [1 << 16]
 
 
 def test_sign_table_rejects_an_absolute_sum_past_float_range():
@@ -429,6 +444,14 @@ def test_like_terms_past_the_float_range_are_rejected():
         SparsePolynomial.from_json_dict({"n": 1, "terms": [{"vars": [1], "coef": 1e308}] * 2})
     with pytest.raises(InputError):
         SparsePolynomial(1, [(1, 1e308), (1, 1e308)])
+
+
+def test_like_terms_whose_partial_sums_overflow_are_combined():
+    # math.fsum raises on the intermediate 2e308, though the sum is 1e308
+    pairs = [(1, 1e308), (1, 1e308), (1, -1e308)]
+    assert SparsePolynomial(1, pairs).terms == {1: 1e308}
+    json_terms = [{"vars": [1], "coef": c} for _, c in pairs]
+    assert SparsePolynomial.from_json_dict({"n": 1, "terms": json_terms}).terms == {1: 1e308}
 
 
 def test_combine_equals_the_fraction_oracle():

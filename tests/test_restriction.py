@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from boolsurf import ptf, restriction
 from boolsurf.core import TruthTable
 from boolsurf.errors import CapacityError, InputError
 from boolsurf.ptf import SparsePolynomial, _rounding_radius, generate, restrict_poly, sign_table
@@ -261,6 +262,13 @@ def exact_plus_count(p, pattern):
     return plus << (len(free) - len(used))
 
 
+def engine_radius(p):
+    """The rounding radius restriction_failure_prob passes its trials: depth
+    2 * terms + 17 covers the stack route (terms + f, f <= 16) and the
+    product route (terms + 16 + r + 1, r <= terms live high parts)."""
+    return _rounding_radius(p, 2 * len(p.masks) + 17)
+
+
 # name: (terms, n, patterns each leaving the same f free); a float sign of the
 # stack is wrong somewhere in each case but the dyadic one, whose radius is 0
 PLUS_COUNT_CASES = {
@@ -285,11 +293,35 @@ def test_plus_counts_are_exact(case, wide):
     pad = 17 - f if wide else 0  # free coordinates that no term uses
     p = SparsePolynomial(n + pad, terms)
     patterns = np.array([row + [0] * pad for row in rows], dtype=np.int8)
-    got = _plus_counts(p, patterns, f + pad, _rounding_radius(p, len(p.masks) + f + pad))
+    got = _plus_counts(p, patterns, f + pad, engine_radius(p))
     exact = [exact_plus_count(p, pattern) for pattern in patterns]
     single = [int(np.count_nonzero(sign_table(restrict_poly(p, Restriction(pattern)))[0].values
                                    == 1)) for pattern in patterns]
     assert got.tolist() == exact == single
+
+
+@pytest.mark.parametrize("f", [17, 20])
+@pytest.mark.parametrize("case", list(PLUS_COUNT_CASES))
+def test_plus_counts_are_exact_across_high_parts(case, f, monkeypatch):
+    # the case's free coordinates move to compressed bits that alternate
+    # between the top ones (>= 16) and the bottom ones, so the wide row's
+    # terms fall into more than one high part of eval_on_cube's product
+    terms, n, rows = PLUS_COUNT_CASES[case]
+    free = [i for i, v in enumerate(rows[0]) if v == 0]
+    fixed = [i for i, v in enumerate(rows[0]) if v != 0]
+    top, bottom = list(range(f - 1, 15, -1)), list(range(16))
+    slots = [(top if k % 2 == 0 and top else bottom).pop(0) for k in range(len(free))]
+    moved = dict(zip(free, slots)) | {i: f + j for j, i in enumerate(fixed)}
+    p = SparsePolynomial(f + len(fixed), {
+        sum(1 << moved[i] for i in range(n) if mask >> i & 1): c for mask, c in terms.items()})
+    assert len(np.unique(p.masks % (1 << f) >> 16)) > 1
+    patterns = np.array([[0] * f + [row[i] for i in fixed] for row in rows], dtype=np.int8)
+    calls = []
+    monkeypatch.setattr(restriction, "eval_on_cube",
+                        lambda *terms: calls.append(terms[2]) or ptf.eval_on_cube(*terms))
+    got = _plus_counts(p, patterns, f, engine_radius(p))
+    assert calls == [f] * len(rows)
+    assert got.tolist() == [exact_plus_count(p, pattern) for pattern in patterns]
 
 
 def test_plus_counts_are_exact_where_the_collected_coefficient_rounds():
@@ -297,7 +329,7 @@ def test_plus_counts_are_exact_where_the_collected_coefficient_rounds():
     # restricted polynomial reads sign(0) = +1 at x1 = +1, where p is -2.8e-17
     p = SparsePolynomial(2, {1: 0.1, 3: 0.2, 0: -0.30000000000000004})
     patterns = np.array([[0, 1]], dtype=np.int8)
-    got = _plus_counts(p, patterns, 1, _rounding_radius(p, len(p.masks) + 1))
+    got = _plus_counts(p, patterns, 1, engine_radius(p))
     assert got.tolist() == [exact_plus_count(p, patterns[0])] == [0]
     # the single route rounds the combined coefficient once: README's residual
     table, zeros = sign_table(restrict_poly(p, Restriction(patterns[0])))
@@ -322,7 +354,7 @@ EQUIVALENCE_CASES = {
     "f=0": (generate("random", 10, degree=2, seed=1), 0.015625, 0.0625, 600, 24),
     # 1471 terms: a group of more than _CELL_BUDGET // 1471 rows splits into batches
     "batches": (generate("random", 14, degree=4, seed=2), 0.25, 0.0625, 600, 24),
-    # 2^f above _CELL_BUDGET: those trials run as batches of one
+    # f > 16: those trials run one at a time through eval_on_cube's product route
     "oversize": (generate("majority", 20), 0.9, 0.0625, 8, 24),
 }
 
@@ -331,8 +363,7 @@ EQUIVALENCE_CASES = {
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 def test_batched_trials_equal_single_trial_path(case, workers):
     p, rate, delta, trials, max_free = EQUIVALENCE_CASES[case]
-    draw = partial(_trial_values, p, rate, delta, max_free,
-                   _rounding_radius(p, len(p.masks) + max_free))
+    draw = partial(_trial_values, p, rate, delta, max_free, engine_radius(p))
     got = mc_values(trials, 5, workers, draw)
     want = reference_trial_values(p, rate, delta, trials, 5, workers, max_free)
     assert np.array_equal(got, want, equal_nan=True)
