@@ -12,11 +12,12 @@ exhaustively over every function on up to 4 variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .core import (TruthTable, _moment_weights, all_function_words, popcount_table,
-                   sensitivity_histogram)
+from .core import (TruthTable, _moment_weights, all_function_words, pack_signs,
+                   popcount_table, sensitivity_histogram)
 from .errors import InputError
 
 
@@ -125,11 +126,22 @@ def edge_threshold_check_exhaustive(n: int) -> ExhaustiveEdgeReport:
     return ExhaustiveEdgeReport(n, len(counts), int((margins < 0.0).sum()), float(margins.min()))
 
 
+# Bits of a 64-bit word whose position b has j bits set, for j = 0..6.
+_POSITION_CLASSES = np.array([sum(1 << b for b in range(64) if b.bit_count() == j)
+                              for j in range(7)], dtype=np.uint64)
+
+
 def level_sign_counts(f: TruthTable) -> list[tuple[int, int, int]]:
     """Per Hamming level of the index (number of -1 coordinates):
     (level, count of +1 outputs, count of -1 outputs)."""
-    # bucket 2 * level + (value == 1): one pass gives every level's -1, +1 pair
-    buckets = 2 * popcount_table(f.n) + (f.values == 1)
-    pairs = np.bincount(buckets, minlength=2 * f.n + 2).reshape(-1, 2).tolist()
-    return [(level, plus, minus) for level, (minus, plus) in enumerate(pairs)]
-
+    words = pack_signs(f.values)
+    # point 64 w + b is bit b of word w, at level popcount(w) + popcount(b):
+    # each word's -1 count in position class j goes to its own level plus j
+    word_levels = popcount_table(max(f.n - 6, 0)).astype(np.intp)
+    counts = np.zeros(f.n + 7)
+    for j, mask in enumerate(_POSITION_CLASSES):
+        per_level = np.bincount(word_levels, weights=np.bitwise_count(words & mask))
+        counts[j:j + len(per_level)] += per_level
+    # each count is below 2^53 and so exact in float64
+    return [(level, comb(f.n, level) - minus, minus)
+            for level, minus in enumerate(counts[:f.n + 1].astype(np.int64).tolist())]

@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, lcm
+from math import comb, isqrt, lcm
 from operator import mul
 
 import numpy as np
@@ -92,16 +92,34 @@ class HypergeometricParams:
         return _hg_table(self.population, self.successes, self.draws)[0]
 
 
+def _hg_weights(population: int, successes: int, draws: int) -> tuple[range, list[int]]:
+    """(support, weights): the support is the ones counts a uniform m-subset
+    of n positions with k ones can hold, max(0, m - (n - k)) .. min(m, k),
+    and the weight at s is the integer C(k, s) C(n - k, m - s), so that
+    P[X = s] is it over C(n, m).
+
+    The first weight takes two `comb` calls and each next one the ratio
+    recurrence w(s + 1) = w(s) (k - s) (m - s) / ((s + 1) (n - k - m + s + 1)),
+    whose division is exact: the quotient is the integer w(s + 1)."""
+    n, k, m = population, successes, draws
+    support = range(max(0, m - (n - k)), min(m, k) + 1)
+    weight = comb(k, support.start) * comb(n - k, m - support.start)
+    weights = [weight]
+    for s in support[:-1]:
+        weight = weight * (k - s) * (m - s) // ((s + 1) * (n - k - m + s + 1))
+        weights.append(weight)
+    return support, weights
+
+
 # Bounded: the weights of a large population are huge integers.
 @lru_cache(maxsize=64)
 def _hg_table(population: int, successes: int, draws: int) -> tuple[range, tuple[int, ...], int]:
-    """(support, weights, C(n, m)): the support is the ones counts a uniform
-    m-subset of n positions with k ones can hold, max(0, m - (n - k)) ..
-    min(m, k), and P[X = s] is the integer weight C(k, s) C(n - k, m - s)
-    at s over C(n, m)."""
-    n, k, m = population, successes, draws
-    support = range(max(0, m - (n - k)), min(m, k) + 1)
-    return support, tuple(comb(k, s) * comb(n - k, m - s) for s in support), comb(n, m)
+    """(support, weights, C(n, m)): `_hg_weights`' support and weights, the
+    weights C(k, s) C(n - k, m - s) by its exact ratio recurrence
+    w(s + 1) = w(s) (k - s) (m - s) / ((s + 1) (n - k - m + s + 1)), and
+    P[X = s] the weight at s over C(n, m)."""
+    support, weights = _hg_weights(population, successes, draws)
+    return support, tuple(weights), comb(population, draws)
 
 
 def hg_pmf(params: HypergeometricParams, s: int) -> Fraction:
@@ -114,22 +132,37 @@ def hg_pmf(params: HypergeometricParams, s: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _mean_sqrt(population: int, successes: int, draws: int, bits: int) -> Interval:
-    """E[sqrt(X)]: integer PMF weights times integer root enclosures,
-    summed before one outward division by C(n, m)."""
-    support, weights, total = _hg_table(population, successes, draws)
-    lo = hi = 0
-    for s, weight in zip(support, weights):
-        root = Interval.sqrt(s, bits)  # cached: every sweep reuses the same few s
-        lo += weight * root.lo
-        hi += weight * root.hi
-    return Interval(lo, hi, bits) / total
+def _root_floors(top: int, bits: int) -> list[int]:
+    """floor(sqrt(s) 2^bits) for s = 0..top: the lower ends of `_root`."""
+    return [isqrt(s << 2 * bits) for s in range(top + 1)]
+
+
+@lru_cache(maxsize=None)
+def _mean_sqrt(population: int, successes: int, draws: int, bits: int) -> tuple[int, int]:
+    """E[sqrt(X)] as the integer ends of its enclosure at `bits`:
+    `_hg_weights`' integer weights w_s (exact ratio recurrence) times
+    integer root enclosures, summed before one outward division by C(n, m).
+
+    Each weight is multiplied once, by the lower end r_s of sqrt(s).  The
+    upper end of sqrt(s) is r_s, or r_s + 1 when s is not a square, so the
+    upper sum is the lower sum plus the weights of the non-squares: C(n, m)
+    (Vandermonde: the weights sum to it) less the weights of the squares."""
+    support, weights = _hg_weights(population, successes, draws)
+    start, last = support.start, support[-1]
+    lo = sum(map(mul, weights, _root_floors(last, bits)[start:]))
+    squares = 0
+    root = isqrt(start - 1) + 1 if start else 0  # the least root of a square >= start
+    while root * root <= last:
+        squares += weights[root * root - start]
+        root += 1
+    total = comb(population, draws)
+    return lo // total, -(-(lo + total - squares) // total)
 
 
 def mean_sqrt_hg(params: HypergeometricParams, precision: int = DEFAULT_PRECISION) -> Interval:
     """E[sqrt(X)] enclosed at `precision` digits, refined until settled."""
     args = params.population, params.successes, params.draws
-    return refine(lambda bits: (mean := _mean_sqrt(*args, bits), mean.settled),
+    return refine(lambda bits: (mean := Interval(*_mean_sqrt(*args, bits), bits), mean.settled),
                   working_bits(_check_precision(precision)))
 
 
@@ -234,9 +267,9 @@ def _sandwich(split: _Split, n: int, k: int, bits: int) -> tuple:
     else:
         lo = hi = 0
         for m, count in split.size_counts:
-            mean = _mean_sqrt(n, n - k, m, bits)
-            lo += count * mean.lo
-            hi += count * mean.hi
+            mean_lo, mean_hi = _mean_sqrt(n, n - k, m, bits)
+            lo += count * mean_lo
+            hi += count * mean_hi
         inv = split.inv_root_b
         b_lo, b_hi = _product(lo, hi, inv.lo, inv.hi, bits)
         gap_lo, gap_hi = a_lo - b_hi, a_hi - b_lo
@@ -261,25 +294,37 @@ def _all_passed(pass_lower: bool, pass_upper: bool | None, pass_gap: bool | None
     return pass_lower and pass_upper is not False and pass_gap is not False
 
 
-def _certified(ends: tuple, bits: int) -> bool:
-    """Every certificate of `_sandwich`'s `ends` passes or does not apply,
-    and A, B, the gap and the bound are each settled (`Interval.settled`)."""
+def _certify(ends: tuple, bits: int) -> tuple[tuple, bool]:
+    """((ends, bits, floats), certified) for `_sandwich`'s `ends` at `bits`:
+    floats holds A, B, the gap and the bound (None when k = n), each the
+    double nearest its enclosure's midpoint as `float(Interval)` gives it,
+    and certified says that every certificate passes or does not apply and
+    all four are settled (`Interval.settled`).
+
+    A settled enclosure's float is its lower end's: correct rounding is
+    monotone, so when both ends round to one double the midpoint between
+    them rounds to it too.  The midpoints are formed only when one of the
+    four is not settled."""
     a_lo, a_hi, b_lo, b_hi, gap_lo, gap_hi, bound, lower, upper, gap_ok = ends
     scale = 1 << bits
     bound_lo, bound_hi = (0, 0) if bound is None else bound
-    return (_all_passed(lower, upper, gap_ok) and a_lo / scale == a_hi / scale
-            and b_lo / scale == b_hi / scale and gap_lo / scale == gap_hi / scale
-            and bound_lo / scale == bound_hi / scale)
+    floats = a_lo / scale, b_lo / scale, gap_lo / scale, bound_lo / scale
+    settled = floats == (a_hi / scale, b_hi / scale, gap_hi / scale, bound_hi / scale)
+    if not settled:
+        scale <<= 1
+        floats = ((a_lo + a_hi) / scale, (b_lo + b_hi) / scale, (gap_lo + gap_hi) / scale,
+                  (bound_lo + bound_hi) / scale)
+    if bound is None:
+        floats = (*floats[:3], None)
+    return (ends, bits, floats), settled and _all_passed(lower, upper, gap_ok)
 
 
-def _case(n: int, sizes: tuple[int, ...], k: int, bits: int) -> tuple[tuple, int]:
-    """(`_sandwich`'s ends, their bits) for k zeros among n positions split
-    into `sizes`, refined from `bits` until `_certified`: the one driver
-    behind sandwich_check, sandwich_rows, block_average_B and gap_bound."""
-    def step(at):
-        ends = _sandwich(_split(n, sizes, at), n, k, at)
-        return (ends, at), _certified(ends, at)
-    return refine(step, bits)
+def _case(n: int, sizes: tuple[int, ...], k: int, bits: int) -> tuple[tuple, int, tuple]:
+    """(`_sandwich`'s ends, their bits, their floats) for k zeros among n
+    positions split into `sizes`, refined from `bits` until `_certify`
+    certifies them: the one route behind sandwich_check, sandwich_rows,
+    block_average_B and gap_bound."""
+    return refine(lambda at: _certify(_sandwich(_split(n, sizes, at), n, k, at), at), bits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,7 +354,7 @@ def sandwich_check(spec: BlockPartitionSpec,
     structural equality."""
     precision = _check_precision(precision)
     n, k, sizes = spec.n, spec.k, spec.sizes
-    ends, bits = _case(n, sizes, k, working_bits(precision))
+    ends, bits, _ = _case(n, sizes, k, working_bits(precision))
     a_lo, a_hi, b_lo, b_hi, gap_lo, gap_hi, bound, lower, upper, gap_ok = ends
     return SandwichReport(spec, precision, Interval(a_lo, a_hi, bits), Interval(b_lo, b_hi, bits),
                           Interval(gap_lo, gap_hi, bits),
@@ -320,16 +365,16 @@ def sandwich_check(spec: BlockPartitionSpec,
 def block_average_B(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION) -> Interval:
     """The partition average (1/sqrt(b)) * sum_l E[sqrt(X_l)], enclosed:
     `sandwich_check`'s `block_average`."""
-    (_, _, b_lo, b_hi, *_), bits = _case(spec.n, spec.sizes, spec.k,
-                                         working_bits(_check_precision(precision)))
+    (_, _, b_lo, b_hi, *_), bits, _ = _case(spec.n, spec.sizes, spec.k,
+                                            working_bits(_check_precision(precision)))
     return Interval(b_lo, b_hi, bits)
 
 
 def gap_bound(spec: BlockPartitionSpec, precision: int = DEFAULT_PRECISION) -> Interval | None:
     """`sandwich_check`'s certified upper bound on sqrt(n - k) - B from two
     Jensen steps; None when k = n, where both sides vanish."""
-    (*_, bound, _, _, _), bits = _case(spec.n, spec.sizes, spec.k,
-                                       working_bits(_check_precision(precision)))
+    (*_, bound, _, _, _), bits, _ = _case(spec.n, spec.sizes, spec.k,
+                                          working_bits(_check_precision(precision)))
     return None if bound is None else Interval(*bound, bits)
 
 
@@ -345,13 +390,9 @@ def sandwich_rows(n: int, sizes, ks, precision: int = DEFAULT_PRECISION):
     start = working_bits(precision)
     for k in ks:
         k = _check_k(n, k)
-        ends, bits = _case(n, sizes, k, start)
-        a_lo, a_hi, b_lo, b_hi, gap_lo, gap_hi, bound, lower, upper, gap_ok = ends
-        scale = 2 << bits  # float(Interval) is (lo + hi) / 2^(bits + 1)
-        yield (n, k, label, (a_lo + a_hi) / scale, (b_lo + b_hi) / scale,
-               (gap_lo + gap_hi) / scale,
-               None if bound is None else (bound[0] + bound[1]) / scale,
-               lower, upper, gap_ok)
+        ends, _, (a, b, gap, bound) = _case(n, sizes, k, start)
+        lower, upper, gap_ok = ends[7:]
+        yield n, k, label, a, b, gap, bound, lower, upper, gap_ok
 
 
 @dataclass(frozen=True)

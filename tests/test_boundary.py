@@ -140,7 +140,8 @@ def _level_sign_counts_by_level(f):
     return rows
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+# n = 0 and n <= 5 pack into one word of under 64 points; n = 12 into 64 words
+@pytest.mark.parametrize("n", range(0, 13))
 def test_level_sign_counts_matches_per_level_loop(n):
     for seed in range(3):
         f = TruthTable.random(n, seed=seed)

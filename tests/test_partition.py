@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boolsurf import partition
+from boolsurf import interval, partition
 from boolsurf.core import TruthTable
 from boolsurf.errors import (CapacityError, DegenerateInputError, InputError,
                              VerificationError)
+from boolsurf.interval import _root, working_bits
 from boolsurf.partition import (BlockPartitionSpec, HypergeometricParams, _picks,
                                 _shuffle_table, block_average_B,
                                 bsa_block_bound, gap_bound, hg_pmf, jensen_bounds,
@@ -122,6 +123,33 @@ def test_mean_sqrt_matches_pmf_route():
 def test_mean_sqrt_precision_validation():
     with pytest.raises(InputError):
         mean_sqrt_hg(HypergeometricParams(4, 2, 2), precision=0)
+
+
+# every (n, K, m) with n <= 30, and the n = 60 rows
+HG_ORACLE_CASES = [(n, K, m) for n in [*range(1, 31), 60]
+                   for K in range(n + 1) for m in range(1, n + 1)]
+
+
+def test_hg_weights_recurrence_matches_binomials():
+    for n, K, m in HG_ORACLE_CASES:
+        support, weights = partition._hg_weights(n, K, m)
+        assert weights == [math.comb(K, s) * math.comb(n - K, m - s) for s in support]
+
+
+@pytest.mark.parametrize("digits", [15, 30, 50])
+def test_mean_sqrt_ends_match_two_product_sum(digits):
+    # the reference multiplies each weight by both ends of _root and
+    # divides the sums outward by C(n, m), as Interval(lo, hi) / C(n, m)
+    bits = working_bits(digits)
+    for n, K, m in HG_ORACLE_CASES:
+        lo = hi = 0
+        for s in range(max(0, m - (n - K)), min(m, K) + 1):
+            weight = math.comb(K, s) * math.comb(n - K, m - s)
+            root = _root(s, bits)
+            lo += weight * root.lo
+            hi += weight * root.hi
+        total = math.comb(n, m)
+        assert partition._mean_sqrt(n, K, m, bits) == (lo // total, -(-hi // total))
 
 
 # ---------------------------------------------------------------- partitions
@@ -554,8 +582,11 @@ def test_sandwich_refines_an_unsettled_first_pass(monkeypatch):
 
 @pytest.mark.parametrize("precision", [10, 15, 30, 50])
 def test_sandwich_rows_equal_per_case_reports(precision):
+    # rows carry the floats their certificate settled; each must be the
+    # float of sandwich_check's interval, its midpoint rounded
     rng = substream(19, 0)
-    groups = list(near_equal_sweep(range(1, 15)))
+    groups = list(near_equal_sweep(range(1, 21)))
+    groups += [(12, (5, 1, 6)), (20, (1, 6, 13)), (40, (3, 30, 2, 5))]
     for _ in range(50):
         n = int(rng.integers(1, 41))
         groups.append((n, _random_composition(rng, n, int(rng.integers(1, min(n, 8) + 1)))))
@@ -569,6 +600,21 @@ def test_sandwich_rows_equal_per_case_reports(precision):
             assert gap_bound(spec, precision) == report.gap_bound
             want.append((n, k, label, *outcome(report)))
         assert list(sandwich_rows(n, sizes, range(n + 1), precision)) == want
+
+
+def test_sandwich_rows_floats_of_unsettled_ends(monkeypatch):
+    # one pass at 20 bits leaves the enclosures unsettled: each float is
+    # then the rounded midpoint, as float(Interval) gives it
+    monkeypatch.setattr(partition, "working_bits", lambda digits: 20)
+    monkeypatch.setattr(interval, "REFINEMENTS", 1)
+    unsettled = 0
+    for n, sizes in [*near_equal_sweep(range(1, 9)), (20, (1, 6, 13))]:
+        rows = list(sandwich_rows(n, sizes, range(n + 1)))
+        for k, row in enumerate(rows):
+            report = sandwich_check(BlockPartitionSpec(n, k, sizes))
+            assert row == (n, k, "-".join(map(str, sizes)), *outcome(report))
+            unsettled += not report.block_average.settled
+    assert unsettled
 
 
 def test_sandwich_rows_check_the_split_once_and_each_k():
