@@ -132,9 +132,10 @@ def hg_pmf(params: HypergeometricParams, s: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _root_floors(top: int, bits: int) -> list[int]:
-    """floor(sqrt(s) 2^bits) for s = 0..top: the lower ends of `_root`."""
-    return [isqrt(s << 2 * bits) for s in range(top + 1)]
+def _root_floors(start: int, last: int, bits: int) -> list[int]:
+    """floor(sqrt(s) 2^bits) for s = start..last, the lower ends of `_root`
+    over one support: a sweep's supports repeat, so each is rooted once."""
+    return [isqrt(s << 2 * bits) for s in range(start, last + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -146,10 +147,11 @@ def _mean_sqrt(population: int, successes: int, draws: int, bits: int) -> tuple[
     Each weight is multiplied once, by the lower end r_s of sqrt(s).  The
     upper end of sqrt(s) is r_s, or r_s + 1 when s is not a square, so the
     upper sum is the lower sum plus the weights of the non-squares: C(n, m)
-    (Vandermonde: the weights sum to it) less the weights of the squares."""
+    (Vandermonde: the weights sum to it) less the weights of the squares.
+    The work is linear in the support, never in its largest point."""
     support, weights = _hg_weights(population, successes, draws)
     start, last = support.start, support[-1]
-    lo = sum(map(mul, weights, _root_floors(last, bits)[start:]))
+    lo = sum(map(mul, weights, _root_floors(start, last, bits)))
     squares = 0
     root = isqrt(start - 1) + 1 if start else 0  # the least root of a square >= start
     while root * root <= last:

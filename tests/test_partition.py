@@ -152,6 +152,29 @@ def test_mean_sqrt_ends_match_two_product_sum(digits):
         assert partition._mean_sqrt(n, K, m, bits) == (lo // total, -(-hi // total))
 
 
+def test_mean_sqrt_roots_only_its_support(monkeypatch):
+    # the root work follows the support, not its largest point: a one-point
+    # support at 10^6, and blocks 1 and n - 1, whose supports hold at most
+    # two points for every k
+    calls = []
+
+    def isqrt(x):
+        calls.append(x)
+        return math.isqrt(x)
+
+    monkeypatch.setattr(partition, "isqrt", isqrt)
+    partition._root_floors.cache_clear()
+    partition._mean_sqrt.cache_clear()
+    big = 10**6
+    assert ends(mean_sqrt_hg(HypergeometricParams(big, big, big))) == (1000, 1000)
+    assert len(calls) <= 2
+    calls.clear()
+    n = 2001
+    rows = list(sandwich_rows(n, (1, n - 1), range(n + 1)))
+    assert len(rows) == n + 1 and all(row[7] for row in rows)
+    assert len(calls) <= 8 * (n + 1)
+
+
 # ---------------------------------------------------------------- partitions
 
 
