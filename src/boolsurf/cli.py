@@ -21,6 +21,8 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
@@ -233,15 +235,18 @@ def render_json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def emit(text: str, out: str | None) -> None:
+def emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write a string, or an iterable of strings in turn (held one at a
+    time), to the file `out` or to stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if out:
         try:
             with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise InputError(f"cannot write {out}: {exc}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _rows_payload(command: str, spec_text: str | None, header: list[str],
@@ -350,8 +355,7 @@ def _cmd_partition(args) -> int:
     if args.format == "json":
         _emit_table(args, "partition", None, _PARTITION_HEADER, rows)
     else:
-        emit("".join([",".join(_PARTITION_HEADER) + "\n", *map(_partition_line, rows)]),
-             args.out)
+        emit(chain([",".join(_PARTITION_HEADER) + "\n"], map(_partition_line, rows)), args.out)
     if failures:
         print(f"partition: {failures} of {len(rows)} cases failed certification",
               file=sys.stderr)

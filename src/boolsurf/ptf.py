@@ -224,80 +224,70 @@ def eval_poly(p: SparsePolynomial, x: int) -> float:
     return float(_exact_values(p, np.array([x], dtype=np.uint64))[0])
 
 
-def _high_parts(masks: np.ndarray, n: int):
-    """eval_on_cube's route: None up to 16 variables (the dense
-    transform), else the live high parts mask >> 16 in increasing order
-    and the r + 1 bounds of their runs of terms.  The masks come grouped
-    by high part in increasing order, so one comparison of neighbours
-    finds the runs."""
-    if n <= _BLOCK_BITS:
-        return None
-    high = masks >> np.uint64(_BLOCK_BITS)
-    starts = np.ones(len(high), dtype=bool)
-    starts[1:] = high[1:] != high[:-1]
-    bounds = np.flatnonzero(starts)
-    return high[bounds], np.append(bounds, len(high))
-
-
 def eval_on_cube(masks: np.ndarray, coefs: np.ndarray, n: int) -> Iterator[np.ndarray]:
     """Values of sum_i coefs[i] chi_masks[i] on n variables at every point
     index, as consecutive flat float64 blocks in index order.
 
-    The uint64 masks may be unsorted and repeat: np.bincount adds each
-    mask's coefficients in the order given, which the stable sort by high
-    part keeps.  Up to 16 variables the dense coefficient vector runs
-    through walsh_hadamard and is the one block.  Above, the (r, 2^16)
-    stack of the r live high parts' (mask >> 16) low parts is built before
-    this returns, each row bit-identical to the dense transform's low 16
-    stages.  A row is built from its used bits U, the OR of its terms' low
-    masks: the terms compressed onto U (gather_bits) run through
-    walsh_hadamard as a 2^|U|-entry vector, or are their sum when U is
-    empty, and broadcast_bits copies the result over the bits outside U.
-    That is the full row's transform byte for byte: a stage on a bit
-    outside U pairs each value with +0 and returns it unchanged (bincount
-    starts at +0.0, so no -0.0 arises), and the stages on U run in the
-    same order on the same operands.  Each block is the product
-    chi(high, xs) @ rows over the next 2^(_PRODUCT_BITS - 16) high indices
-    xs, formed only when the block is drawn; its row-major result is in
-    index order.  The product adds in BLAS's order, so above 16 variables
-    a value may differ from the dense transform's in the last bits, within
-    the bound sign_table filters by.
+    The uint64 masks and their coefficients are (terms,) arrays or a
+    (rows, terms) stack, whose rows' values follow one another; masks may
+    be unsorted and repeat, and np.bincount adds each mask's coefficients
+    in the order given.  Up to 16 variables one bincount over the cells
+    row * 2^n + mask and one walsh_hadamard of the (rows, 2^n) stack give
+    the one block.  Above, each row's (r, 2^16) stack over its r live high
+    parts (mask >> 16, grouped by a stable sort) is built before this
+    returns.  Stack row j comes from its used bits U, the OR of its terms'
+    low masks: the terms compressed onto U (gather_bits) run through
+    walsh_hadamard, or are their sum when U is empty, and broadcast_bits
+    copies the result over the other bits.  That is the full row's
+    transform byte for byte: a stage on a bit outside U adds +0 (bincount
+    starts at +0.0, so no -0.0 arises), and the stages on U run in order
+    on the same operands.  Each block is the product chi(high, xs) @ rows
+    over the next 2^(_PRODUCT_BITS - 16) high indices xs, formed when it
+    is drawn, in BLAS's order: every value lies within _rounding_radius.
     """
     n = _check_n(n)
-    order = np.argsort(masks >> np.uint64(_BLOCK_BITS), kind="stable")
-    masks, coefs = masks[order], coefs[order]
-    parts = _high_parts(masks, n)
-    if parts is None:
-        dense = np.bincount(masks.view(np.int64), weights=coefs, minlength=1 << n)
-        return iter((walsh_hadamard(dense),))
-    high, bounds = parts
-    low = masks & np.uint64((1 << _BLOCK_BITS) - 1)
-    used = _unpack_bits(np.bitwise_or.reduceat(low, bounds[:-1]), _BLOCK_BITS)
-    rows = np.empty((len(high), 1 << _BLOCK_BITS), dtype=np.float64)
-    for row, bits, start, stop in zip(rows, used, bounds[:-1], bounds[1:]):
-        positions = np.flatnonzero(bits)
-        terms = low[start:stop]
-        if positions.size < _BLOCK_BITS:  # on all 16 bits the compression is the identity
-            terms = gather_bits(terms, positions)
-        small = np.bincount(terms.view(np.int64), weights=coefs[start:stop],
-                            minlength=1 << positions.size)
-        broadcast_bits(row, walsh_hadamard(small) if positions.size else small, positions)
-    chi = _chi(high, np.arange(1 << (n - _BLOCK_BITS), dtype=np.uint64)[:, None])
-    chi = chi.astype(np.float64)
+    masks, coefs = np.atleast_2d(masks), np.atleast_2d(coefs)
+    if n <= _BLOCK_BITS:
+        cells = masks.view(np.int64) + (np.arange(len(masks), dtype=np.int64) << n)[:, None]
+        stack = np.bincount(cells.ravel(), weights=coefs.ravel(), minlength=len(masks) << n)
+        return iter((walsh_hadamard(stack.reshape(-1, 1 << n)).ravel(),))
+    products = []
+    for row_masks, row_coefs in zip(masks, coefs):
+        order = np.argsort(row_masks >> np.uint64(_BLOCK_BITS), kind="stable")
+        row_masks, row_coefs = row_masks[order], row_coefs[order]
+        high = row_masks >> np.uint64(_BLOCK_BITS)
+        low = row_masks & np.uint64((1 << _BLOCK_BITS) - 1)
+        bounds = np.append(np.flatnonzero(np.diff(high, prepend=~high[:1])), len(high))
+        used = _unpack_bits(np.bitwise_or.reduceat(low, bounds[:-1]), _BLOCK_BITS)
+        rows = np.empty((len(bounds) - 1, 1 << _BLOCK_BITS), dtype=np.float64)
+        for row, bits, start, stop in zip(rows, used, bounds[:-1], bounds[1:]):
+            positions = np.flatnonzero(bits)
+            terms = low[start:stop]
+            if positions.size < _BLOCK_BITS:  # on all 16 bits the compression is the identity
+                terms = gather_bits(terms, positions)
+            small = np.bincount(terms.view(np.int64), weights=row_coefs[start:stop],
+                                minlength=1 << positions.size)
+            broadcast_bits(row, walsh_hadamard(small) if positions.size else small, positions)
+        chi = _chi(high[bounds[:-1]], np.arange(1 << (n - _BLOCK_BITS), dtype=np.uint64)[:, None])
+        products.append((chi.astype(np.float64), rows))
     step = 1 << (_PRODUCT_BITS - _BLOCK_BITS)
-    return ((chi[at:at + step] @ rows).reshape(-1) for at in range(0, len(chi), step))
+    return ((chi[at:at + step] @ rows).reshape(-1)
+            for chi, rows in products for at in range(0, len(chi), step))
 
 
-def _rounding_radius(p: SparsePolynomial, depth: int) -> float:
-    """An upper bound on |v - p(x)| for every value v that adds p's
-    coefficients, each times +-1, through at most `depth` roundings.
+def _rounding_radius(p: SparsePolynomial) -> float:
+    """An upper bound on |v - p(x)| for every value v that eval_on_cube forms
+    from p's terms, each times +-1, collected or not: a row's bincount adds
+    at most `terms` colliding terms, then come at most 16 stages, or 16 and
+    a product over r <= terms live high parts, so at most 2 * terms + 17
+    roundings.
 
     0 when every coefficient is an integer multiple of one power of two
     2^e and sum |c| < 2^(53 + e): every partial sum is then such a
     multiple below 2^(53 + e), exact in any order.  That covers integers
     with sum |c| < 2^53 and dyadic ties such as 0.5, 0.25, 0.25.
     Otherwise gamma_k * sum |c|, gamma_k = k u / (1 - k u) with u = 2^-53
-    and k = depth, rounded upward (Higham, ch. 4).  The exact sum |c| is
+    and k the depth, rounded upward (Higham, ch. 4).  The exact sum |c| is
     at most its correctly rounded value times 1 + u.
     """
     if p.is_zero:
@@ -311,6 +301,7 @@ def _rounding_radius(p: SparsePolynomial, depth: int) -> float:
     scale = int((exp - 53 + np.bitwise_count((whole & -whole) - 1)).min())
     if math.frexp(total)[1] <= 53 + scale:  # total < 2^(53 + scale)
         return 0.0
+    depth = 2 * len(p.masks) + _BLOCK_BITS + 1
     bound = Fraction(depth, (1 << 53) - depth) * Fraction(total) * Fraction((1 << 53) + 1, 1 << 53)
     return float(np.nextafter(float(bound), np.inf))
 
@@ -356,13 +347,11 @@ def sign_table(p: SparsePolynomial) -> tuple[TruthTable, int]:
     The sign pass draws eval_on_cube's blocks one at a time, so above 16
     variables it holds one block of 2^_PRODUCT_BITS floats, never all
     2^n.  Signs are exact whatever order the blocks were added in
-    (_exact_signs): each value passes through n roundings on the dense
-    route and 16 + r + 1 on the product route over r live high parts.
-    sign(0) = +1; a large zero count signals a degenerate polynomial,
-    sensitive to perturbation.
+    (_exact_signs): every value lies within _rounding_radius(p), the one
+    bound on what eval_on_cube forms from p's terms.  sign(0) = +1; a large
+    zero count signals a degenerate polynomial, sensitive to perturbation.
     """
-    parts = _high_parts(p.masks, p.n)
-    radius = _rounding_radius(p, p.n if parts is None else _BLOCK_BITS + len(parts[0]) + 1)
+    radius = _rounding_radius(p)  # first: an absolute sum past float64 is an InputError
     signs, zeros = _exact_signs(p, eval_on_cube(p.masks, p.coefs, p.n), 1 << p.n, radius,
                                 lambda at: at.astype(np.uint64))
     return TruthTable._from_signs(p.n, signs), zeros

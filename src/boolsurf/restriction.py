@@ -11,13 +11,12 @@ Monte Carlo trials build no Restriction objects.  restriction_failure_prob
 draws a chunk's patterns as one (trials, n) array and groups the trials by
 their free count f.  For each batch of a group it computes every row's
 signed coefficients and free-bit-compressed term masks as (rows, terms)
-arrays.  Up to f = 16 it adds them into a (rows, 2^f) stack of dense
-restricted polynomials with one bincount and one walsh_hadamard call; a
-row with f > 16 runs alone, its terms uncollected, through ptf.eval_on_cube.
-Each row's closeness to a constant is read from its +1 count, with the
-signs of sign_table (ptf._exact_signs decides those near zero).  A batch
-holds at most core._CELL_BUDGET = 2^16 cells in either array, the one
-budget every batched computation shares.
+arrays, and ptf.eval_on_cube evaluates the whole stack, its terms
+uncollected, on the rows' free cubes.  Each row's closeness to a constant
+is read from its +1 count, with the signs of sign_table (ptf._exact_signs
+decides those within ptf._rounding_radius of zero).  A batch holds at most
+core._CELL_BUDGET = 2^16 cells in either array, the one budget every
+batched computation shares.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ from math import nan
 
 import numpy as np
 
-from .core import (_BLOCK_BITS, _CELL_BUDGET, EXACT_CAP, TruthTable, _check_n, _pack_bits,
-                   _subset_sums, _unpack_bits, all_function_words, gather_bits, minus_mask,
-                   scatter_bits, sensitivity_histogram, walsh_hadamard)
+from .core import (_CELL_BUDGET, EXACT_CAP, TruthTable, _check_n, _pack_bits, _subset_sums,
+                   _unpack_bits, all_function_words, gather_bits, minus_mask, scatter_bits,
+                   sensitivity_histogram)
 from .errors import InputError, VerificationError, _exact_int
 from .ptf import SparsePolynomial, _characters, _exact_signs, _rounding_radius, eval_on_cube
 from .seeding import mc_values, substream
@@ -146,23 +145,15 @@ def _closeness(plus, size):
 def _plus_counts(p: SparsePolynomial, patterns: np.ndarray, f: int, radius: float) -> np.ndarray:
     """The exact +1 count of p restricted by each row of `patterns` (each leaves
     exactly f coordinates free); sign_table(restrict_poly(p, rho)) agrees whenever
-    every combined coefficient is exact (README has a case where one is not).  Up
-    to f = 16 the rows share one bincount stack, and a wider row's terms go to
-    eval_on_cube uncollected.  A value adds p's coefficients, times +-1, through
-    at most `terms` roundings in a bincount, then f <= 16 stages or at most 16 and
-    an r <= terms product: radius >= _rounding_radius(p, 2 * terms + 17)."""
+    every combined coefficient is exact (README has a case where one is not).  The
+    rows' terms go to eval_on_cube as one uncollected stack, so every value lies
+    within radius = _rounding_radius(p)."""
     rows = len(patterns)
     base = _pack_bits(patterns == -1)  # each row's -1 mask
     signed = _characters(p, base[:, None]) * p.coefs  # (rows, terms)
     # each term's mask bits at the row's free coordinates
     free = np.nonzero(patterns == 0)[1].astype(np.uint64).reshape(rows, f)
-    cells = gather_bits(p.masks, free[:, None])
-    if f > _BLOCK_BITS:
-        blocks = (b for row, c in zip(cells, signed) for b in eval_on_cube(row, c, f))
-    else:  # cell row * 2^f + the term's compressed mask
-        cells = cells.view(np.int64) + (np.arange(rows, dtype=np.int64) << f)[:, None]
-        stack = np.bincount(cells.ravel(), weights=signed.ravel(), minlength=rows << f)
-        blocks = (walsh_hadamard(stack.reshape(rows, 1 << f)).ravel(),)
+    blocks = eval_on_cube(gather_bits(p.masks, free[:, None]), signed, f)
 
     def points(at):  # the row's -1 mask, the cell's bits at the row's free coordinates
         row = at >> f
@@ -221,8 +212,7 @@ def restriction_failure_prob(p: SparsePolynomial, rate: float, delta: float,
     if not 1 <= max_free <= EXACT_CAP:
         raise InputError(f"max_free must lie in 1..{EXACT_CAP}")
 
-    draw = partial(_trial_values, p, rate, delta, max_free,
-                   _rounding_radius(p, 2 * len(p.masks) + _BLOCK_BITS + 1))
+    draw = partial(_trial_values, p, rate, delta, max_free, _rounding_radius(p))
     # the (trials, n) float64 draw and its mask while patterns are sampled,
     # then the int8 patterns plus per-trial counts, group indices and values;
     # the batches are bounded by the cell budget

@@ -305,6 +305,14 @@ def test_eval_on_cube_transforms_only_the_used_bits(case, monkeypatch):
             assert cells == [1 << 16]
 
 
+@pytest.mark.parametrize("n", [0, 16, 17])
+def test_sign_table_of_the_zero_polynomial(n):
+    # no terms on the dense route (n <= 16) and none on the product route
+    table, zero_hits = sign_table(SparsePolynomial(n, {}))
+    assert table.values.tolist() == [1] * (1 << n)
+    assert zero_hits == 1 << n
+
+
 def test_sign_table_rejects_an_absolute_sum_past_float_range():
     with pytest.raises(InputError, match="absolute sum"):
         sign_table(SparsePolynomial(1, {0: 1e308, 1: 1e308}))
@@ -337,8 +345,7 @@ EXACT_ORDER_CASES = {
 @pytest.mark.parametrize("case", list(EXACT_ORDER_CASES))
 def test_rounding_radius_is_zero_exactly_when_every_order_is_exact(case):
     terms, exact = EXACT_ORDER_CASES[case]
-    # depth 18: sign_table's product route over one live high part, 16 + 1 + 1
-    assert (ptf._rounding_radius(SparsePolynomial(18, terms), 18) == 0.0) == exact
+    assert (ptf._rounding_radius(SparsePolynomial(18, terms)) == 0.0) == exact
 
 
 def test_sign_table_decides_each_pattern_of_the_used_bits_once(monkeypatch):

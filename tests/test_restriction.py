@@ -262,13 +262,6 @@ def exact_plus_count(p, pattern):
     return plus << (len(free) - len(used))
 
 
-def engine_radius(p):
-    """The rounding radius restriction_failure_prob passes its trials: depth
-    2 * terms + 17 covers the stack route (terms + f, f <= 16) and the
-    product route (terms + 16 + r + 1, r <= terms live high parts)."""
-    return _rounding_radius(p, 2 * len(p.masks) + 17)
-
-
 # name: (terms, n, patterns each leaving the same f free); a float sign of the
 # stack is wrong somewhere in each case but the dyadic one, whose radius is 0
 PLUS_COUNT_CASES = {
@@ -293,7 +286,7 @@ def test_plus_counts_are_exact(case, wide):
     pad = 17 - f if wide else 0  # free coordinates that no term uses
     p = SparsePolynomial(n + pad, terms)
     patterns = np.array([row + [0] * pad for row in rows], dtype=np.int8)
-    got = _plus_counts(p, patterns, f + pad, engine_radius(p))
+    got = _plus_counts(p, patterns, f + pad, _rounding_radius(p))
     exact = [exact_plus_count(p, pattern) for pattern in patterns]
     single = [int(np.count_nonzero(sign_table(restrict_poly(p, Restriction(pattern)))[0].values
                                    == 1)) for pattern in patterns]
@@ -319,9 +312,45 @@ def test_plus_counts_are_exact_across_high_parts(case, f, monkeypatch):
     calls = []
     monkeypatch.setattr(restriction, "eval_on_cube",
                         lambda *terms: calls.append(terms[2]) or ptf.eval_on_cube(*terms))
-    got = _plus_counts(p, patterns, f, engine_radius(p))
-    assert calls == [f] * len(rows)
+    got = _plus_counts(p, patterns, f, _rounding_radius(p))
+    assert calls == [f]  # one call for the batch
     assert got.tolist() == [exact_plus_count(p, pattern) for pattern in patterns]
+
+
+@pytest.mark.parametrize("f", [3, 17])
+def test_plus_counts_of_rows_with_no_terms(f):
+    p = SparsePolynomial(f + 1, {})
+    patterns = np.array([[0] * f + [1], [0] * f + [-1]], dtype=np.int8)
+    assert _plus_counts(p, patterns, f, _rounding_radius(p)).tolist() == [1 << f] * 2
+
+
+@pytest.mark.parametrize("f", [12, 17], ids=["stack", "product"])
+def test_batched_values_within_rounding_radius(f, monkeypatch):
+    # each term on the free coordinates recurs times every subset of the three
+    # fixed ones, so eight decimal coefficients collide, uncollected, on each
+    # compressed mask; at f = 17 the compressed masks span both high parts
+    free = generate("random-sparse", f, degree=3, nterms=24, seed=f).masks.tolist()
+    coefs = iter(np.random.default_rng(f).standard_normal(8 * len(free)).tolist())
+    p = SparsePolynomial(f + 3, {mask | extra << f: next(coefs)
+                                 for mask in free for extra in range(8)})
+    patterns = np.array([[0] * f + signs for signs in ([1, 1, -1], [-1, 1, 1], [-1, -1, -1])],
+                        dtype=np.int8)
+    radius = _rounding_radius(p)
+    assert radius > 0.0
+    assert f <= 16 or len({mask >> 16 for mask in free}) > 1
+    batches = []
+
+    def capture(*terms):
+        batches.append(np.concatenate(list(ptf.eval_on_cube(*terms))))
+        return iter(batches[-1:])
+
+    monkeypatch.setattr(restriction, "eval_on_cube", capture)
+    _plus_counts(p, patterns, f, radius)
+    [values] = batches
+    for at in np.random.default_rng(f).integers(0, len(values), size=64).tolist():
+        x = complete(Restriction(patterns[at >> f]), at & ((1 << f) - 1))
+        exact = sum(Fraction(c) * (-1) ** bin(mask & x).count("1") for mask, c in p.terms.items())
+        assert abs(Fraction(values[at]) - exact) <= radius
 
 
 def test_plus_counts_are_exact_where_the_collected_coefficient_rounds():
@@ -329,7 +358,7 @@ def test_plus_counts_are_exact_where_the_collected_coefficient_rounds():
     # restricted polynomial reads sign(0) = +1 at x1 = +1, where p is -2.8e-17
     p = SparsePolynomial(2, {1: 0.1, 3: 0.2, 0: -0.30000000000000004})
     patterns = np.array([[0, 1]], dtype=np.int8)
-    got = _plus_counts(p, patterns, 1, engine_radius(p))
+    got = _plus_counts(p, patterns, 1, _rounding_radius(p))
     assert got.tolist() == [exact_plus_count(p, patterns[0])] == [0]
     # the single route rounds the combined coefficient once: README's residual
     table, zeros = sign_table(restrict_poly(p, Restriction(patterns[0])))
@@ -363,7 +392,7 @@ EQUIVALENCE_CASES = {
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 def test_batched_trials_equal_single_trial_path(case, workers):
     p, rate, delta, trials, max_free = EQUIVALENCE_CASES[case]
-    draw = partial(_trial_values, p, rate, delta, max_free, engine_radius(p))
+    draw = partial(_trial_values, p, rate, delta, max_free, _rounding_radius(p))
     got = mc_values(trials, 5, workers, draw)
     want = reference_trial_values(p, rate, delta, trials, 5, workers, max_free)
     assert np.array_equal(got, want, equal_nan=True)
