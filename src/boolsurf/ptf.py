@@ -232,10 +232,10 @@ def eval_on_cube(masks: np.ndarray, coefs: np.ndarray, n: int) -> Iterator[np.nd
     (rows, terms) stack, whose rows' values follow one another; masks may
     be unsorted and repeat, and np.bincount adds each mask's coefficients
     in the order given.  Up to 16 variables one bincount over the cells
-    row * 2^n + mask and one walsh_hadamard of the (rows, 2^n) stack give
-    the one block.  Above, each row's (r, 2^16) stack over its r live high
-    parts (mask >> 16, grouped by a stable sort) is built before this
-    returns.  Stack row j comes from its used bits U, the OR of its terms'
+    row * 2^n + mask and one walsh_hadamard of the 2^n vector, or of the
+    (rows, 2^n) stack, give the one block.  Above, each row's (r, 2^16)
+    stack over its r live high parts (mask >> 16, grouped by a stable
+    sort) is built before this returns.  Stack row j comes from its used bits U, the OR of its terms'
     low masks: the terms compressed onto U (gather_bits) run through
     walsh_hadamard, or are their sum when U is empty, and broadcast_bits
     copies the result over the other bits.  That is the full row's
@@ -246,11 +246,12 @@ def eval_on_cube(masks: np.ndarray, coefs: np.ndarray, n: int) -> Iterator[np.nd
     is drawn, in BLAS's order: every value lies within _rounding_radius.
     """
     n = _check_n(n)
+    shape = (*np.shape(coefs)[:-1], 1 << n)
     masks, coefs = np.atleast_2d(masks), np.atleast_2d(coefs)
     if n <= _BLOCK_BITS:
         cells = masks.view(np.int64) + (np.arange(len(masks), dtype=np.int64) << n)[:, None]
         stack = np.bincount(cells.ravel(), weights=coefs.ravel(), minlength=len(masks) << n)
-        return iter((walsh_hadamard(stack.reshape(-1, 1 << n)).ravel(),))
+        return iter((walsh_hadamard(stack.reshape(shape)).ravel(),))
     products = []
     for row_masks, row_coefs in zip(masks, coefs):
         order = np.argsort(row_masks >> np.uint64(_BLOCK_BITS), kind="stable")

@@ -313,6 +313,17 @@ def test_sign_table_of_the_zero_polynomial(n):
     assert zero_hits == 1 << n
 
 
+def test_eval_on_cube_transforms_in_the_callers_shape(monkeypatch):
+    # a (terms,) input is one 2^n vector, a (rows, terms) stack one (rows, 2^n) stack
+    shapes = []
+    monkeypatch.setattr(ptf, "walsh_hadamard", lambda a: shapes.append(a.shape) or walsh_hadamard(a))
+    sign_table(SparsePolynomial(3, {0b011: 1.0, 0b100: -0.5}))
+    masks = np.array([[1, 2], [3, 3]], dtype=np.uint64)
+    blocks = list(eval_on_cube(masks, np.array([[1.0, 2.0], [0.5, 0.25]]), 2))
+    assert shapes == [(8,), (2, 4)]
+    assert blocks[0].tolist() == [3.0, 1.0, -1.0, -3.0, 0.75, -0.75, -0.75, 0.75]
+
+
 def test_sign_table_rejects_an_absolute_sum_past_float_range():
     with pytest.raises(InputError, match="absolute sum"):
         sign_table(SparsePolynomial(1, {0: 1e308, 1: 1e308}))
