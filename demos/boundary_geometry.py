@@ -10,9 +10,8 @@ sensitive point.
 
 import math
 
-from boolsurf import (TruthTable, boundary_report, bsa, edge_threshold_check,
-                      edge_threshold_check_exhaustive, level_sign_counts,
-                      total_influence)
+from boolsurf import (TruthTable, boundary_report, bsa, edge_threshold_check_exhaustive,
+                      level_sign_counts, total_influence)
 
 
 def describe(name, f):
@@ -28,9 +27,8 @@ def describe(name, f):
     rep = boundary_report(f)
     print(f"  Var(sqrt(s))       : {rep.var_sqrt_sens:.6f}")
     if not rep.is_constant:
-        chk = edge_threshold_check(f)
-        print(f"  edge-biased mass at s >= {chk.threshold:.4f}: "
-              f"{chk.edge_biased_prob:.4f} (needs >= 0.5, margin {chk.margin:+.4f})")
+        print(f"  edge-biased mass at s >= {rep.threshold:.4f}: "
+              f"{rep.edge_biased_prob:.4f} (needs >= 0.5, margin {rep.margin:+.4f})")
 
 
 def main():

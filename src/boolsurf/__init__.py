@@ -11,8 +11,7 @@ README use; every other public name is imported from its own module.
 """
 
 from . import boundary, core, errors, interval, partition, ptf, restriction, seeding
-from .boundary import (boundary_report, edge_threshold_check, edge_threshold_check_exhaustive,
-                       level_sign_counts)
+from .boundary import boundary_report, edge_threshold_check_exhaustive, level_sign_counts
 from .core import (EXACT_CAP, TruthTable, bsa, bsa_via_tails, fractional_moment,
                    noise_sensitivity, noise_sensitivity_semigroup, total_influence)
 from .errors import (BoolsurfError, CapacityError, DegenerateInputError, InputError, ParseError,
@@ -31,8 +30,7 @@ __all__ = [
     # submodules
     "boundary", "core", "errors", "interval", "partition", "ptf", "restriction", "seeding",
     # boundary
-    "boundary_report", "edge_threshold_check", "edge_threshold_check_exhaustive",
-    "level_sign_counts",
+    "boundary_report", "edge_threshold_check_exhaustive", "level_sign_counts",
     # core
     "EXACT_CAP", "TruthTable", "bsa", "bsa_via_tails", "fractional_moment",
     "noise_sensitivity", "noise_sensitivity_semigroup", "total_influence",

@@ -4,8 +4,9 @@ The square root of sensitivity has variance Inf[f] - BSA[f]^2, which is
 zero exactly when s is constant on the cube (parities).  Sampling an
 edge of the boundary (a point weighted by its sensitivity) instead of a
 uniform point shifts mass towards sensitive points: at least half of the
-edge-weighted mass sits at sensitivity >= Inf^2 / (4 BSA^2).  These
-reports quantify both effects and audit the threshold claim, including
+edge-weighted mass sits at sensitivity >= Inf^2 / (4 BSA^2).  One report,
+`boundary_report`, quantifies both effects and carries the half-mass
+verdict (its margin and whether it passed); the same audit also runs
 exhaustively over every function on up to 4 variables.
 """
 
@@ -18,7 +19,6 @@ import numpy as np
 
 from .core import (TruthTable, _moment_weights, all_function_words, pack_signs,
                    popcount_table, sensitivity_histogram)
-from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -32,26 +32,35 @@ class BoundaryReport:
     vertex_boundary_fraction: float
     threshold: float | None
     edge_biased_prob: float | None
+    margin: float | None
+    passed: bool | None
     is_constant: bool
 
 
 def boundary_report(f: TruthTable) -> BoundaryReport:
-    """Influence, surface area, Var(sqrt(s)), vertex boundary mass, and
-    the edge-biased tail at the threshold Inf^2 / (4 BSA^2).
+    """Influence, surface area, Var(sqrt(s)), vertex boundary mass, the
+    edge-biased tail at the threshold Inf^2 / (4 BSA^2), and the half-mass
+    verdict on it: margin = tail - 1/2, passed when the margin is >= 0.
 
-    Constants get the degenerate report (all zeros, threshold None).
+    When one level c holds every point, Var(sqrt(s)) is 0.0 and the
+    threshold c / 4 exactly.  Constants get the degenerate report (all
+    zeros; threshold, tail, margin and verdict None).
     """
     profile = f.profile()
     influence = profile.moment(1.0)
     area = profile.bsa()
-    var = influence - area * area
     vertex_fraction = profile.count_ge(1) / profile.points
     if influence == 0.0:
-        return BoundaryReport(f.n, 0.0, 0.0, 0.0, 0.0, None, None, True)
-    threshold = _threshold(influence, area)
+        return BoundaryReport(f.n, 0.0, 0.0, 0.0, 0.0, None, None, None, None, True)
+    (occupied,) = np.nonzero(profile.counts)
+    if len(occupied) == 1:  # s = c everywhere: Inf = c, and BSA^2 = c but for rounding
+        var, threshold = 0.0, int(occupied[0]) / 4.0
+    else:
+        var, threshold = influence - area * area, _threshold(influence, area)
     tail = float(_edge_biased_share(profile.counts, lambda levels: levels >= threshold))
+    margin = tail - 0.5
     return BoundaryReport(f.n, influence, area, var, vertex_fraction,
-                          threshold, tail, False)
+                          threshold, tail, margin, margin >= 0.0, False)
 
 
 def _threshold(influence, area):
@@ -74,29 +83,10 @@ def _edge_biased_share(counts, select):
 
 
 @dataclass(frozen=True)
-class EdgeThresholdCheck:
-    """Result of the half-mass-at-threshold audit for one function."""
-
-    threshold: float
-    edge_biased_prob: float
-    margin: float
-    passed: bool
-
-
-def edge_threshold_check(f: TruthTable) -> EdgeThresholdCheck:
-    """Verify that at least half the edge-biased mass has
-    s >= Inf^2 / (4 BSA^2).  Errors on constant functions."""
-    report = boundary_report(f)
-    if report.is_constant:
-        raise InputError("threshold check is undefined for constant functions")
-    margin = report.edge_biased_prob - 0.5
-    return EdgeThresholdCheck(report.threshold, report.edge_biased_prob,
-                              margin, margin >= 0.0)
-
-
-@dataclass(frozen=True)
 class ExhaustiveEdgeReport:
-    """Aggregate of edge_threshold_check over every nonconstant function."""
+    """The half-mass verdict of boundary_report, aggregated over every
+    nonconstant function on n variables: how many failed, and the smallest
+    margin."""
 
     n: int
     functions_checked: int

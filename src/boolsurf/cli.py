@@ -333,8 +333,9 @@ def _cmd_partition(args) -> int:
         if args.n is not None:
             raise InputError("--n sweeps near-equal splits; it cannot go with --sizes")
         sizes = tuple(map(integer, _items(args.sizes, "-")))
-        n = sum(sizes)
-        ks = range(0, n + 1) if args.k is None else parse_int_list(args.k)
+        n, sizes = partition_mod._check_split(sum(sizes), sizes)
+        ks = range(0, n + 1) if args.k is None else [
+            partition_mod._check_k(n, k) for k in parse_int_list(args.k)]
         groups = [(n, sizes, ks)]
     else:
         if args.k is not None:
@@ -348,16 +349,25 @@ def _cmd_partition(args) -> int:
                 f"--n {n_text} sweeps {triples} (n, k, sizes) triples; "
                 f"the cap is {PARTITION_SWEEP_CAP}")
         groups = ((n, sizes, range(n + 1)) for n, sizes in sweep)
-    rows = [row for n, sizes, ks in groups
-            for row in partition_mod.sandwich_rows(n, sizes, ks, args.precision)]
-    failures = sum(1 for *_, lower, upper, gap_ok in rows
-                   if not partition_mod._all_passed(lower, upper, gap_ok))
+    # every input is checked before the first line, so no error cuts the stream short
+    partition_mod._check_precision(args.precision)
+    cases = failures = 0
+
+    def rows():
+        nonlocal cases, failures
+        for n, sizes, ks in groups:
+            for row in partition_mod.sandwich_rows(n, sizes, ks, args.precision):
+                cases += 1
+                if not partition_mod._all_passed(*row[7:]):
+                    failures += 1
+                yield row
+
     if args.format == "json":
-        _emit_table(args, "partition", None, _PARTITION_HEADER, rows)
+        _emit_table(args, "partition", None, _PARTITION_HEADER, list(rows()))
     else:
-        emit(chain([",".join(_PARTITION_HEADER) + "\n"], map(_partition_line, rows)), args.out)
+        emit(chain([",".join(_PARTITION_HEADER) + "\n"], map(_partition_line, rows())), args.out)
     if failures:
-        print(f"partition: {failures} of {len(rows)} cases failed certification",
+        print(f"partition: {failures} of {cases} cases failed certification",
               file=sys.stderr)
         return 4
     return 0
@@ -399,8 +409,7 @@ def _cmd_boundary(args) -> int:
         "edge_biased_prob": report.edge_biased_prob,
     }
     if not report.is_constant:
-        check = boundary_mod.edge_threshold_check(table)
-        payload["threshold_check"] = {"passed": check.passed, "margin": check.margin}
+        payload["threshold_check"] = {"passed": report.passed, "margin": report.margin}
     levels = [list(row) for row in boundary_mod.level_sign_counts(table)]
     payload["level_sign_counts"] = levels
     emit(render_json(payload), args.out)

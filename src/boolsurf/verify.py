@@ -387,12 +387,12 @@ def _c13():
         checked += report.functions_checked
     for n in range(3, 16, 2):
         checked += 1
-        if not boundary.edge_threshold_check(TruthTable.majority(n)).passed:
+        if not boundary.boundary_report(TruthTable.majority(n)).passed:
             failures += 1
     for s in range(100):
         table, _ = sign_table(generate("random", 14, degree=2, seed=200 + s))
         checked += 1
-        if not boundary.edge_threshold_check(table).passed:
+        if not boundary.boundary_report(table).passed:
             failures += 1
     return failures == 0, f"{checked} functions checked, {failures} failures"
 

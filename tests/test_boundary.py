@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from boolsurf.boundary import (_edge_biased_share, boundary_report, edge_threshold_check,
-                               edge_threshold_check_exhaustive, level_sign_counts)
+from boolsurf.boundary import (_edge_biased_share, boundary_report, edge_threshold_check_exhaustive,
+                               level_sign_counts)
 from boolsurf.core import TruthTable, bsa, popcount_table, total_influence
 from boolsurf.errors import CapacityError, InputError
 
@@ -18,6 +19,8 @@ def test_report_majority5():
     assert abs(rep.threshold - 0.75) < 1e-12
     # all boundary mass sits at s = 3 >= 0.75
     assert rep.edge_biased_prob == 1.0
+    assert rep.margin == 0.5
+    assert rep.passed is True
     assert not rep.is_constant
 
 
@@ -34,9 +37,22 @@ def test_report_dictator():
 def test_report_full_parity_variance_vanishes():
     for n in (3, 4, 5, 8):
         rep = boundary_report(TruthTable.parity(n, (1 << n) - 1))
-        assert abs(rep.var_sqrt_sens) < 1e-12
+        assert rep.var_sqrt_sens == 0.0
         assert rep.vertex_boundary_fraction == 1.0
-        assert abs(rep.threshold - n / 4.0) < 1e-12
+        assert rep.threshold == n / 4
+
+
+def test_report_one_level_is_exact_for_every_leading_parity():
+    # parity of the first k of n coordinates has s = k everywhere: Var(sqrt(s))
+    # is exactly 0 and Inf^2 / (4 BSA^2) exactly k / 4, though BSA^2 = k
+    # need not hold in float64 (k = 2: sqrt(2)^2 rounds to 2.0000000000000004)
+    cases = [(n, k) for n in range(1, 13) for k in range(1, n + 1)]
+    assert len(cases) == 78
+    for n, k in cases:
+        rep = boundary_report(TruthTable.parity(n, (1 << k) - 1))
+        assert rep.var_sqrt_sens == 0.0, (n, k)
+        assert rep.threshold == k / 4, (n, k)
+        assert rep.edge_biased_prob == 1.0 and rep.passed is True
 
 
 def test_report_constant():
@@ -59,25 +75,29 @@ def test_variance_identity_random():
 
 
 def test_threshold_check_embedded_parity():
-    chk = edge_threshold_check(TruthTable.parity(5, 0b00011))
+    rep = boundary_report(TruthTable.parity(5, 0b00011))
     # Inf = 2, BSA = sqrt(2): threshold 0.5, all mass at s = 2
-    assert abs(chk.threshold - 0.5) < 1e-12
-    assert chk.edge_biased_prob == 1.0
-    assert chk.margin == 0.5
-    assert chk.passed
+    assert rep.threshold == 0.5
+    assert rep.edge_biased_prob == 1.0
+    assert rep.margin == 0.5
+    assert rep.passed is True
 
 
-def test_threshold_check_constant_errors():
-    with pytest.raises(InputError):
-        edge_threshold_check(TruthTable.constant(2))
+def test_threshold_check_constant_has_no_verdict():
+    for sign in (1, -1):
+        rep = boundary_report(TruthTable.constant(2, sign))
+        assert rep.is_constant
+        assert rep.margin is None and rep.passed is None
 
 
 def test_threshold_check_random_never_fails():
     for seed in range(20):
         f = TruthTable.random(seed % 9 + 1, seed=600 + seed)
-        if boundary_report(f).is_constant:
+        rep = boundary_report(f)
+        if rep.is_constant:
             continue
-        assert edge_threshold_check(f).passed
+        assert rep.passed is True
+        assert rep.margin == rep.edge_biased_prob - 0.5 >= 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -94,6 +114,22 @@ def test_exhaustive_threshold_check_is_vacuous_up_to_four(n):
     rep = edge_threshold_check_exhaustive(n)
     assert rep.failures == 0
     assert rep.min_margin == 0.5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_report_verdict_agrees_with_exhaustive_audit(n):
+    # every function on n variables, one per word c: f(x) = -1 where bit x of c is set
+    bits = np.arange(1 << n)
+    reports = [boundary_report(TruthTable(n, np.where((c >> bits) & 1, -1, 1)))
+               for c in range(1 << (1 << n))]
+    nonconstant = [rep for rep in reports if not rep.is_constant]
+    audit = edge_threshold_check_exhaustive(n)
+    assert len(nonconstant) == audit.functions_checked
+    assert sum(not rep.passed for rep in nonconstant) == audit.failures == 0
+    assert min(rep.margin for rep in nonconstant) == audit.min_margin
+    constants = [rep for rep in reports if rep.is_constant]
+    assert len(constants) == 2
+    assert all(rep.margin is None and rep.passed is None for rep in constants)
 
 
 def test_exhaustive_threshold_caps():

@@ -587,6 +587,35 @@ def test_partition_default_sweep_is_1_to_12(capsys):
     assert len(out.splitlines()) == 1 + sum(n * (n + 1) for n in range(1, 13))
 
 
+def test_partition_counts_failures_as_rows_stream(capsys, monkeypatch):
+    import boolsurf.partition as partition
+    sandwich_rows = partition.sandwich_rows
+
+    def failing_at_k1(n, sizes, ks, precision):
+        for row in sandwich_rows(n, sizes, ks, precision):
+            yield (*row[:7], False, *row[8:]) if row[1] == 1 else row
+
+    monkeypatch.setattr(partition, "sandwich_rows", failing_at_k1)
+    for fmt in ("csv", "json"):
+        # --n 2 sweeps the splits 2 and 1-1, each at k = 0, 1, 2
+        code, out, err = run_cli(capsys, "partition", "--n", "2", "--format", fmt)
+        assert code == 4
+        assert err == "partition: 2 of 6 cases failed certification\n"
+        rows = out.splitlines()[1:] if fmt == "csv" else json.loads(out)["rows"]
+        assert len(rows) == 6
+
+
+def test_partition_bad_input_writes_nothing(capsys, tmp_path):
+    # each input is checked before the first row streams out
+    path = tmp_path / "p.csv"
+    for argv in (["--sizes", "3-2", "--k", "0,9"], ["--sizes", "3-0-2"],
+                 ["--n", "3", "--precision", "9"], ["--sizes", "2-2", "--precision", "51"]):
+        code, out, _ = run_cli(capsys, "partition", *argv)
+        assert code == 2 and out == ""
+        code, _, _ = run_cli(capsys, "partition", *argv, "--out", str(path))
+        assert code == 2 and not path.exists()
+
+
 def test_partition_precision_validation(capsys):
     code, _, err = run_cli(capsys, "partition", "--sizes", "2-2", "--precision", "9")
     assert code == 2
@@ -649,6 +678,21 @@ def test_boundary_majority5(capsys):
     assert report["threshold_check"]["passed"] is True
     assert report["threshold_check"]["margin"] == 0.5
     assert report["level_sign_counts"][0] == [0, 1, 0]
+
+
+def test_boundary_builds_one_report(capsys, monkeypatch):
+    import boolsurf.boundary as boundary
+    calls = []
+    report = boundary.boundary_report
+
+    def counted(f):
+        calls.append(f.n)
+        return report(f)
+
+    monkeypatch.setattr(boundary, "boundary_report", counted)
+    code, out, _ = run_cli(capsys, "boundary", "maj:5")
+    assert code == 0 and json.loads(out)["threshold_check"]["passed"] is True
+    assert calls == [5]
 
 
 def test_boundary_constant_skips_threshold(capsys):
