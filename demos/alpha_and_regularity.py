@@ -44,7 +44,7 @@ def main():
     for delta in (0.01, 0.02, 0.05, 0.1):
         ns = noise_sensitivity(f, delta)
         ns2 = noise_sensitivity_semigroup(f, delta)
-        t = -math.log(1.0 - 2.0 * delta)
+        t = -math.log1p(-2.0 * delta)
         print(f"  {delta:>6} {ns:>10.6f} {ns2:>10.6f} {ns / math.sqrt(t):>11.4f}")
     print("  the ratio ns / sqrt(t) stays bounded: majority flips like sqrt(noise).")
 

@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .core import (TruthTable, _moment_weights, all_function_words, pack_signs,
+from .core import (TruthTable, _moment_weights, _one_level, all_function_words, pack_signs,
                    popcount_table, sensitivity_histogram)
 
 
@@ -47,39 +47,35 @@ def boundary_report(f: TruthTable) -> BoundaryReport:
     zeros; threshold, tail, margin and verdict None).
     """
     profile = f.profile()
-    influence = profile.moment(1.0)
-    area = profile.bsa()
-    vertex_fraction = profile.count_ge(1) / profile.points
-    if influence == 0.0:
+    if profile.counts[0] == profile.points:
         return BoundaryReport(f.n, 0.0, 0.0, 0.0, 0.0, None, None, None, None, True)
-    (occupied,) = np.nonzero(profile.counts)
-    if len(occupied) == 1:  # s = c everywhere: Inf = c, and BSA^2 = c but for rounding
-        var, threshold = 0.0, int(occupied[0]) / 4.0
-    else:
-        var, threshold = influence - area * area, _threshold(influence, area)
-    tail = float(_edge_biased_share(profile.counts, lambda levels: levels >= threshold))
+    influence, area, var, threshold, tail = map(float, _edge_verdict(profile.counts))
     margin = tail - 0.5
-    return BoundaryReport(f.n, influence, area, var, vertex_fraction,
+    return BoundaryReport(f.n, influence, area, var, profile.count_ge(1) / profile.points,
                           threshold, tail, margin, margin >= 0.0, False)
 
 
-def _threshold(influence, area):
-    """The level Inf^2 / (4 BSA^2), elementwise."""
-    return influence * influence / (4.0 * area * area)
+def _edge_verdict(counts):
+    """(Inf, BSA, Var(sqrt(s)), threshold, tail) of nonconstant sensitivity
+    histograms along the last axis of `counts`.  One level c gives Var 0.0
+    and threshold c / 4 exactly (Inf = c, and BSA^2 = c but for rounding).
 
-
-def _edge_biased_share(counts, select):
-    """Edge-biased probability that s lies in the levels `select(levels)`
-    picks, for sensitivity histograms along the last axis of `counts`.
-
-    A boundary edge is sampled by picking a point with probability
-    proportional to s(x); for a nonconstant function the chance that s is
-    in a set M is sum_{m in M} m * counts[m] / sum_m m * counts[m], each
-    sum an integer below 2^53 and so exact in float64.
+    The tail is the edge-biased chance of s >= Inf^2 / (4 BSA^2): an edge
+    picks a point with probability proportional to s(x), so it is
+    sum_{m >= threshold} m counts[m] / sum_m m counts[m], each sum an
+    integer below 2^53 and so exact in float64.
     """
-    levels = _moment_weights(counts.shape[-1] - 1, 1.0)
-    mass = levels * counts
-    return (mass * select(levels)).sum(axis=-1) / mass.sum(axis=-1)
+    n = counts.shape[-1] - 1
+    levels = _moment_weights(n, 1.0)
+    edges = counts @ levels  # sum_m m counts[m]
+    influence = edges / (1 << n)
+    # vecdot, not @: a batched @ sums a row in another order than a 1-D @ does
+    area = np.vecdot(counts, _moment_weights(n, 0.5)) / (1 << n)
+    one_level = _one_level(counts)
+    var = np.where(one_level, 0.0, influence - area * area)
+    threshold = np.where(one_level, influence / 4.0, influence * influence / (4.0 * area * area))
+    tail = (levels * counts * (levels >= threshold[..., None])).sum(axis=-1) / edges
+    return influence, area, var, threshold, tail
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,7 @@ def edge_threshold_check_exhaustive(n: int) -> ExhaustiveEdgeReport:
     """Run the threshold audit on all 2^(2^n) - 2 nonconstant functions.
 
     Vectorised: one sensitivity histogram per function (its packed word),
-    read by the same threshold and edge-biased share as boundary_report.
+    all read at once by the computation behind boundary_report.
 
     At the sizes it accepts the audit cannot fail.  Pointwise s <= sqrt(n)
     sqrt(s), so Inf <= sqrt(n) BSA and the threshold Inf^2 / (4 BSA^2) is
@@ -107,12 +103,9 @@ def edge_threshold_check_exhaustive(n: int) -> ExhaustiveEdgeReport:
     """
     words = all_function_words(n)
     n = int(n)
-    points = 1 << n
     counts, _ = sensitivity_histogram(words, n)
-    counts = counts[counts[:, 0] < points]  # nonconstant
-    thresholds = _threshold(counts @ _moment_weights(n, 1.0) / points,
-                            counts @ _moment_weights(n, 0.5) / points)
-    margins = _edge_biased_share(counts, lambda levels: levels >= thresholds[:, None]) - 0.5
+    counts = counts[counts[:, 0] < 1 << n]  # nonconstant
+    margins = _edge_verdict(counts)[-1] - 0.5
     return ExhaustiveEdgeReport(n, len(counts), int((margins < 0.0).sum()), float(margins.min()))
 
 

@@ -270,8 +270,6 @@ def _emit_table(args, command: str, spec_text: str | None, header: list[str],
 # ------------------------------------------------------------ commands
 
 def _cmd_analyze(args) -> int:
-    if args.format != "json":
-        raise InputError("analyze reports are JSON only")
     spec = parse_function_spec(args.spec)
     table, zero_hits = spec.resolve_table()
     profile = table.profile()
@@ -391,8 +389,6 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    if args.format != "json":
-        raise InputError("boundary reports are JSON only (levels go to --levels-csv)")
     spec = parse_function_spec(args.spec)
     table, _ = spec.resolve_table()
     report = boundary_mod.boundary_report(table)
@@ -469,7 +465,7 @@ def _cmd_sweep(args) -> int:
                 table = _family_table(family, n)
                 for delta in deltas:
                     ns = noise_sensitivity(table, delta)  # checks 0 < delta < 1/2
-                    t = -math.log(1.0 - 2.0 * delta)
+                    t = -math.log1p(-2.0 * delta)
                     rows.append([family, n, delta, t, ns, ns / math.sqrt(t)])
         _emit_table(args, "sweep", None, header, rows)
         return 0
@@ -506,9 +502,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "functions; exact at small n, seeded Monte Carlo beyond.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p, default_format):
+    def add_output(p, default_format=None):  # None: a JSON report, with no --format
         p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default=default_format)
+        if default_format:
+            p.add_argument("--format", choices=("json", "csv"), default=default_format)
 
     p = sub.add_parser("analyze", help="exact sensitivity/surface-area report")
     p.add_argument("spec", help="maj:5 | harm:8 | par:5:1,2 | rand:d=2,n=12,seed=7 | "
@@ -517,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fractional-moment orders (comma list)")
     p.add_argument("--deltas", default=DEFAULT_DELTAS,
                    help="noise rates (comma list)")
-    add_output(p, "json")
+    add_output(p)
 
     p = sub.add_parser("tail", help="exact tail masses and coupling floors by level")
     p.add_argument("spec")
@@ -546,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boundary", help="boundary geometry report and threshold check")
     p.add_argument("spec")
     p.add_argument("--levels-csv", help="also write per-level sign counts to this path")
-    add_output(p, "json")
+    add_output(p)
 
     p = sub.add_parser("verify", help="run the acceptance criteria suite")
     p.add_argument("--only", help="comma list of criterion ids, e.g. c1,c6")

@@ -332,6 +332,12 @@ class SensitivityProfile:
         return self.moment(0.5)
 
 
+def _one_level(counts) -> np.ndarray:
+    """Whether one level holds every point, for sensitivity histogram rows
+    along the last axis of `counts`."""
+    return np.count_nonzero(counts, axis=-1) == 1
+
+
 class TruthTable:
     """Dense sign table of a Boolean function on n <= EXACT_CAP variables."""
 

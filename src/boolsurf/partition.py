@@ -450,6 +450,13 @@ def jensen_bounds(values, probs, precision: int = DEFAULT_PRECISION) -> JensenBo
     xs, x_den = _over_common_denominator(values)
     if min(xs) < 0:
         raise InputError("values must be nonnegative")
+    return _jensen_bounds(xs, weights, total, x_den, precision)
+
+
+def _jensen_bounds(xs, weights, total: int, x_den: int = 1,
+                   precision: int = DEFAULT_PRECISION) -> JensenBounds:
+    """jensen_bounds on integers: P[X = xs[i] / x_den] = weights[i] / total,
+    with nonnegative xs and weights summing to `total`."""
     # E[X] = first / den and Var(X) = spread / den^2
     den = total * x_den
     first = sum(map(mul, weights, xs))

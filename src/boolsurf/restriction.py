@@ -259,9 +259,9 @@ def tail_coupling_check(f: TruthTable, m: int) -> TailReport:
         raise InputError("tail levels need a function on n >= 1 variables")
     if not 1 <= m <= f.n:
         raise InputError(f"level m must lie in 1..{f.n}, got {m}")
-    counts = f.profile().counts
-    points = 1 << f.n
-    p_e = Fraction(int(counts[m:].sum()), points)
+    profile = f.profile()
+    counts, points = profile.counts, profile.points
+    p_e = Fraction(profile.count_ge(m), points)
     keep = 1 - Fraction(1, m)
     coupling = Fraction(0)
     for s in range(m, f.n + 1):

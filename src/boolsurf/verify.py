@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import boundary, partition, restriction
-from .core import (TruthTable, bsa, bsa_via_tails, fractional_moment,
+from .core import (TruthTable, _one_level, bsa, bsa_via_tails, fractional_moment,
                    noise_sensitivity, noise_sensitivity_semigroup)
 from .errors import BoolsurfError, InputError, VerificationError
 from .interval import prove, sqrt_sum, working_bits
@@ -194,14 +194,10 @@ def _c3():
     ok = True
     for f in tables:
         profile = f.profile()
-        area = profile.bsa()
-        root_inf = math.sqrt(profile.moment(1.0))
-        (levels,) = np.nonzero(profile.counts)
-        if len(levels) == 1:  # every point has s: (2^n sqrt(s))^2 = 2^n (2^n s) exactly
-            ok = ok and int(profile.counts[levels[0]]) == 1 << f.n
-        else:
+        # one level s holds every point: (2^n sqrt(s))^2 = 2^n (2^n s) exactly
+        if not _one_level(profile.counts):
             ok = ok and _area_below_root_influence(profile.counts, f.n)
-            min_slack = min(min_slack, root_inf - area)
+            min_slack = min(min_slack, math.sqrt(profile.moment(1.0)) - profile.bsa())
     return ok, f"{len(tables)} functions, smallest strict slack {min_slack:.3e}"
 
 
@@ -296,9 +292,9 @@ def _c8():
     for n, successes, m in _c6_hypergeometric_cases():
         if successes == 0:
             continue  # identically zero variable: outside the enclosure's hypothesis
-        support, weights, total = partition._hg_table(n, successes, m)
-        try:  # the point masses hg_pmf gives, built from the table's weights
-            partition.jensen_bounds(list(support), [Fraction(w, total) for w in weights])
+        support, weights = partition._hg_weights(n, successes, m)
+        try:  # the point masses hg_pmf gives: each weight over C(n, m)
+            partition._jensen_bounds(list(support), weights, math.comb(n, m))
         except VerificationError:
             failures += 1
         hg_checked += 1
@@ -368,7 +364,7 @@ def _c12():
         f = TruthTable.majority(n)
         for step in range(1, 11):
             delta = step / 100.0
-            t = -math.log(1.0 - 2.0 * delta)
+            t = -math.log1p(-2.0 * delta)
             worst = max(worst, noise_sensitivity(f, delta) / math.sqrt(t))
     return worst <= NS_RATIO_CEILING, (
         f"max NS/sqrt(t) = {worst:.4f} <= pinned ceiling {NS_RATIO_CEILING}")

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from boolsurf.boundary import (_edge_biased_share, boundary_report, edge_threshold_check_exhaustive,
+from boolsurf.boundary import (_edge_verdict, boundary_report, edge_threshold_check_exhaustive,
                                level_sign_counts)
-from boolsurf.core import TruthTable, bsa, popcount_table, total_influence
+from boolsurf.core import (TruthTable, all_function_words, bsa, popcount_table,
+                           sensitivity_histogram, total_influence)
 from boolsurf.errors import CapacityError, InputError
 
 
@@ -132,6 +133,34 @@ def test_report_verdict_agrees_with_exhaustive_audit(n):
     assert all(rep.margin is None and rep.passed is None for rep in constants)
 
 
+def test_audit_rows_match_boundary_report_field_by_field():
+    # the audit reads every nonconstant histogram row in one batch; each row
+    # must give the report of its function (a report reads only the histogram,
+    # so one function per distinct histogram stands for all that share it)
+    one_level_rows = 0
+    for n in range(1, 5):
+        counts, _ = sensitivity_histogram(all_function_words(n), n)
+        nonconstant = counts[:, 0] < 1 << n
+        rows = np.stack(_edge_verdict(counts[nonconstant]), axis=-1)
+        distinct, first, which = np.unique(counts[nonconstant], axis=0, return_index=True,
+                                           return_inverse=True)
+        bits = np.arange(1 << n)
+        # row c is the function with f(x) = -1 where bit x of c is set
+        for j, c in enumerate(np.flatnonzero(nonconstant)[first].tolist()):
+            f = TruthTable(n, np.where((c >> bits) & 1, -1, 1))
+            rep = boundary_report(f)
+            assert f.profile().counts.tolist() == distinct[j].tolist()
+            want = (rep.influence, rep.bsa, rep.var_sqrt_sens, rep.threshold,
+                    rep.edge_biased_prob)
+            assert (rows[which.ravel() == j] == want).all(), (n, distinct[j])
+            assert rep.margin == rep.edge_biased_prob - 0.5 and rep.passed is True
+        one_level = np.count_nonzero(counts[nonconstant], axis=-1) == 1
+        assert (rows[one_level, 2] == 0.0).all()
+        assert (rows[one_level, 3] == counts[nonconstant][one_level].argmax(axis=-1) / 4).all()
+        one_level_rows += int(one_level.sum())
+    assert one_level_rows == 76
+
+
 def test_exhaustive_threshold_caps():
     with pytest.raises(CapacityError):
         edge_threshold_check_exhaustive(5)
@@ -145,10 +174,10 @@ def test_golden_edge_biased_mass_random10():
     rep = boundary_report(f)
     assert rep.threshold == 1.2659461444461622
     assert rep.edge_biased_prob == 0.9968152866242038
-    # edge-biased probability of s <= t, from the share boundary_report reads
-    for t, want in ((0.0, 0.0), (2.0, 0.021496815286624203),
-                    (4.5, 0.26612261146496813), (10.0, 1.0)):
-        assert _edge_biased_share(f.profile().counts, lambda levels: levels <= t) == want
+    # the threshold lies between levels 1 and 2: the tail is the edge mass
+    # m * counts[m] at m >= 2 over all of it, 5008 / 5024
+    mass = [m * c for m, c in enumerate(f.profile().counts.tolist())]
+    assert rep.edge_biased_prob == sum(mass[2:]) / sum(mass) == 5008 / 5024
 
 
 def test_level_sign_counts_majority5():

@@ -417,8 +417,19 @@ def test_analyze_table_spec_has_no_zero_hits(capsys, tmp_path):
 
 
 def test_analyze_rejects_csv(capsys):
-    code, _, err = run_cli(capsys, "analyze", "maj:3", "--format", "csv")
-    assert code == 2
+    code, out, err = run_cli(capsys, "analyze", "maj:3", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "boolsurf analyze: unrecognized arguments: --format csv\n"
+
+
+# the two JSON-only reports take no --format at all, not even json
+@pytest.mark.parametrize("command", ["analyze", "boundary"])
+def test_json_reports_take_no_format(capsys, command):
+    code, out, err = run_cli(capsys, command, "maj:3", "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == f"boolsurf {command}: unrecognized arguments: --format json\n"
+    assert run_cli(capsys, command, "--help")[0] == 0
+    assert "--format" not in capsys.readouterr().out
 
 
 def test_analyze_deterministic_bytes(capsys):
@@ -756,6 +767,18 @@ def test_sweep_ns_ratio_column(capsys):
     delta, t, ns, ratio = (float(c) for c in cells[2:])
     assert t == pytest.approx(-math.log(0.8))
     assert ratio == pytest.approx(ns / math.sqrt(t))
+
+
+def test_sweep_ns_tiny_delta(capsys):
+    # 1 - 2 delta rounds to 1.0 below delta ~ 5.6e-17, so t = -log(1 - 2 delta)
+    # read 0.0 there, and 2.22e-16 at delta = 1e-16; t = 2 delta + 2 delta^2 + ...
+    code, out, _ = run_cli(capsys, "sweep", "--kind", "ns",
+                           "--family", "maj", "--n", "5", "--delta", "1e-17,1e-16")
+    assert code == 0
+    for line in out.strip().split("\n")[1:]:
+        delta, t, ns, ratio = (float(c) for c in line.split(",")[2:])
+        assert t == pytest.approx(2.0 * delta, rel=1e-15)
+        assert math.isfinite(ratio) and ratio == ns / math.sqrt(t)
 
 
 def test_sweep_alpha_exact(capsys):
