@@ -1,19 +1,23 @@
-"""Fixed-point binary intervals with exact integer ends.
+"""Fixed-point binary enclosures with exact integer ends.
 
-`Interval(lo, hi, bits)` encloses a real x with lo <= x * 2^bits <= hi,
-where lo and hi are Python ints.  Square roots of integers come from
-`math.isqrt` and are a single point for perfect squares; sums are exact;
-products and quotients round their lower end down and their upper end up
-(outward rounding, R. Moore, *Interval Analysis*, 1966).  A comparison is
-True only when the two enclosures are strictly separated, so it proves
-the inequality between the enclosed reals; a False answer proves nothing.
+A real x is enclosed by two Python ints, its ends (lo, hi) at `bits`,
+with lo <= x * 2^bits <= hi.  Certified computations work on the ends
+directly, through a few plain functions: square roots of integers come
+from `math.isqrt` and are a single point for perfect squares (`_root`,
+`_isqrt_ends`, `sqrt_sum`); sums are exact, formed by the caller;
+products (`_product`) and quotients (`_quotient`) round their lower end
+down and their upper end up (outward rounding, R. Moore, *Interval
+Analysis*, 1966).  An inequality between two enclosed reals is proven
+only by strict separation, one enclosure's hi below the other's lo; an
+overlap proves nothing.
 
-A result is *settled* when both ends round to the same double.  Python's
-int / int division is correctly rounded, so the float of a settled
-interval is the correctly rounded float of the real it encloses.  A
-computation that needs a separation or a settled float which did not
-come out at its working bits reruns at twice the bits, a bounded number
-of times (`refine`).
+The enclosure a computation returns is an `Interval(lo, hi, bits)`.  It
+is *settled* when both ends round to the same double.  Python's int / int
+division is correctly rounded, so the float of a settled interval is the
+correctly rounded float of the real it encloses.  A computation that
+needs a separation or a settled float which did not come out at its
+working bits reruns at twice the bits, a bounded number of times
+(`refine`).
 """
 
 from __future__ import annotations
@@ -33,85 +37,12 @@ def working_bits(digits: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class Interval:
-    """The reals in [lo, hi] * 2^-bits."""
+    """The reals in [lo, hi] * 2^-bits: the enclosure a certified
+    computation returns."""
 
     lo: int
     hi: int
     bits: int
-
-    @classmethod
-    def exact(cls, value: int, bits: int) -> Interval:
-        return cls(value << bits, value << bits, bits)
-
-    @classmethod
-    def sqrt(cls, value: int, bits: int) -> Interval:
-        """sqrt(value) for an integer value >= 0."""
-        return _root(value, bits)
-
-    def root(self) -> Interval:
-        """The square root of a nonnegative interval."""
-        if self.lo < 0:
-            raise ValueError("square root of an interval reaching below 0")
-        lo = isqrt(self.lo << self.bits)
-        hi = isqrt(self.hi << self.bits)
-        return Interval(lo, hi if hi * hi == self.hi << self.bits else hi + 1, self.bits)
-
-    # ---------------------------------------------------------- arithmetic
-
-    def _ends(self, other) -> tuple[int, int]:
-        """`other`'s ends at this interval's bits: an int, or an interval
-        with the same bits."""
-        if type(other) is Interval and other.bits == self.bits:
-            return other.lo, other.hi
-        if isinstance(other, int):
-            return other << self.bits, other << self.bits
-        if isinstance(other, Interval):
-            raise ValueError(f"mixing {self.bits}-bit and {other.bits}-bit intervals")
-        raise TypeError(f"no interval arithmetic with {type(other).__name__}")
-
-    def __add__(self, other) -> Interval:
-        lo, hi = self._ends(other)
-        return Interval(self.lo + lo, self.hi + hi, self.bits)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> Interval:
-        lo, hi = self._ends(other)
-        return Interval(self.lo - hi, self.hi - lo, self.bits)
-
-    def __rtruediv__(self, other) -> Interval:
-        """An int divided by an interval lying above 0."""
-        return Interval.exact(other, self.bits) / self
-
-    def __mul__(self, other) -> Interval:
-        if isinstance(other, int):
-            if other >= 0:
-                return Interval(self.lo * other, self.hi * other, self.bits)
-            return Interval(self.hi * other, self.lo * other, self.bits)
-        lo, hi = self._ends(other)
-        return Interval(*_product(self.lo, self.hi, lo, hi, self.bits), self.bits)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> Interval:
-        """Division by a positive int or by an interval lying above 0."""
-        if isinstance(other, int):
-            if other <= 0:
-                raise ZeroDivisionError("interval division needs a positive divisor")
-            return Interval(self.lo // other, -(-self.hi // other), self.bits)
-        lo, hi = self._ends(other)
-        if lo <= 0:
-            raise ZeroDivisionError("interval division needs a divisor above 0")
-        return Interval((self.lo << self.bits) // (hi if self.lo >= 0 else lo),
-                        -(-(self.hi << self.bits) // (lo if self.hi >= 0 else hi)),
-                        self.bits)
-
-    # ---------------------------------------------------------- comparisons
-
-    def __lt__(self, other) -> bool:
-        return self.hi < self._ends(other)[0]
-
-    # ---------------------------------------------------------- floats
 
     @property
     def settled(self) -> bool:
@@ -134,22 +65,36 @@ def _product(lo: int, hi: int, other_lo: int, other_hi: int, bits: int) -> tuple
     return low >> bits, -(-high >> bits)
 
 
-def sqrt_sum(terms, bits: int) -> Interval:
-    """sum_i w_i sqrt(v_i) over integer pairs (w_i, v_i), w_i, v_i >= 0."""
+def _quotient(lo: int, hi: int, other_lo: int, other_hi: int, bits: int) -> tuple[int, int]:
+    """The ends of [lo, hi] / [other_lo, other_hi] at `bits`, rounded outward,
+    for a divisor lying above 0."""
+    if other_lo <= 0:
+        raise ZeroDivisionError("interval division needs a divisor above 0")
+    return ((lo << bits) // (other_hi if lo >= 0 else other_lo),
+            -(-(hi << bits) // (other_lo if hi >= 0 else other_hi)))
+
+
+def _isqrt_ends(value: int, bits: int) -> tuple[int, int]:
+    """The ends of sqrt(value) at `bits` for an integer value >= 0: a single
+    point when value 2^(2 bits) is a square."""
+    scaled = value << 2 * bits
+    root = isqrt(scaled)
+    return root, root if root * root == scaled else root + 1
+
+
+# `_isqrt_ends`, cached: the sandwich roots the same few integers at every k
+_root = lru_cache(maxsize=None)(_isqrt_ends)
+
+
+def sqrt_sum(terms, bits: int) -> tuple[int, int]:
+    """The ends of sum_i w_i sqrt(v_i) at `bits` over integer pairs (w_i, v_i),
+    w_i, v_i >= 0."""
     lo = hi = 0
     for weight, value in terms:
-        scaled = value << 2 * bits
-        root = isqrt(scaled)
-        lo += weight * root
-        hi += weight * (root if root * root == scaled else root + 1)
-    return Interval(lo, hi, bits)
-
-
-@lru_cache(maxsize=None)
-def _root(value: int, bits: int) -> Interval:
-    if value < 0:
-        raise ValueError(f"square root of negative integer {value}")
-    return Interval.exact(value, bits).root()
+        root_lo, root_hi = _isqrt_ends(value, bits)
+        lo += weight * root_lo
+        hi += weight * root_hi
+    return lo, hi
 
 
 def refine(compute, bits: int):

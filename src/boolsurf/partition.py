@@ -17,9 +17,9 @@ Jensen estimate, and cross-checks everything against a shuffle-based
 Monte Carlo and against restricted sub-function averages of actual
 Boolean functions.
 
-Certification convention: every certified quantity is an
-`interval.Interval`, an enclosure with integer ends carried at
-`precision` decimal digits plus guard bits.  An inequality passes only
+Certification convention: every certified quantity is enclosed by
+integer ends carried at `precision` decimal digits plus guard bits and
+returned as an `interval.Interval`.  An inequality passes only
 by strict separation of the two enclosures (rerun at more bits while
 they overlap) or by one of these structural equalities, which hold as
 identities:
@@ -47,7 +47,8 @@ import numpy as np
 from .core import (_CELL_BUDGET, TruthTable, _check_n, _moment_weights, _subset_sums, bsa,
                    popcount_table, sensitivities)
 from .errors import DegenerateInputError, InputError, VerificationError, _exact_int
-from .interval import Interval, _product, _root, refine, sqrt_sum, working_bits
+from .interval import (Interval, _isqrt_ends, _product, _quotient, _root, refine, sqrt_sum,
+                       working_bits)
 from .seeding import Estimate, mc_values, mean_and_stderr
 
 DEFAULT_PRECISION = 15
@@ -89,20 +90,25 @@ class HypergeometricParams:
             raise InputError("draws must lie in 1..population")
 
     def support(self) -> range:
-        return _hg_table(self.population, self.successes, self.draws)[0]
+        return _hg_support(self.population, self.successes, self.draws)
+
+
+def _hg_support(population: int, successes: int, draws: int) -> range:
+    """The ones counts a uniform m-subset of n positions with k ones can
+    hold: max(0, m - (n - k)) .. min(m, k)."""
+    n, k, m = population, successes, draws
+    return range(max(0, m - (n - k)), min(m, k) + 1)
 
 
 def _hg_weights(population: int, successes: int, draws: int) -> tuple[range, list[int]]:
-    """(support, weights): the support is the ones counts a uniform m-subset
-    of n positions with k ones can hold, max(0, m - (n - k)) .. min(m, k),
-    and the weight at s is the integer C(k, s) C(n - k, m - s), so that
-    P[X = s] is it over C(n, m).
+    """(support, weights): `_hg_support`'s ones counts, and at each s the
+    integer weight C(k, s) C(n - k, m - s), so that P[X = s] is it over C(n, m).
 
     The first weight takes two `comb` calls and each next one the ratio
     recurrence w(s + 1) = w(s) (k - s) (m - s) / ((s + 1) (n - k - m + s + 1)),
     whose division is exact: the quotient is the integer w(s + 1)."""
     n, k, m = population, successes, draws
-    support = range(max(0, m - (n - k)), min(m, k) + 1)
+    support = _hg_support(n, k, m)
     weight = comb(k, support.start) * comb(n - k, m - support.start)
     weights = [weight]
     for s in support[:-1]:
@@ -221,12 +227,13 @@ class _Split:
     blocks: int
     near_equal: bool  # the sizes permute the floor/ceil split of n
     size_counts: tuple[tuple[int, int], ...]  # (distinct size, count) pairs
-    inv_root_b: Interval  # 1 / sqrt(b)
-    # the gap bound's tilt = 1 - sum_l sqrt(m_l) / sqrt(b n) and
+    # the (lo, hi) ends at the split's bits of 1 / sqrt(b), of the gap
+    # bound's tilt = 1 - sum_l sqrt(m_l) / sqrt(b n) and of its
     # slope = sum_l (n - m_l) / sqrt(m_l) / (2 (n - 1) sqrt(b n));
-    # None for one block, whose gap bound is 0
-    tilt: Interval | None
-    slope: Interval | None
+    # tilt and slope are None for one block, whose gap bound is 0
+    inv_root_b: tuple[int, int]
+    tilt: tuple[int, int] | None
+    slope: tuple[int, int] | None
 
 
 @lru_cache(maxsize=None)
@@ -236,16 +243,23 @@ def _split(n: int, sizes: tuple[int, ...], bits: int) -> _Split:
     low = n // blocks  # near-equal sizes lie in {low, low + 1}
     tilt = slope = None
     if blocks > 1:
-        root_bn = Interval.sqrt(blocks * n, bits)
-        sum_roots = sum_ratio = Interval.exact(0, bits)
+        root_lo, root_hi = _root(blocks * n, bits)
+        roots_lo = roots_hi = ratio_lo = ratio_hi = 0
         for m, count in size_counts:
-            root = Interval.sqrt(m, bits)
-            sum_roots += count * root
-            sum_ratio += Interval.exact(count * (n - m), bits) / root
-        tilt = (root_bn - sum_roots) / root_bn
-        slope = sum_ratio / (2 * (n - 1) * root_bn)
+            lo, hi = _root(m, bits)
+            roots_lo += count * lo
+            roots_hi += count * hi
+            # count (n - m) / sqrt(m), its numerator exact and positive
+            ratio = count * (n - m) << bits
+            lo, hi = _quotient(ratio, ratio, lo, hi, bits)
+            ratio_lo += lo
+            ratio_hi += hi
+        tilt = _quotient(root_lo - roots_hi, root_hi - roots_lo, root_lo, root_hi, bits)
+        scale = 2 * (n - 1)
+        slope = _quotient(ratio_lo, ratio_hi, scale * root_lo, scale * root_hi, bits)
+    one = 1 << bits
     return _Split(blocks, low <= min(sizes) and max(sizes) <= low + 1, size_counts,
-                  1 / Interval.sqrt(blocks, bits), tilt, slope)
+                  _quotient(one, one, *_root(blocks, bits), bits), tilt, slope)
 
 
 def _sandwich(split: _Split, n: int, k: int, bits: int) -> tuple:
@@ -257,10 +271,9 @@ def _sandwich(split: _Split, n: int, k: int, bits: int) -> tuple:
     pass_upper, pass_gap): A = sqrt(n - k), the average B, gap = A - B,
     the gap bound's (lo, hi) ends or None when k = n, and the three
     certificates (pass_upper None off near-equal sizes, pass_gap None
-    when k = n).  Products round outward as `Interval.__mul__` does.
+    when k = n).
     """
-    root = _root(n - k, bits)
-    a_lo, a_hi = root.lo, root.hi
+    a_lo, a_hi = _root(n - k, bits)
     if k == n or split.blocks == 1 or (k == 0 and len(split.size_counts) == 1):
         # B = sqrt(n - k) identically: every block count is constant, so
         # the gap and its bound are 0 (the bound is undefined at k = n)
@@ -272,18 +285,17 @@ def _sandwich(split: _Split, n: int, k: int, bits: int) -> tuple:
             mean_lo, mean_hi = _mean_sqrt(n, n - k, m, bits)
             lo += count * mean_lo
             hi += count * mean_hi
-        inv = split.inv_root_b
-        b_lo, b_hi = _product(lo, hi, inv.lo, inv.hi, bits)
+        b_lo, b_hi = _product(lo, hi, *split.inv_root_b, bits)
         gap_lo, gap_hi = a_lo - b_hi, a_hi - b_lo
         lower = b_hi < a_lo
         # sqrt(n - k) * (tilt + k * slope / (n - k)): the Jensen steps
         # sqrt(n - k) * tilt and k * slope / sqrt(n - k), the sum rounded
         # outward in one step
-        tilt, slope = split.tilt, split.slope
-        lo, hi = tilt.lo, tilt.hi
+        lo, hi = split.tilt
         if k:
-            lo += slope.lo * k // (n - k)
-            hi -= -slope.hi * k // (n - k)
+            slope_lo, slope_hi = split.slope
+            lo += slope_lo * k // (n - k)
+            hi -= -slope_hi * k // (n - k)
         bound = _product(a_lo, a_hi, lo, hi, bits)
         gap_ok = k == 0 or gap_hi < bound[0]  # at k = 0 the bound is the gap itself
     upper = gap_hi < split.blocks << bits if split.near_equal else None  # A <= B + b
@@ -299,9 +311,10 @@ def _all_passed(pass_lower: bool, pass_upper: bool | None, pass_gap: bool | None
 def _certify(ends: tuple, bits: int) -> tuple[tuple, bool]:
     """((ends, bits, floats), certified) for `_sandwich`'s `ends` at `bits`:
     floats holds A, B, the gap and the bound (None when k = n), each the
-    double nearest its enclosure's midpoint as `float(Interval)` gives it,
-    and certified says that every certificate passes or does not apply and
-    all four are settled (`Interval.settled`).
+    double nearest the midpoint of its ends, and certified says that every
+    certificate passes or does not apply and all four are settled: both
+    ends of each round to the same double.  The four are checked at once,
+    since this runs once per case.
 
     A settled enclosure's float is its lower end's: correct rounding is
     monotone, so when both ends round to one double the midpoint between
@@ -465,20 +478,24 @@ def _jensen_bounds(xs, weights, total: int, x_den: int = 1,
     spread = total * sum(map(mul, weights, map(mul, xs, xs))) - first * first
 
     def enclose(bits):
-        root = Interval.exact(first * den, bits).root()
-        upper = root / den  # sqrt(E[X])
+        # root = sqrt(first den), so sqrt(E[X]) = root / den
+        root_lo, root_hi = _isqrt_ends(first * den, bits)
+        upper = Interval(root_lo // den, -(-root_hi // den), bits)
         if spread == 0:
-            return JensenBounds(upper, upper, upper), upper.settled
+            return (JensenBounds(upper, upper, upper), True), upper.settled
         # sqrt(E[X]) - Var(X) / (2 E[X]^{3/2}) = (2 first^2 - spread) / (2 first root),
-        # exactly 0 when E[X^2] = 3 E[X]^2
-        lower = Interval.exact(2 * first * first - spread, bits) / (root * (2 * first))
-        mean_sqrt = sqrt_sum(zip(weights, (x * x_den for x in xs)), bits) / den
-        bounds = JensenBounds(lower, upper, mean_sqrt)
-        return bounds, (lower < mean_sqrt < upper and lower.settled and upper.settled
-                        and mean_sqrt.settled)
+        # exactly 0 when E[X^2] = 3 E[X]^2 and below 0 when 2 first^2 < spread
+        numerator = 2 * first * first - spread << bits
+        lower = Interval(*_quotient(numerator, numerator, root_lo * (2 * first),
+                                    root_hi * (2 * first), bits), bits)
+        lo, hi = sqrt_sum(zip(weights, (x * x_den for x in xs)), bits)
+        mean_sqrt = Interval(lo // den, -(-hi // den), bits)
+        separated = lower.hi < mean_sqrt.lo and mean_sqrt.hi < upper.lo
+        return ((JensenBounds(lower, upper, mean_sqrt), separated),
+                separated and lower.settled and upper.settled and mean_sqrt.settled)
 
-    bounds = refine(enclose, working_bits(precision))
-    if spread and not bounds.lower < bounds.mean_sqrt < bounds.upper:
+    bounds, separated = refine(enclose, working_bits(precision))
+    if not separated:
         raise VerificationError(
             f"E[sqrt(X)] = {float(bounds.mean_sqrt)!r} is not certified inside "
             f"[{float(bounds.lower)!r}, {float(bounds.upper)!r}]")

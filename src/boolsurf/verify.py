@@ -33,7 +33,7 @@ from . import boundary, partition, restriction
 from .core import (TruthTable, _one_level, bsa, bsa_via_tails, fractional_moment,
                    noise_sensitivity, noise_sensitivity_semigroup)
 from .errors import BoolsurfError, InputError, VerificationError
-from .interval import prove, sqrt_sum, working_bits
+from .interval import _product, prove, sqrt_sum, working_bits
 from .ptf import generate, sign_table
 from .seeding import substream
 
@@ -181,8 +181,8 @@ def _area_below_root_influence(counts, n: int) -> bool:
     influence = sum(c * s for c, s in terms) << n
 
     def claim(bits):
-        area = sqrt_sum(terms, bits)
-        return area * area < influence
+        lo, hi = sqrt_sum(terms, bits)
+        return _product(lo, hi, lo, hi, bits)[1] < influence << bits
 
     return prove(claim, working_bits(partition.CERT_PRECISION))
 
@@ -394,8 +394,9 @@ def _c13():
 
 
 @_criterion("c14", "surface area stays under the suite's polylog ceiling for every "
-                   "generated threshold function")
+                   "generated threshold function (vacuous: BSA <= sqrt(n) < 5, ceiling >= 32)")
 def _c14():
+    # s <= n <= 24 gives BSA <= sqrt(24) < 5, and 32 ln(e n)^(2K + 1) >= 32: this cannot fail.
     exponent = 2 * SUITE_DEGREE_EXPONENT_K + 1
     worst = math.inf
     ok = True

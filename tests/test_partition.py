@@ -38,6 +38,11 @@ def close(x, want, tol=TOL) -> bool:
     return all(abs(end - want) < tol for end in ends(x))
 
 
+def separated(out) -> bool:
+    """The Jensen enclosure proves lower < E[sqrt(X)] < upper."""
+    return out.lower.hi < out.mean_sqrt.lo and out.mean_sqrt.hi < out.upper.lo
+
+
 # ---------------------------------------------------------------- pmf
 
 
@@ -50,6 +55,16 @@ def test_hg_params_validation():
         HypergeometricParams(4, 2, 0)
     with pytest.raises(InputError):
         HypergeometricParams(4, 2, 5)
+
+
+def test_hg_support_builds_no_weights(monkeypatch):
+    def no_weights(*args):
+        raise AssertionError("support() built the weights")
+
+    partition._hg_table.cache_clear()
+    monkeypatch.setattr(partition, "_hg_weights", no_weights)
+    assert HypergeometricParams(20000, 10000, 10000).support() == range(0, 10001)
+    assert HypergeometricParams(10, 7, 5).support() == range(2, 6)
 
 
 def test_hg_pmf_golden_case():
@@ -139,15 +154,15 @@ def test_hg_weights_recurrence_matches_binomials():
 @pytest.mark.parametrize("digits", [15, 30, 50])
 def test_mean_sqrt_ends_match_two_product_sum(digits):
     # the reference multiplies each weight by both ends of _root and
-    # divides the sums outward by C(n, m), as Interval(lo, hi) / C(n, m)
+    # divides each sum by C(n, m), the lower one down and the upper one up
     bits = working_bits(digits)
     for n, K, m in HG_ORACLE_CASES:
         lo = hi = 0
         for s in range(max(0, m - (n - K)), min(m, K) + 1):
             weight = math.comb(K, s) * math.comb(n - K, m - s)
-            root = _root(s, bits)
-            lo += weight * root.lo
-            hi += weight * root.hi
+            root_lo, root_hi = _root(s, bits)
+            lo += weight * root_lo
+            hi += weight * root_hi
         total = math.comb(n, m)
         assert partition._mean_sqrt(n, K, m, bits) == (lo // total, -(-hi // total))
 
@@ -342,12 +357,22 @@ def test_jensen_affine_scaling():
     # Var(X) = 1/4, E[Y] = 2: penalty = 4 * (1/4) / (2 * 2^1.5) = sqrt(2) / 8
     assert close(out.lower, root(2) - root(2) / 8, Fraction(1, 10**20))
     assert close(out.mean_sqrt, (1 + root(3)) / 2)
-    assert out.lower < out.mean_sqrt < out.upper
+    assert separated(out)
 
 
 def test_jensen_float_probabilities_accepted():
     out = jensen_bounds([0, 1, 2], [0.2, 0.5, 0.3], precision=15)
-    assert out.lower < out.mean_sqrt < out.upper
+    assert separated(out)
+
+
+def test_jensen_lower_end_below_zero():
+    # E[X] = 1 and Var(X) = 99: the lower end 1 - 99 / 2 is negative, and
+    # exact since sqrt(E[X]) is a point
+    out = jensen_bounds([0, 100], [Fraction(99, 100), Fraction(1, 100)], precision=30)
+    assert ends(out.lower) == (Fraction(-97, 2), Fraction(-97, 2))
+    assert ends(out.upper) == (1, 1)
+    assert close(out.mean_sqrt, Fraction(1, 10))
+    assert separated(out)
 
 
 def test_jensen_validation():

@@ -1,16 +1,21 @@
-"""Pinned output bytes: sha256 of fixed CLI runs.
+"""Pinned output bytes: sha256 of fixed CLI runs, and of exact enclosure ends.
 
 Each row runs one command in-process and hashes its stdout, followed by
 the `--levels-csv` file when the command writes one.  A refactor that
 keeps every computation's result keeps every digest; a changed digest
 means a changed output byte, which needs its own reason and a new pin.
+The CLI prints floats only, so the integer ends behind them are pinned
+on their own.
 """
 
 import hashlib
+import math
 
 import pytest
 
+from boolsurf import partition, verify
 from boolsurf.cli import main
+from boolsurf.seeding import substream
 
 PINNED = [
     ("partition-1..30-15",
@@ -90,3 +95,56 @@ def test_output_digest(capsys, tmp_path, argv, digest):
     if levels.exists():
         output += levels.read_bytes()
     assert hashlib.sha256(output).hexdigest() == digest
+
+
+def _ends(x) -> tuple | None:
+    return None if x is None else (x.lo, x.hi, x.bits)
+
+
+def _jensen_ends():
+    """`jensen_bounds`' (lo, hi, bits) on c8's first 500 random distributions
+    and first 200 hypergeometric cases, at 15, 30 and 50 digits."""
+    rng = substream(verify.SUITE_SEED, 8)
+    random_cases = []
+    for _ in range(500):  # drawn as c8 draws them
+        size = int(rng.integers(1, 9))
+        values = rng.uniform(0.0, 10.0, size=size)
+        weights = rng.uniform(0.1, 1.0, size=size)
+        probs = weights / weights.sum()
+        random_cases.append(([float(v) for v in values], [float(p) for p in probs]))
+    hg_cases = [case for case in verify._c6_hypergeometric_cases() if case[1]][:200]
+    rows = []
+    for precision in (15, 30, 50):
+        for values, probs in random_cases:
+            out = partition.jensen_bounds(values, probs, precision)
+            rows.append((_ends(out.lower), _ends(out.upper), _ends(out.mean_sqrt)))
+        for n, successes, m in hg_cases:
+            support, weights = partition._hg_weights(n, successes, m)
+            out = partition._jensen_bounds(list(support), weights, math.comb(n, m),
+                                           precision=precision)
+            rows.append((_ends(out.lower), _ends(out.upper), _ends(out.mean_sqrt)))
+    return rows
+
+
+def _sandwich_ends():
+    """`sandwich_check`'s (lo, hi, bits) and verdicts on 500 splits drawn as
+    c7 draws them."""
+    rng = substream(verify.SUITE_SEED, 7)
+    rows = []
+    for _ in range(500):
+        n = int(rng.integers(2, 41))
+        k = int(rng.integers(0, n))
+        b = int(rng.integers(1, min(4, n) + 1))
+        spec = partition.BlockPartitionSpec(n, k, verify._random_composition(rng, n, b))
+        out = partition.sandwich_check(spec)
+        rows.append((_ends(out.sqrt_total), _ends(out.block_average), _ends(out.gap),
+                     _ends(out.gap_bound), out.pass_lower, out.pass_upper, out.pass_gap))
+    return rows
+
+
+@pytest.mark.parametrize("rows, digest", [
+    (_jensen_ends, "fa1c7c972e795113264a3929e7cea1d87bc8d1285d4b82501b53164d7961b7c8"),
+    (_sandwich_ends, "513684b89cd52af5e587d91921b9e72fb1540fbe2580e487ffab60cff58966b3"),
+], ids=["jensen_bounds", "sandwich_check"])
+def test_enclosure_ends_digest(rows, digest):
+    assert hashlib.sha256(repr(rows()).encode()).hexdigest() == digest

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is read somewhere in it, and
-every private top-level helper is read somewhere in the package.
+every private top-level helper and private method is read somewhere in the
+package.
 
 __init__.py is left out of the import check: its imports are the exported
 names.
@@ -70,6 +71,15 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
             if name.startswith("_") and not name.endswith("__")}
 
 
+def private_methods(tree: ast.Module) -> dict[str, int]:
+    """Each private, non-dunder method of a class in the module with its
+    line, decorated ones included: a method is reached as an attribute."""
+    return {node.name: node.lineno for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.endswith("__")}
+
+
 def used_names(tree: ast.AST) -> set[str]:
     """Names loaded anywhere in the module, and every attribute it reads
     (a helper another module reaches as module._name)."""
@@ -83,8 +93,22 @@ def test_the_scan_sees_a_dead_helper():
     assert set(private_definitions(tree)) - used_names(tree) == {"_B", "_f"}
 
 
+def test_the_scan_sees_a_dead_method():
+    tree = ast.parse("class C:\n"
+                     "    def __init__(self): self._a()\n"
+                     "    def _a(self): pass\n"
+                     "    def _dead(self): pass\n"
+                     "    @classmethod\n"
+                     "    def _b(cls): pass\n"
+                     "    @classmethod\n"
+                     "    def _unread(cls): pass\n"
+                     "x = C._b()\n")
+    assert set(private_methods(tree)) - used_names(tree) == {"_dead", "_unread"}
+
+
 def test_no_dead_private_helpers():
     used = set().union(*map(used_names, TREES.values()))
     dead = {f"{module}:{line}": name for module, tree in TREES.items()
-            for name, line in private_definitions(tree).items() if name not in used}
-    assert dead == {}, "private top-level names that no module of the package reads"
+            for name, line in {**private_definitions(tree), **private_methods(tree)}.items()
+            if name not in used}
+    assert dead == {}, "private top-level names and methods that no module of the package reads"
