@@ -5,7 +5,8 @@ signs.  Bit i of the table index is 0 where coordinate i equals +1 and 1
 where it equals -1, so ``x ^ (1 << i)`` is the neighbour of ``x`` across
 coordinate i.  Only this module writes the encoding out: ``_unpack_bits``,
 ``_pack_bits``, ``_subset_sums``/``gather_bits``/``scatter_bits``,
-``broadcast_bits``, ``_chi``, ``to_signs``, ``minus_mask``, ``pack_signs``.
+``broadcast_bits``, ``_chi``, ``to_signs``, ``minus_mask``, ``pack_signs``,
+``_sensitive_directions``.
 
 The pointwise sensitivity s(x) counts coordinates whose flip changes f
 at x.  Everything downstream is a moment of the sensitivity histogram:
@@ -14,8 +15,10 @@ E[sqrt(s)], and the general fractional moment is E[s^alpha].  One
 kernel, ``sensitivity_histogram``, counts it on tables packed to bits
 by ``pack_signs``, together with the per-axis disagreeing-pair counts
 (the per-coordinate influences); profiles and the exhaustive audits read
-it.  ``sensitivities`` gives s at every point, for the one caller that
-needs point order (the block-bound trials).
+it.  The block-bound trials read ``_sensitive_directions`` instead: one
+word D(x) per point whose bit i is set where flipping coordinate i
+changes f at x, so the sensitivity at x of f restricted to a block S,
+every other coordinate fixed as in x, is popcount(D(x) & S).
 Moments are dot products against cached weight tables, so quantities
 related by "same summation" claims (surface area vs the alpha = 1/2
 moment, influence vs the alpha = 1 moment) are bit-for-bit identical.
@@ -551,38 +554,18 @@ def _spell_levels(planes, complements, prefixes, b, high, selected, counts, ones
             counts[:, level] += ones.sum(axis=-1, dtype=np.int64)
 
 
-def sensitivities(values) -> tuple[np.ndarray, np.ndarray]:
-    """(s, edges) for tables along the last axis of `values` (..., 2^n).
-
-    s is C-contiguous uint8 of the input's shape: s[..., x] counts the
-    axes whose flip changes that table at x.  edges[i] counts the pairs
-    {x, x ^ (1 << i)} that disagree, summed over every table.  The scan
-    runs points-major (tables on the contiguous inner axis), which keeps
-    batches of many small tables as fast as one large table.
-
-    Histograms come from sensitivity_histogram; this per-point scan serves
-    bsa_block_bound, whose float sums keep point order.  On its batches
-    (2,048 to 8,192 tables of 8 to 32 points; 2-core Xeon), packing, bit-sliced
-    counting and unpacking s ran 1.8x to 5.8x slower; summing histograms times
-    root weights cut sampling's work_per_s 2-18% and moved rhs_estimate's bits.
-    """
+def _sensitive_directions(values) -> np.ndarray:
+    """uint32 words D of one table of 2^n signs, n <= EXACT_CAP: bit i of
+    D[x] is set where x and x ^ (1 << i) disagree, so s(x) = popcount(D[x])."""
     values = np.asarray(values)
-    size = values.shape[-1]
-    if size == 0 or size & (size - 1):
-        raise InputError(f"table length must be a power of two, got {size}")
-    n = size.bit_length() - 1
-    cols = np.ascontiguousarray(values.reshape(-1, size).T)  # (2^n, tables)
-    sens = np.zeros(cols.shape, dtype=np.uint8)
-    edges = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        stride = (1 << i) * cols.shape[1]
-        pairs = cols.reshape(-1, 2, stride)
-        differs = pairs[:, 0, :] != pairs[:, 1, :]
-        edges[i] = np.count_nonzero(differs)
-        halves = sens.reshape(-1, 2, stride)
-        halves[:, 0, :] += differs
-        halves[:, 1, :] += differs
-    return np.ascontiguousarray(sens.T).reshape(values.shape), edges
+    words = np.zeros(values.shape, dtype=np.uint32)
+    for i in range(values.size.bit_length() - 1):
+        pairs = values.reshape(-1, 2, 1 << i)
+        bit = (pairs[:, 0] != pairs[:, 1]).astype(np.uint32) << np.uint32(i)
+        halves = words.reshape(pairs.shape)
+        halves[:, 0] |= bit
+        halves[:, 1] |= bit
+    return words
 
 
 def all_function_words(n: int) -> np.ndarray:

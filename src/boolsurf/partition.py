@@ -44,8 +44,8 @@ from operator import mul
 
 import numpy as np
 
-from .core import (_CELL_BUDGET, TruthTable, _check_n, _moment_weights, _subset_sums, bsa,
-                   popcount_table, sensitivities)
+from .core import (_CELL_BUDGET, TruthTable, _check_n, _moment_weights, _sensitive_directions,
+                   _subset_sums, bsa, popcount_table)
 from .errors import DegenerateInputError, InputError, VerificationError, _exact_int
 from .interval import (Interval, _isqrt_ends, _product, _quotient, _root, refine, sqrt_sum,
                        working_bits)
@@ -117,24 +117,13 @@ def _hg_weights(population: int, successes: int, draws: int) -> tuple[range, lis
     return support, weights
 
 
-# Bounded: the weights of a large population are huge integers.
-@lru_cache(maxsize=64)
-def _hg_table(population: int, successes: int, draws: int) -> tuple[range, tuple[int, ...], int]:
-    """(support, weights, C(n, m)): `_hg_weights`' support and weights, the
-    weights C(k, s) C(n - k, m - s) by its exact ratio recurrence
-    w(s + 1) = w(s) (k - s) (m - s) / ((s + 1) (n - k - m + s + 1)), and
-    P[X = s] the weight at s over C(n, m)."""
-    support, weights = _hg_weights(population, successes, draws)
-    return support, tuple(weights), comb(population, draws)
-
-
 def hg_pmf(params: HypergeometricParams, s: int) -> Fraction:
-    """Exact point mass P[X = s]."""
-    support, weights, total = _hg_table(params.population, params.successes, params.draws)
+    """Exact point mass P[X = s]: `_hg_weights`' weight at s over C(n, m)."""
     s = _exact_int(s, "ones count")
+    support, weights = _hg_weights(params.population, params.successes, params.draws)
     if s not in support:
         return Fraction(0)
-    return Fraction(weights[s - support.start], total)
+    return Fraction(weights[s - support.start], comb(params.population, params.draws))
 
 
 @lru_cache(maxsize=None)
@@ -529,11 +518,15 @@ def mc_partition_average(y, sizes, trials: int, seed: int = 0,
     """Shuffle-based estimate of the partition average of a fixed 0/1
     sequence of at most EXACT_CAP positions, for cross-checking the exact
     hypergeometric route."""
-    y = np.asarray(y, dtype=np.int64)
-    if y.ndim != 1 or not np.isin(y, (0, 1)).all():
+    if np.ndim(y) != 1:
         raise InputError("population must be a 1-D 0/1 sequence")
     _check_n(len(y))
-    _, table = _shuffle_table(int(y.sum()), _check_split(len(y), sizes)[1])
+    # each entry by the integer rule: an int64 cast would truncate 0.5 and
+    # 1.9 to 0 and 1, and read True as 1
+    y = [_exact_int(v, "population entry") for v in y]
+    if not {0, 1}.issuperset(y):
+        raise InputError("population entries must be 0 or 1")
+    _, table = _shuffle_table(sum(y), _check_split(len(y), sizes)[1])
     # a trial holds an int64 index and its value; the table, fixed per call,
     # is C(n, ones) float64 values: 103 KB at n = 16, 21.6 MB at n = 24
     values = mc_values(trials, seed, workers, partial(_picks, table=table), 8 + 8)
@@ -561,14 +554,17 @@ class BlockBoundReport:
     passed: bool
 
 
-def _block_values(f: TruthTable, sizes: tuple[int, ...], rng, size: int) -> np.ndarray:
-    """One chunk of bsa_block_bound: per trial the right side's block sum
-    over one uniform ordered partition into `sizes`, divided by sqrt(b)."""
+def _block_values(n: int, words: np.ndarray, sizes: tuple[int, ...], rng,
+                  size: int) -> np.ndarray:
+    """One chunk of bsa_block_bound on f's `_sensitive_directions` words:
+    per trial the right side's block sum over one uniform ordered partition
+    into `sizes`, divided by sqrt(b).  The sub-table of block S at x has
+    sensitivity popcount(words[x] & S) at each of its points x."""
     offsets = np.cumsum((0,) + sizes[:-1])
-    roots = _moment_weights(f.n, 0.5)
+    roots = _moment_weights(n, 0.5)
     segment = max(1, _CELL_BUDGET >> max(sizes))  # rows per (rows, 2^m) index array
-    perms = rng.permuted(np.tile(np.arange(f.n, dtype=np.int64), (size, 1)), axis=1)
-    outside = rng.integers(0, 1 << f.n, size=(size, len(sizes)), dtype=np.int64)
+    perms = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (size, 1)), axis=1)
+    outside = rng.integers(0, 1 << n, size=(size, len(sizes)), dtype=np.int64)
     total = np.zeros(size, dtype=np.float64)
     for start in range(0, size, segment):
         rows = slice(start, min(start + segment, size))
@@ -576,8 +572,8 @@ def _block_values(f: TruthTable, sizes: tuple[int, ...], rng, size: int) -> np.n
             positions = perms[rows, offsets[l]:offsets[l] + m_l]  # (seg, m_l)
             sub = _subset_sums(positions)  # (seg, 2^m_l); the last column is the block mask
             idx = (outside[rows, l] & ~sub[:, -1])[:, None] + sub
-            sens, _ = sensitivities(f.values[idx])
-            total[rows] += roots[sens].mean(axis=1)
+            block = sub[:, -1:].astype(np.uint32)
+            total[rows] += roots[np.bitwise_count(words[idx] & block)].mean(axis=1)
     return total / np.sqrt(float(len(sizes)))
 
 
@@ -593,9 +589,11 @@ def bsa_block_bound(f: TruthTable, blocks: int, trials: int, seed: int = 0,
     a real bug.
     """
     sizes = near_equal_sizes(f.n, blocks)
-    # the tiled and the permuted (trials, n) int64 arrays, the completions
-    # and the totals; the sub-table indices are bounded per segment
-    values = mc_values(trials, seed, workers, partial(_block_values, f, sizes),
+    words = _sensitive_directions(f.values)
+    # a trial holds the tiled and the permuted (trials, n) int64 arrays, the
+    # completions and the totals; the sub-table indices are bounded per
+    # segment.  The words, fixed per call, are 2^n uint32: 64 MiB at n = 24
+    values = mc_values(trials, seed, workers, partial(_block_values, f.n, words, sizes),
                        8 * (2 * f.n + blocks + 2))
     est, err = mean_and_stderr(values)
     lhs = bsa(f)

@@ -6,14 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boolsurf.core import (EXACT_CAP, TruthTable, _subset_sums, _transform, all_function_words,
-                           all_points_signs, broadcast_bits, bsa, bsa_via_tails,
-                           fractional_moment, gather_bits,
+from boolsurf.core import (EXACT_CAP, TruthTable, _sensitive_directions, _subset_sums, _transform,
+                           all_function_words, all_points_signs, broadcast_bits, bsa,
+                           bsa_via_tails, fractional_moment, gather_bits,
                            minus_mask, noise_sensitivity, noise_sensitivity_semigroup,
-                           pack_signs, popcount_table, scatter_bits, sensitivities,
+                           pack_signs, popcount_table, scatter_bits,
                            sensitivity_histogram, to_signs, total_influence, walsh_hadamard)
 from boolsurf.errors import CapacityError, InputError
 from boolsurf.ptf import generate, sign_table
+from boolsurf.restriction import Restriction, restrict_table
 
 
 def brute_sensitivity(values, n, x):
@@ -80,19 +81,89 @@ def test_all_points_signs_matches_scalar_encoding():
 # ---------------------------------------------------------------- sensitivity
 
 
+def direction_words(values):
+    """_sensitive_directions of each table along the last axis of `values`
+    (..., 2^n).  Stacked, and padded with constant tables to a power-of-two
+    count, the tables are one table whose low n axes stay inside each of
+    them, so one call gives every table's words in its low n bits."""
+    values = np.asarray(values)
+    size = values.shape[-1]
+    rows = values.reshape(-1, size)
+    stack = np.ones((1 << (len(rows) - 1).bit_length(), size), dtype=np.int8)
+    stack[:len(rows)] = rows
+    words = _sensitive_directions(stack.ravel()).reshape(stack.shape)[:len(rows)]
+    return (words & np.uint32(size - 1)).reshape(values.shape)
+
+
+def scan_sensitivities(values):
+    """(s, edges) for the tables along the last axis of `values` from their
+    direction words: s[..., x] is the popcount of D[x], and edges[..., i]
+    half the number of points x whose D[x] has bit i."""
+    words = direction_words(values)
+    n = words.shape[-1].bit_length() - 1
+    edges = np.zeros(words.shape[:-1] + (n,), dtype=np.int64)
+    for i in range(n):
+        edges[..., i] = np.count_nonzero(words >> np.uint32(i) & 1, axis=-1) // 2
+    return np.bitwise_count(words), edges
+
+
 def test_sensitivity_majority5_weight3_point():
     f = TruthTable.majority(5)
     x = 0b00011  # two coordinates at -1, three at +1
-    s, _ = sensitivities(f.values)
+    s, _ = scan_sensitivities(f.values)
     assert s[x] == 3
     assert s[x] == brute_sensitivity(f.values, 5, x)
 
 
 def test_sensitivity_constant_and_embedded_parity():
-    s, _ = sensitivities(TruthTable.constant(4).values)
+    s, _ = scan_sensitivities(TruthTable.constant(4).values)
     assert (s == 0).all()
-    s, _ = sensitivities(TruthTable.parity(5, 0b00011).values)
+    s, _ = scan_sensitivities(TruthTable.parity(5, 0b00011).values)
     assert (s == 2).all()
+
+
+def test_sensitive_direction_bits_are_the_disagreeing_flips():
+    for n in range(1, 5):  # every function on n variables: row c is function c
+        bits = (all_function_words(n) >> np.arange(1 << n, dtype=np.uint64)) & np.uint64(1)
+        words = direction_words(1 - 2 * bits.astype(np.int8))
+        for i in range(n):
+            flips = bits != bits[:, np.arange(1 << n) ^ (1 << i)]
+            assert np.array_equal(words >> np.uint32(i) & 1, flips)
+    for n in range(9):
+        f = TruthTable.random(n, seed=40 + n)
+        words = _sensitive_directions(f.values)
+        assert words.dtype == np.uint32 and words.shape == f.values.shape
+        assert all(int(words[x]) >> i & 1 == (f.values[x] != f.values[x ^ (1 << i)])
+                   for x in range(1 << n) for i in range(n))
+
+
+def restricted_sensitivities_agree(f):
+    """popcount(D(x) & S) is the brute sensitivity at x of restrict_table(f, rho),
+    rho fixing the coordinates outside S as in x, for every block mask S and x."""
+    n = f.n
+    words = _sensitive_directions(f.values)
+    for block in range(1 << n):
+        free = [i for i in range(n) if block >> i & 1]
+        for outside in range(1 << n):
+            if outside & block:
+                continue
+            rho = Restriction([0 if block >> i & 1 else -1 if outside >> i & 1 else 1
+                               for i in range(n)])
+            g = restrict_table(f, rho)
+            for sub in range(1 << len(free)):
+                x = outside | sum(1 << q for j, q in enumerate(free) if sub >> j & 1)
+                if int(words[x] & block).bit_count() != brute_sensitivity(g.values, g.n, sub):
+                    return False
+    return True
+
+
+def test_block_sensitivities_are_restricted_sensitivities():
+    for n in range(1, 4):
+        for c in all_function_words(n)[:, 0].tolist():
+            values = [-1 if c >> x & 1 else 1 for x in range(1 << n)]
+            assert restricted_sensitivities_agree(TruthTable(n, values))
+    for n in range(9):
+        assert restricted_sensitivities_agree(TruthTable.random(n, seed=60 + n))
 
 
 def test_profile_majority5():
@@ -116,46 +187,18 @@ def test_profile_matches_brute_oracle(seed):
 # ---------------------------------------------------------------- kernel
 
 
-def test_batched_sensitivities_match_single_tables_and_oracle():
-    tables = [TruthTable.random(5, seed=seed) for seed in range(6)]
-    batch = np.stack([f.values for f in tables]).reshape(2, 3, 32)
-    sens, _ = sensitivities(batch)
-    assert sens.shape == (2, 3, 32) and sens.dtype == np.uint8
-    for row, f in zip(sens.reshape(6, 32), tables):
-        single, _ = sensitivities(f.values)
-        assert row.tolist() == single.tolist()
-        assert row.tolist() == [brute_sensitivity(f.values, 5, x) for x in range(32)]
-
-
-def test_sensitivities_are_c_contiguous():
-    batch = np.stack([TruthTable.random(4, seed=seed).values for seed in range(7)])
-    sens, _ = sensitivities(batch)
-    assert sens.flags.c_contiguous
-    assert sensitivities(batch[0])[0].flags.c_contiguous
-
-
 def test_edges_match_brute_pair_counts():
     tables = [TruthTable.random(6, seed=seed) for seed in range(4)]
-    _, edges = sensitivities(np.stack([f.values for f in tables]))
-    brute = [sum(int(f.values[x] != f.values[x ^ (1 << i)])
-                 for f in tables for x in range(64) if not x >> i & 1)
-             for i in range(6)]
+    _, edges = scan_sensitivities(np.stack([f.values for f in tables]))
+    brute = [[sum(int(f.values[x] != f.values[x ^ (1 << i)]) for x in range(64) if not x >> i & 1)
+              for i in range(6)] for f in tables]
     assert edges.tolist() == brute
 
 
-def test_sensitivities_validation():
-    with pytest.raises(InputError):
-        sensitivities(np.ones(6))
-    with pytest.raises(InputError):
-        sensitivities(np.ones((3, 0)))
-
-
 def byte_scan_histogram(values, n):
-    """Per-table counts and the edges summed over tables, from the per-point scan."""
-    sens, edges = sensitivities(values.reshape(-1, 1 << n))
-    cells = (np.arange(len(sens)) * (n + 1))[:, None] + sens  # table * (n + 1) + s
-    counts = np.bincount(cells.ravel(), minlength=len(sens) * (n + 1))
-    return counts.reshape(len(sens), n + 1), edges
+    """Per-table counts and edges from the direction words."""
+    sens, edges = scan_sensitivities(values.reshape(-1, 1 << n))
+    return np.array([np.bincount(row, minlength=n + 1) for row in sens]), edges
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -175,7 +218,7 @@ def test_histogram_of_every_function_matches_brute_and_byte_scan(n):
     assert np.array_equal(pack_signs(values), words)
     scan_counts, scan_edges = byte_scan_histogram(values, n)
     assert np.array_equal(counts, scan_counts)
-    assert np.array_equal(edges.sum(axis=0), scan_edges)
+    assert np.array_equal(edges, scan_edges)
 
 
 def kernel_tables(n):
@@ -192,7 +235,7 @@ def test_histogram_matches_byte_scan_and_oracle(n):
     tables = kernel_tables(n)
     for f in tables:
         counts, edges = sensitivity_histogram(pack_signs(f.values), n)
-        sens, scan_edges = sensitivities(f.values)
+        sens, scan_edges = scan_sensitivities(f.values)
         assert counts.tolist() == np.bincount(sens, minlength=n + 1).tolist()
         assert edges.tolist() == scan_edges.tolist()
         if n <= 7:
@@ -202,7 +245,7 @@ def test_histogram_matches_byte_scan_and_oracle(n):
     assert counts.shape == (len(tables), 1, n + 1) and edges.shape == (len(tables), 1, n)
     scan_counts, scan_edges = byte_scan_histogram(stack, n)
     assert np.array_equal(counts[:, 0], scan_counts)
-    assert np.array_equal(edges[:, 0].sum(axis=0), scan_edges)
+    assert np.array_equal(edges[:, 0], scan_edges)
 
 
 @pytest.mark.parametrize("strip_bits", [0, 1, 3])
@@ -212,7 +255,7 @@ def test_histogram_pairs_words_across_strips(monkeypatch, n, strip_bits):
     monkeypatch.setattr(core, "_STRIP_BITS", strip_bits)
     for f in kernel_tables(n):
         counts, edges = sensitivity_histogram(pack_signs(f.values), n)
-        sens, scan_edges = sensitivities(f.values)
+        sens, scan_edges = scan_sensitivities(f.values)
         assert counts.tolist() == np.bincount(sens, minlength=n + 1).tolist()
         assert edges.tolist() == scan_edges.tolist()
 
@@ -220,7 +263,7 @@ def test_histogram_pairs_words_across_strips(monkeypatch, n, strip_bits):
 def test_histogram_at_full_strip_width():
     # 2^21 points are two strips of 2^14 words: axis 20 pairs the strips
     f = TruthTable.random(21, seed=21)
-    sens, scan_edges = sensitivities(f.values)
+    sens, scan_edges = scan_sensitivities(f.values)
     assert f.profile().counts.tolist() == np.bincount(sens, minlength=22).tolist()
     assert f._edges.tolist() == scan_edges.tolist()
 

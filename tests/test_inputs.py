@@ -73,6 +73,8 @@ ENTRY_POINTS = {
     "bsa_block_bound blocks": (lambda x: bsa_block_bound(MAJ5, x, 10, seed=1), 2),
     "mc_partition_average trials": (
         lambda x: mc_partition_average([1, 0, 1, 1], (2, 2), x, seed=1), 10),
+    "mc_partition_average population entry": (
+        lambda x: mc_partition_average([1, 0, x, 1], (2, 2), 10, seed=1), 1),
 }
 
 

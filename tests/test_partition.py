@@ -61,7 +61,6 @@ def test_hg_support_builds_no_weights(monkeypatch):
     def no_weights(*args):
         raise AssertionError("support() built the weights")
 
-    partition._hg_table.cache_clear()
     monkeypatch.setattr(partition, "_hg_weights", no_weights)
     assert HypergeometricParams(20000, 10000, 10000).support() == range(0, 10001)
     assert HypergeometricParams(10, 7, 5).support() == range(2, 6)

@@ -15,6 +15,8 @@ import pytest
 
 from boolsurf import partition, verify
 from boolsurf.cli import main
+from boolsurf.core import TruthTable
+from boolsurf.ptf import generate, sign_table
 from boolsurf.seeding import substream
 
 PINNED = [
@@ -148,3 +150,23 @@ def _sandwich_ends():
 ], ids=["jensen_bounds", "sandwich_check"])
 def test_enclosure_ends_digest(rows, digest):
     assert hashlib.sha256(repr(rows()).encode()).hexdigest() == digest
+
+
+def _block_bound_reports():
+    """`bsa_block_bound`'s full reports: c10's 22 functions at b = 2, 3 and
+    4,000 trials, then a random 12-variable table at b = 1..4 (b = 1 runs
+    many index segments per chunk) with 1 and 257 trials on 1 and 3 workers."""
+    functions = [TruthTable.majority(9), TruthTable.parity(8, (1 << 8) - 1)]
+    functions += [sign_table(generate("random", 10, degree=2, seed=100 + s))[0]
+                  for s in range(20)]
+    reports = [partition.bsa_block_bound(f, b, trials=4000, seed=verify.SUITE_SEED)
+               for f in functions for b in (2, 3)]
+    f = TruthTable.random(12, seed=7)
+    reports += [partition.bsa_block_bound(f, b, trials, seed=11, workers=workers)
+                for b in range(1, 5) for workers in (1, 3) for trials in (1, 257)]
+    return reports
+
+
+def test_block_bound_reports_digest():
+    digest = hashlib.sha256(repr(_block_bound_reports()).encode()).hexdigest()
+    assert digest == "3fdb2de9d8b13a6fd6ee206a825483298f293d892c19d58d7c3920efcabee1bf"
