@@ -30,8 +30,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import boundary, partition, restriction
-from .core import (TruthTable, _one_level, bsa, bsa_via_tails, fractional_moment,
-                   noise_sensitivity, noise_sensitivity_semigroup)
+from .core import (TruthTable, _one_level, _sensitive_directions, bsa, bsa_via_tails,
+                   fractional_moment, noise_sensitivity, noise_sensitivity_semigroup,
+                   popcount_table)
 from .errors import BoolsurfError, InputError, VerificationError
 from .interval import _product, prove, sqrt_sum, working_bits
 from .ptf import generate, sign_table
@@ -106,28 +107,15 @@ def format_result(r: CriterionResult) -> str:
 # ---------------------------------------------------------------- corpora
 
 @lru_cache(maxsize=1)
-def _ptf_corpus():
-    """Named polynomials spanning every generator family (22 entries)."""
-    polys = []
-    for n in (1, 2, 3, 5, 8, 9, 11):
-        polys.append((f"maj:{n}", generate("majority", n)))
-    for n in (6, 8):
-        polys.append((f"harm:{n}", generate("harmonic", n)))
-    for mask in (0b1, 0b11, 0b111111):
-        polys.append((f"par:6:{mask:#x}", generate("parity", 6, subset=mask)))
-    for s in range(5):
-        polys.append((f"rand:d=2,n=10,seed={s}", generate("random", 10, degree=2, seed=s)))
-    for s in range(3):
-        polys.append((f"rand:d=3,n=8,seed={s}", generate("random", 8, degree=3, seed=s)))
-    for s in range(2):
-        polys.append((f"rands:d=3,n=12,terms=20,seed={s}",
-                      generate("random-sparse", 12, degree=3, nterms=20, seed=s)))
-    return polys
-
-
-@lru_cache(maxsize=1)
 def _ptf_tables():
-    return [(label, sign_table(p)[0]) for label, p in _ptf_corpus()]
+    """Sign tables of polynomials spanning every generator family (22 entries)."""
+    polys = [generate("majority", n) for n in (1, 2, 3, 5, 8, 9, 11)]
+    polys += [generate("harmonic", n) for n in (6, 8)]
+    polys += [generate("parity", 6, subset=mask) for mask in (0b1, 0b11, 0b111111)]
+    polys += [generate("random", 10, degree=2, seed=s) for s in range(5)]
+    polys += [generate("random", 8, degree=3, seed=s) for s in range(3)]
+    polys += [generate("random-sparse", 12, degree=3, nterms=20, seed=s) for s in range(2)]
+    return [sign_table(p)[0] for p in polys]
 
 
 @lru_cache(maxsize=1)  # c2 and c3 share one corpus and its memoised profiles
@@ -163,7 +151,7 @@ def _c1():
 
 @_criterion("c2", "tail-sum route equals histogram route for surface area", budget=10.0)
 def _c2():
-    tables = _random_tables(500, 12, 2) + [t for _, t in _ptf_tables()]
+    tables = _random_tables(500, 12, 2) + _ptf_tables()
     worst = 0.0
     exact_half = True
     for f in tables:
@@ -189,7 +177,7 @@ def _area_below_root_influence(counts, n: int) -> bool:
 
 @_criterion("c3", "surface area at most sqrt(influence), strict off the constant-sensitivity case")
 def _c3():
-    tables = _random_tables(500, 12, 2) + [t for _, t in _ptf_tables()]
+    tables = _random_tables(500, 12, 2) + _ptf_tables()
     min_slack = math.inf
     ok = True
     for f in tables:
@@ -302,45 +290,67 @@ def _c8():
                            f"hypergeometric cases, {failures} escapes")
 
 
-@_criterion("c9", "shuffled partition average matches the exact block average")
+def _hypergeometric_law(words, n: int, masks, levels: dict) -> bool:
+    """Whether hist[j] C(n, m) = len(masks) sum_s levels[s] w_s[j], where hist[j] (word, mask)
+    pairs share j of the masks' m bits and w_s is `partition._hg_weights(n, s, m)`.  It holds
+    when levels[s] words have s bits and `masks` are all m-subsets or `words` all such words."""
+    m = int(np.bitwise_count(masks[0]))
+    hist = np.bincount(np.bitwise_count(np.bitwise_and.outer(words, masks)).ravel(),
+                       minlength=m + 1)
+    want = [0] * (m + 1)
+    for s, count in levels.items():
+        for j, weight in zip(*partition._hg_weights(n, s, m)):
+            want[j] += count * weight
+    return [h * math.comb(n, m) for h in hist.tolist()] == [len(masks) * w for w in want]
+
+
+@_criterion("c9", "shuffle table: hypergeometric block counts, mean equal to the exact "
+                  "block average", budget=10.0)
 def _c9():
     rng = substream(SUITE_SEED, 9)
-    cases = 1000
-    hits = 0
+    cases, passed, worst = 1000, 0, 0.0
     for _ in range(cases):
         n = int(rng.integers(4, 17))
         k = int(rng.integers(0, n + 1))
         b = int(rng.integers(1, min(6, n) + 1))
         sizes = _random_composition(rng, n, b)
-        y = np.zeros(n, dtype=np.int64)
-        y[:n - k] = 1
-        rng.shuffle(y)
-        spec = partition.BlockPartitionSpec(n, k, sizes)
-        exact = float(partition.block_average_B(spec))
-        est, err = partition.mc_partition_average(y, sizes, trials=100_000,
-                                                  seed=int(rng.integers(1 << 31)))
-        if abs(est - exact) <= 4.0 * err + partition.ABS_NOISE:
-            hits += 1
-    return hits >= 990, f"{hits}/{cases} cases within 4 standard errors at 1e5 trials"
+        words, table = partition._shuffle_table(n - k, sizes)
+        edges = [1 << e for e in np.cumsum((0,) + sizes).tolist()]  # masks edges[l + 1] - edges[l]
+        law = all(_hypergeometric_law(words, n, [hi - lo], {n - k: math.comb(n, k)})
+                  for lo, hi in zip(edges, edges[1:]))
+        exact = float(partition.block_average_B(partition.BlockPartitionSpec(n, k, sizes)))
+        gap = abs(math.fsum(table.tolist()) / len(table) - exact)
+        # relative to B, to first order in u = 2^-53: b rounded roots and their b - 1 sums
+        # (b u), sqrt(b) and the division by it, fsum and the mean's division (4 u), B's float
+        # (u), one u more for the u^2 terms; B = 0 leaves no room: each placement sums to 0
+        passed += law and gap <= (b + 6) * 2.0**-53 * exact
+        worst = max(worst, gap / (exact or 1.0))
+    return passed == cases, (f"{passed}/{cases} cases with hypergeometric block counts and "
+                             f"a table mean within (b + 6) 2^-53 of B, worst {worst:.2e}")
 
 
-@_criterion("c10", "block-splitting surface-area bound on majority, parity, and random "
-                   "degree-2 thresholds")
+@_criterion("c10", "block-splitting surface-area bound proved level by level on majority, "
+                   "parity, and random degree-2 thresholds", budget=10.0)
 def _c10():
-    functions = [("maj:9", TruthTable.majority(9)),
-                 ("par:8:full", TruthTable.parity(8, (1 << 8) - 1))]
-    for s in range(20):
-        table, _ = sign_table(generate("random", 10, degree=2, seed=100 + s))
-        functions.append((f"rand:d=2,n=10,seed={100 + s}", table))
-    runs = 0
-    worst = math.inf
-    for _, f in functions:
+    functions = [TruthTable.majority(9), TruthTable.parity(8, (1 << 8) - 1)] + [
+        sign_table(generate("random", 10, degree=2, seed=100 + s))[0] for s in range(20)]
+    proved, laws, worst = 0, 0, math.inf
+    for f in functions:
+        n, counts, words = f.n, f.profile().counts.tolist(), _sensitive_directions(f.values)
         for b in (2, 3):
-            # raises VerificationError (caught by the runner) on any failure
-            report = partition.bsa_block_bound(f, b, trials=4000, seed=SUITE_SEED)
-            worst = min(worst, report.margin)
-            runs += 1
-    return True, f"{runs} (function, blocks) runs, smallest margin {worst:.3f}"
+            # block l meets x's s(x) sensitive directions in Hg(n, s(x), m_l) bits, so RHS =
+            # sum_s c_s B_s / 2^n; sqrt(s) <= B_s + b at each level averages to BSA <= RHS + b
+            sizes = partition.near_equal_sizes(n, b)
+            laws += all(_hypergeometric_law(words, n, np.flatnonzero(popcount_table(n) == m),
+                                            dict(enumerate(counts))) for m in set(sizes))
+            rows = list(partition.sandwich_rows(n, sizes, range(n + 1), partition.CERT_PRECISION))
+            proved += all(row[8] for row in rows)  # row k: B_s, sqrt(s) <= B_s + b at s = n - k
+            rhs = math.fsum(c * row[4] for c, row in zip(reversed(counts), rows)) / (1 << n)
+            worst = min(worst, rhs + b - bsa(f))
+    runs = 2 * len(functions)
+    return proved == laws == runs, (
+        f"{proved}/{runs} (function, blocks) runs proved at every level, "
+        f"{laws}/{runs} with hypergeometric block counts, smallest margin {worst:.4f}")
 
 
 @_criterion("c11", "noise sensitivity: smoothing route agrees, single coordinate is exact")
@@ -400,7 +410,7 @@ def _c14():
     exponent = 2 * SUITE_DEGREE_EXPONENT_K + 1
     worst = math.inf
     ok = True
-    for label, f in _ptf_tables():
+    for f in _ptf_tables():
         ceiling = 32.0 * math.log(math.e * f.n) ** exponent
         ok = ok and bsa(f) <= ceiling
         worst = min(worst, ceiling - bsa(f))

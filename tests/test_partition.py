@@ -10,13 +10,15 @@ from boolsurf.core import TruthTable
 from boolsurf.errors import (CapacityError, DegenerateInputError, InputError,
                              VerificationError)
 from boolsurf.interval import _root, working_bits
-from boolsurf.partition import (BlockPartitionSpec, HypergeometricParams, _picks,
-                                _shuffle_table, block_average_B,
+from boolsurf.partition import (ABS_NOISE, BlockPartitionSpec, HypergeometricParams, _hg_weights,
+                                _picks, _shuffle_table, block_average_B,
                                 bsa_block_bound, gap_bound, hg_pmf, jensen_bounds,
                                 mc_partition_average, mean_sqrt_hg, near_equal_sizes,
                                 near_equal_sweep, sandwich_check, sandwich_rows)
+from boolsurf.ptf import generate, sign_table
+from boolsurf.restriction import Restriction, restrict_table
 from boolsurf.seeding import substream
-from boolsurf.verify import _random_composition
+from boolsurf.verify import SUITE_SEED, _random_composition
 
 # Exact references: sqrt(s) to within 1e-60 as a Fraction, and the ends
 # of an enclosure as Fractions.  `close` holds when both ends of the
@@ -578,6 +580,52 @@ def test_block_bound_validation():
         bsa_block_bound(f, blocks=6, trials=10, seed=0)
     with pytest.raises(InputError):
         bsa_block_bound(f, blocks=2, trials=0, seed=0)
+
+
+ORACLE_TABLES = [("maj:5", TruthTable.majority(5)), ("par:6:full", TruthTable.parity(6, 0x3F)),
+                 ("const:5", TruthTable.constant(5))] + [
+    (f"random:{n}", TruthTable.random(n, seed=n)) for n in (4, 5, 6)]
+
+
+@pytest.mark.parametrize("f", [f for _, f in ORACLE_TABLES],
+                         ids=[label for label, _ in ORACLE_TABLES])
+def test_block_law_matches_every_restriction(f):
+    # over every m-subset S and every completion of the other coordinates,
+    # the restricted tables' histograms count the pairs (x, S) in which x has
+    # j sensitive directions inside S: a point with s of them meets C(s, j)
+    # C(n - s, m - j) of the C(n, m) subsets, so the sums are sum_s c_s w_s[j].
+    # Averaged over blocks, that is the closed form sum_s c_s B(n, n - s) / 2^n
+    # of the block bound's right side
+    n, counts = f.n, f.profile().counts.tolist()
+    for m in range(n + 1):
+        total = np.zeros(m + 1, dtype=np.int64)
+        for free in itertools.combinations(range(n), m):
+            fixed = [i for i in range(n) if i not in free]
+            for signs in itertools.product((1, -1), repeat=n - m):
+                pattern = np.zeros(n, dtype=np.int8)
+                pattern[fixed] = signs
+                total += restrict_table(f, Restriction(pattern)).profile().counts
+        want = [0] * (m + 1)
+        for s, c in enumerate(counts):
+            for j, weight in zip(*_hg_weights(n, s, m)):
+                want[j] += c * weight
+        assert total.tolist() == want, m
+
+
+def test_block_bound_estimates_the_closed_form():
+    # c10's runs: the Monte Carlo right side sits within 4 standard errors of
+    # sum_s c_s B(n, n - s, sizes) / 2^n, which c10 proves exactly
+    functions = [TruthTable.majority(9), TruthTable.parity(8, (1 << 8) - 1)]
+    functions += [sign_table(generate("random", 10, degree=2, seed=100 + s))[0]
+                  for s in range(20)]
+    for f in functions:
+        counts = f.profile().counts.tolist()
+        for b in (2, 3):
+            sizes = near_equal_sizes(f.n, b)
+            exact = math.fsum(c * float(block_average_B(BlockPartitionSpec(f.n, f.n - s, sizes)))
+                              for s, c in enumerate(counts) if c) / (1 << f.n)
+            report = bsa_block_bound(f, b, trials=4000, seed=SUITE_SEED)
+            assert abs(report.rhs_estimate - exact) <= 4.0 * report.stderr + ABS_NOISE, (f.n, b)
 
 
 # ---------------------------------------------------------------- certification
